@@ -34,7 +34,7 @@ from .pointio import (
 )
 from .sweep import blms2017, blms2017_raw, ll2014, ll2014_1p
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 # Registry used by the CLI; iteration order is the presentation order.
 ALGORITHMS = {

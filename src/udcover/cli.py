@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -95,19 +94,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_cover(args: argparse.Namespace) -> int:
     points = _maybe_shuffle(_load_points(args), args.shuffle_seed)
-    pts_list = [tuple(p) for p in np.asarray(points, dtype=np.float64)]
     rc = EXIT_OK
     last_cover = None
     for name in _selected_algorithms(args.algorithm):
         solver = ALGORITHMS[name]
         start = time.perf_counter()
-        cover = solver(pts_list)
+        cover = solver(points)
         elapsed = time.perf_counter() - start
         if args.drop_disks:
             cover = cover[:max(0, len(cover) - args.drop_disks)]
         line = f"{name}: {len(cover)} disks in {elapsed:.6f} s"
         if args.verify:
-            report = verify_cover(pts_list, cover, eps=args.eps)
+            report = verify_cover(points, cover, eps=args.eps)
             if not report.valid:
                 line += f"  INVALID ({len(report.uncovered)} uncovered)"
                 rc = EXIT_VERIFY
@@ -117,7 +115,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         last_cover = cover
     if args.svg and last_cover is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            write_svg(pts_list, last_cover, fh)
+            write_svg(points, last_cover, fh)
     return rc
 
 
@@ -127,10 +125,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("verify requires --cover FILE", EXIT_USAGE)
     try:
         with open(args.cover, "r", encoding="utf-8") as fh:
-            cover = [tuple(p) for p in read_xy(fh)]
+            cover = read_xy(fh)
     except ParseError as exc:
         raise CliError(f"{args.cover}: {exc}", EXIT_PARSE) from None
-    report = verify_cover([tuple(p) for p in points], cover, eps=args.eps)
+    report = verify_cover(points, cover, eps=args.eps)
     if report.valid:
         print(f"valid: {report.cover_size} disks cover {len(points)} points")
         return EXIT_OK
@@ -140,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
-    points = [tuple(p) for p in _load_points(args)]
+    points = _load_points(args)
     if len(points) > MAX_EXACT_POINTS:
         raise CliError(f"optimal handles at most {MAX_EXACT_POINTS} points, "
                        f"got {len(points)}", EXIT_USAGE)
@@ -162,18 +160,17 @@ def _bench_one(name: str, args: argparse.Namespace, trial: int) -> BenchRecord:
                            args.rinner, seed)
         instance = f"{args.shape}-n{args.n}"
     points = _maybe_shuffle(points, args.shuffle_seed)
-    pts_list = [tuple(p) for p in np.asarray(points, dtype=np.float64)]
     solver = ALGORITHMS[name]
     start = time.perf_counter()
-    cover = solver(pts_list)
+    cover = solver(points)
     elapsed = time.perf_counter() - start
-    report = verify_cover(pts_list, cover, eps=args.eps)
+    report = verify_cover(points, cover, eps=args.eps)
     if not report.valid:
         raise CliError(
             f"{name} produced an invalid cover on {instance} seed {seed}: "
             f"{len(report.uncovered)} uncovered (first index "
             f"{report.uncovered[0][0]})", EXIT_VERIFY)
-    return BenchRecord(algorithm=name, instance=instance, n=len(pts_list),
+    return BenchRecord(algorithm=name, instance=instance, n=len(points),
                        cover_size=len(cover), wall_time_s=elapsed,
                        seed=seed, trial=trial)
 
@@ -181,20 +178,9 @@ def _bench_one(name: str, args: argparse.Namespace, trial: int) -> BenchRecord:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1", EXIT_USAGE)
-    names = _selected_algorithms(args.algorithm)
-    tasks = [(name, trial) for name in names for trial in range(args.trials)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_bench_one, name, args, trial)
-                       for name, trial in tasks]
-            results = [f.result() for f in futures]
-    else:
-        results = [_bench_one(name, args, trial) for name, trial in tasks]
-
     records: list[BenchRecord] = []
-    for name in names:
-        rows = [r for r in results if r.algorithm == name]
-        rows.sort(key=lambda r: r.trial)
+    for name in _selected_algorithms(args.algorithm):
+        rows = [_bench_one(name, args, trial) for trial in range(args.trials)]
         records.extend(rows)
         mean_size = sum(r.cover_size for r in rows) / len(rows)
         if mean_size.is_integer():
@@ -256,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=5)
     p_bench.add_argument("--eps", type=float, default=1e-9)
     p_bench.add_argument("--csv", help="results file (default stdout)")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="concurrent trials")
     p_bench.add_argument("--shuffle-seed", type=int, default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -33,12 +33,45 @@ class BenchRecord:
 CSV_HEADER = "algorithm,instance,n,cover_size,wall_time_s,seed,trial"
 
 
+# Printable ASCII except '#', plus space, tab and newline. In text made of
+# these bytes alone, lines end only at '\n' and tokens split only at spaces
+# and tabs, for np.loadtxt and the line loop alike. Anything else (a comment,
+# '\r', '\x0c', non-ASCII) goes to the loop.
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b"#", b"") + b" \t\n"
+
+
 def read_xy(stream: IO[str]) -> np.ndarray:
     """One point per nonempty line: two whitespace-separated numbers.
-    Lines starting with '#' are skipped."""
+    Lines starting with '#' are skipped.
+
+    Plain input is parsed in one vectorised pass; any other input, and any
+    input that pass rejects, goes through the line loop, which raises the
+    ParseError."""
+    lines = stream.readlines()
+    pts = _read_xy_plain(lines)
+    return pts if pts is not None else _read_xy_lines(lines)
+
+
+def _read_xy_plain(lines: list[str]) -> np.ndarray | None:
+    """The points, or None when the line loop must decide: on empty,
+    commented, ragged, non-finite or not plain input."""
+    text = "".join(lines)
+    # np.loadtxt warns on input with no data; the loop returns no points
+    if not text or text.isspace() or text.encode().translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        pts = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if pts.shape[1] != 2 or not np.isfinite(pts).all():
+        return None
+    return pts
+
+
+def _read_xy_lines(lines: Iterable[str]) -> np.ndarray:
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -54,7 +87,7 @@ def read_xy(stream: IO[str]) -> np.ndarray:
             raise ParseError(f"non-finite coordinate in {text!r}", lineno)
         xs.append(x)
         ys.append(y)
-    return np.array([xs, ys], dtype=np.float64).T.reshape(-1, 2)
+    return np.column_stack((xs, ys))
 
 
 def write_xy(points, stream: IO[str]) -> None:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from udcover import ALGORITHMS, gen_annulus, gen_convex, gen_disk, gen_square
 from udcover.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -46,6 +48,40 @@ def test_cover_all_algorithms(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 9
     assert out.count("verified") == 9
+
+
+def test_cover_all_algorithms_on_commented_crlf_file(tmp_path, capsys):
+    f = tmp_path / "p.xy"
+    f.write_bytes(b"# header\r\n0 0\r\n\r\n1 1\r\n  # note\r\n"
+                  b"5 5\r\n \t\r\n0.5\t-0.25\r\n")
+    assert run(["cover", "--input", str(f), "--algorithm", "all",
+                "--verify"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 9
+    assert all(line.endswith("  verified") for line in out)
+
+
+_INSTANCES = [
+    (gen_square, (400, 200.0)),
+    (gen_disk, (400, 200.0)),
+    (gen_annulus, (300, 9.0, 5.0)),
+    (gen_convex, (80, 60.0)),
+]
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_cover_same_from_ndarray_and_tuple_list(name):
+    """The CLI used to hand solvers a list of tuples of np.float64; it now
+    hands them the ndarray. Both must give the same cover, value for value."""
+    solver = ALGORITHMS[name]
+    for gen, args in _INSTANCES:
+        for seed in (1, 2):
+            pts = gen(*args, seed)
+            from_list = solver([tuple(p) for p in pts])
+            from_array = solver(pts)
+            assert len(from_list) == len(from_array)
+            assert (np.asarray(from_list, dtype=np.float64).tobytes()
+                    == np.asarray(from_array, dtype=np.float64).tobytes())
 
 
 def test_cover_truncated_fails_verification(tmp_path):
@@ -127,20 +163,6 @@ def test_bench_deterministic_sizes(tmp_path):
              "--algorithm", "fastcover++", "--trials", "2", "--seed", "5"]
     run(flags + ["--csv", str(a)])
     run(flags + ["--csv", str(b)])
-    strip = lambda text: [
-        ",".join(f for i, f in enumerate(l.split(",")) if i != 4)
-        for l in text.splitlines()
-    ]
-    assert strip(a.read_text()) == strip(b.read_text())
-
-
-def test_bench_jobs_same_records(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    flags = ["bench", "--shape", "square", "--n", "40", "--area", "80",
-             "--algorithm", "all", "--trials", "2", "--seed", "3"]
-    run(flags + ["--csv", str(a), "--jobs", "1"])
-    run(flags + ["--csv", str(b), "--jobs", "4"])
     strip = lambda text: [
         ",".join(f for i, f in enumerate(l.split(",")) if i != 4)
         for l in text.splitlines()

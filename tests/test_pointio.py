@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -114,3 +115,18 @@ def test_svg_viewbox_encloses_disks():
     xmin, ymin, w, h = map(float, vb.split())
     assert xmin <= -1.0  # point minus margin
     assert xmin + w >= 11.0  # disk center + 1 unit disk margin
+
+
+def test_read_xy_empty_input_no_warning():
+    for text in ("", "\n", " \t\n\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = read_xy(io.StringIO(text))
+        assert pts.shape == (0, 2) and pts.dtype == np.float64
+
+
+def test_read_xy_returns_c_contiguous_float64():
+    for text in ("0.25 -1e-3\n7 8\n", "# comment\n0.25 -1e-3\n\n7 8\n"):
+        pts = read_xy(io.StringIO(text))
+        assert pts.dtype == np.float64 and pts.flags.c_contiguous
+        assert pts.tolist() == [[0.25, -1e-3], [7.0, 8.0]]
