@@ -149,9 +149,12 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_one(name: str, args: argparse.Namespace, trial: int) -> BenchRecord:
-    if args.input is not None:
-        points = _load_points(args)
+def _bench_one(name: str, args: argparse.Namespace, trial: int,
+               loaded: np.ndarray | None) -> BenchRecord:
+    """One timed, verified trial; ``loaded`` is the ``--input`` pointset,
+    read once for every trial, or None to generate one per trial."""
+    if loaded is not None:
+        points = loaded
         instance = args.input
         seed = args.seed
     else:
@@ -178,9 +181,11 @@ def _bench_one(name: str, args: argparse.Namespace, trial: int) -> BenchRecord:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1", EXIT_USAGE)
+    loaded = _load_points(args) if args.input is not None else None
     records: list[BenchRecord] = []
     for name in _selected_algorithms(args.algorithm):
-        rows = [_bench_one(name, args, trial) for trial in range(args.trials)]
+        rows = [_bench_one(name, args, trial, loaded)
+                for trial in range(args.trials)]
         records.extend(rows)
         mean_size = sum(r.cover_size for r in rows) / len(rows)
         if mean_size.is_integer():

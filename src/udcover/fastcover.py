@@ -9,77 +9,239 @@ Three optimization levels over the same sqrt(2)-grid idea:
 * ``fast_cover_pp``    -- additionally track a bounding box of the points
   assigned to each grid-disk and merge adjacent disks whose combined box
   has diagonal at most 2 into a single disk.
+
+``fast_cover_plus`` and ``fast_cover_pp`` share one placement pass over
+arrays (``_place``): only the points whose fate depends on input order go
+through a Python loop.
 """
 
 from __future__ import annotations
 
-import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (
-    BBox,
-    Cover,
-    GridKey,
-    INV_SQRT2,
-    Point,
-    SQRT2,
-    bbox_union_diagonal_sq,
-    grid_disk_center,
-)
+from .geom import BBox, Cover, GridKey, INV_SQRT2, Point, SQRT2
 
 # disk-table: placed grid-disk -> bounding box of its assigned points
 DiskTable = dict[GridKey, BBox]
-
-_DIRS = ("E", "W", "N", "S")
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
 _GATE_FAR = 1.5 * SQRT2 - 1.0
 _GATE_NEAR = 1.0 - 0.5 * SQRT2
 
-# neighbor scan order for coalescing: row-major over the 3x3 block
-_NEIGHBORS_8 = (
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-)
+# neighbor test order when placing: E, W, N, S
+_PLACE_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+# the neighbors that come after a cell in (i, j) order, in row-major
+# order; the earlier four can never be coalesce partners (see _coalesce)
+_LATER_NEIGHBORS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _as_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    return arr.reshape(-1, 2)
+def _runs(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before them."""
+    new = np.empty(len(sorted_values), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
+    return new
 
 
-def _point_list(points) -> list:
-    if isinstance(points, np.ndarray):
-        return points.reshape(-1, 2).tolist() if points.size else []
-    return list(points)
+class _Cells:
+    """The distinct cells among n (i, j) pairs, numbered in (i, j) order.
 
-
-def neighbor_threshold_check(p: Point, k: GridKey, direction: str) -> bool:
-    """True iff p lies outside the inner square of its cell on the given
-    side, i.e. the neighbor grid-disk in that direction could possibly
-    cover p. False means provably not covered, no distance check needed.
+    A cell's key is rank(i) * s + rank(j), ranks taken among the s
+    distinct values that occur as i or as j. Keys keep (i, j) order and
+    never collide, however far apart the cells lie.
     """
-    i, j = k
-    if direction == "E":
-        return p[0] >= SQRT2 * (i + 1.5) - 1.0
-    if direction == "W":
-        return p[0] <= SQRT2 * (i - 0.5) + 1.0
-    if direction == "N":
-        return p[1] >= SQRT2 * (j + 1.5) - 1.0
-    if direction == "S":
-        return p[1] <= SQRT2 * (j - 0.5) + 1.0
-    raise ValueError(f"unknown direction: {direction!r}")
+
+    def __init__(self, ij: np.ndarray):
+        flat = ij.ravel()
+        by_value = flat.argsort()
+        new = _runs(flat[by_value])
+        rank = np.empty(len(flat), dtype=np.intp)
+        rank[by_value] = new.cumsum() - 1
+        self.span = int(new.sum())
+        key = rank[0::2] * self.span + rank[1::2]
+        order = key.argsort()
+        sorted_key = key[order]
+        new = _runs(sorted_key)
+        start = new.nonzero()[0]
+        self.key = sorted_key[start]
+        self.id = np.empty(len(key), dtype=np.intp)  # cell of each item
+        self.id[order] = new.cumsum() - 1
+        # items grouped by cell, to reduce over each cell's items
+        self.order = order
+        self.start = start
+        self.first = np.minimum.reduceat(order, start)  # earliest item
+        self.i = ij[:, 0].take(self.first)
+        self.j = ij[:, 1].take(self.first)
+        # grid-disk centers
+        self.cx = SQRT2 * self.i + INV_SQRT2
+        self.cy = SQRT2 * self.j + INV_SQRT2
+
+    def neighbors(self, offsets) -> np.ndarray:
+        """For every cell (rows) and each (di, dj) in ``offsets``
+        (columns): the index of the cell (i + di, j + dj), or -1 where
+        that cell is empty."""
+        m = len(self.key)
+        pos = np.empty((len(offsets), m), dtype=np.intp)
+        row_at = {}
+        for col, (di, dj) in enumerate(offsets):
+            if di == 0:
+                pos[col] = np.arange(dj, m + dj)
+                continue
+            # (i + di, j - 1), (i + di, j) and (i + di, j + 1) are
+            # adjacent in key order, so one search per di places all three
+            row = self.key + di * self.span
+            if di not in row_at:
+                row_at[di] = self.key.searchsorted(row)
+            if dj > 0:
+                pos[col] = row_at[di] + (self.key.take(row_at[di], mode="clip") == row)
+            else:
+                pos[col] = row_at[di] + dj
+        di, dj = np.array(offsets).T[:, :, None]
+        hit = ((self.i.take(pos, mode="clip") == self.i + di)
+               & (self.j.take(pos, mode="clip") == self.j + dj))
+        return np.where(hit, pos, -1).T
+
+    def centers(self, cells: np.ndarray) -> Cover:
+        """Grid-disk centers of the given cells, in that order."""
+        return list(zip(self.cx.take(cells).tolist(), self.cy.take(cells).tolist()))
+
+
+class _Placement(NamedTuple):
+    cells: _Cells
+    placed_at: np.ndarray  # per cell: index of the point that placed it, n if none
+    dep: np.ndarray        # the points whose disk depended on input order
+    dep_owner: list        # per dep point: the cell whose disk it joined
+    xy: np.ndarray         # the points, (n, 2)
+
+
+def _place(xy: np.ndarray) -> _Placement:
+    """The fast_cover_plus pass over n >= 1 points.
+
+    In input order, a point joins its own cell's disk if placed, else the
+    first placed E/W/N/S neighbor disk whose gate it passes and that is
+    within distance 1, else places its own cell's disk. A point's choice
+    depends on input order only when some neighbor could take it and it
+    comes before the first point of its cell that no neighbor can take;
+    only those points go through the sequential loop.
+    """
+    n = len(xy)
+    floor = np.floor(xy / SQRT2)
+    ij = floor.astype(np.int64)
+    cells = _Cells(ij)
+    cid = cells.id
+    corner = floor * SQRT2
+    gates = np.empty((n, 4), dtype=bool)  # columns E, W, N, S
+    np.greater_equal(xy, corner + _GATE_FAR, out=gates[:, 0::2])
+    np.less_equal(xy, corner + _GATE_NEAR, out=gates[:, 1::2])
+    # (point, neighbor cell) pairs where that neighbor could take the
+    # point: gate passed, neighbor nonempty, within distance 1, and one of
+    # the neighbor's points comes earlier (else it cannot be placed yet)
+    pts, d = gates.nonzero()
+    nb = cells.neighbors(_PLACE_DIRS)[cid[pts], d]
+    dx = xy[:, 0].take(pts) - cells.cx.take(nb)
+    dy = xy[:, 1].take(pts) - cells.cy.take(nb)
+    ok = (nb >= 0) & (dx * dx + dy * dy <= 1.0) & (cells.first.take(nb) < pts)
+    pts = pts[ok]
+    reach = np.full((n, 4), -1, dtype=np.intp)  # columns E, W, N, S
+    reach[pts, d[ok]] = nb[ok]
+    takeable = np.zeros(n, dtype=bool)
+    takeable[pts] = True
+    # per cell: the first point that no neighbor can take (n if none)
+    index = np.arange(n)
+    firm = np.where(takeable, n, index)
+    placed_at = np.minimum.reduceat(firm[cells.order], cells.start)
+    dep = (takeable & (index < placed_at[cid])).nonzero()[0]
+
+    t = placed_at.tolist()
+    own = []
+    for k, c, near in zip(dep.tolist(), cid[dep].tolist(), reach[dep].tolist()):
+        if t[c] > k:  # own disk not placed yet
+            for e in near:  # E, W, N, S
+                if e >= 0 and t[e] < k:
+                    c = e
+                    break
+            else:
+                t[c] = k
+        own.append(c)
+    return _Placement(cells, np.array(t), dep, own, xy)
+
+
+def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray]:
+    """The placed cells in (i, j) order, and a (4, m) array of the
+    bounding boxes (rows xmin, ymin, xmax, ymax) of the points assigned
+    to their disks."""
+    owner = p.cells.id.copy()  # cell of the disk each point joined
+    owner[p.dep] = p.dep_owner
+    by_owner = owner.argsort()
+    start = _runs(owner[by_owner]).nonzero()[0]
+    disks = owner[by_owner[start]]
+    x = p.xy[:, 0].take(by_owner)
+    y = p.xy[:, 1].take(by_owner)
+    box = np.array([np.minimum.reduceat(x, start), np.minimum.reduceat(y, start),
+                    np.maximum.reduceat(x, start), np.maximum.reduceat(y, start)])
+    # A box keeps its first point's value among equal ones, and the
+    # reductions do not promise which of -0.0 and 0.0 they return.
+    for axis in (0, 1):
+        v = p.xy[:, axis]
+        zero = np.flatnonzero(v == 0.0)
+        if len(zero):
+            group, first = np.unique(np.searchsorted(disks, owner[zero]),
+                                     return_index=True)
+            for edge in box[axis::2]:
+                z = edge[group] == 0.0
+                edge[group[z]] = v[zero[first[z]]]
+    return disks, box
+
+
+def _coalesce(cells: _Cells, disks: np.ndarray, box: np.ndarray) -> Cover:
+    """Coalesce the grid-disks of ``disks`` (cell indices in (i, j)
+    order, with (4, m) boxes ``box``) as ``coalesce_pass`` describes.
+
+    A disk that survives its own visit found every present neighbor
+    ineligible, and the union test is symmetric, so only the four later
+    neighbors can ever be partners; all their tests run at once, and the
+    sequential part walks the eligible pairs alone.
+    """
+    m = len(disks)
+    slot = np.full(len(cells.key) + 1, -1, dtype=np.intp)  # slot[-1] stays -1
+    slot[disks] = np.arange(m)
+    partner = slot[cells.neighbors(_LATER_NEIGHBORS)[disks]]
+    rows, cols = (partner >= 0).nonzero()
+    partner = partner[rows, cols]
+    a = box.take(rows, axis=1)
+    b = box.take(partner, axis=1)
+    lo = np.where(a[:2] < b[:2], a[:2], b[:2])
+    hi = np.where(a[2:] > b[2:], a[2:], b[2:])
+    d = hi - lo
+    eligible = (d[0] * d[0] + d[1] * d[1] <= 4.0).nonzero()[0]
+    alive = [True] * m
+    merges = []
+    for pair, r, q in zip(eligible.tolist(), rows[eligible].tolist(),
+                          partner[eligible].tolist()):
+        if alive[r] and alive[q]:
+            alive[r] = alive[q] = False
+            merges.append(pair)
+    mid = (lo[:, merges] + hi[:, merges]) / 2.0
+    merged = list(zip(mid[0].tolist(), mid[1].tolist()))
+    return merged + cells.centers(disks[np.array(alive, dtype=bool)])
+
+
+def _as_points(points) -> np.ndarray:
+    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        raise ValueError("point coordinates must be finite")
+    return xy
 
 
 def fast_cover(points) -> Cover:
     """One grid-disk per distinct nonempty cell, in first-occurrence
     order of the input. Expected O(n) time, O(s) extra space."""
-    arr = _as_array(points)
+    arr = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if arr.shape[0] == 0:
         return []
     cells = np.floor(arr / SQRT2).astype(np.int64)
@@ -95,111 +257,28 @@ def fast_cover(points) -> Cover:
 def fast_cover_plus(points) -> Cover:
     """Single pass; a point whose own cell-disk is absent is first tested
     against the E, W, N, S neighbor disks (in that order) before a new
-    grid-disk is placed."""
-    placed: set[GridKey] = set()
-    centers: Cover = []
-    floor = math.floor
-    for x, y in _point_list(points):
-        i = floor(x / SQRT2)
-        j = floor(y / SQRT2)
-        if (i, j) in placed:
-            continue
-        if x >= SQRT2 * (i + 1.5) - 1.0 and (i + 1, j) in placed:
-            dx = x - (SQRT2 * (i + 1) + INV_SQRT2)
-            dy = y - (SQRT2 * j + INV_SQRT2)
-            if dx * dx + dy * dy <= 1.0:
-                continue
-        if x <= SQRT2 * (i - 0.5) + 1.0 and (i - 1, j) in placed:
-            dx = x - (SQRT2 * (i - 1) + INV_SQRT2)
-            dy = y - (SQRT2 * j + INV_SQRT2)
-            if dx * dx + dy * dy <= 1.0:
-                continue
-        if y >= SQRT2 * (j + 1.5) - 1.0 and (i, j + 1) in placed:
-            dx = x - (SQRT2 * i + INV_SQRT2)
-            dy = y - (SQRT2 * (j + 1) + INV_SQRT2)
-            if dx * dx + dy * dy <= 1.0:
-                continue
-        if y <= SQRT2 * (j - 0.5) + 1.0 and (i, j - 1) in placed:
-            dx = x - (SQRT2 * i + INV_SQRT2)
-            dy = y - (SQRT2 * (j - 1) + INV_SQRT2)
-            if dx * dx + dy * dy <= 1.0:
-                continue
-        placed.add((i, j))
-        centers.append((SQRT2 * i + INV_SQRT2, SQRT2 * j + INV_SQRT2))
-    return centers
+    grid-disk is placed. Disks are listed in placement order."""
+    xy = _as_points(points)
+    if len(xy) == 0:
+        return []
+    p = _place(xy)
+    placed = (p.placed_at < len(xy)).nonzero()[0]
+    return p.cells.centers(placed[p.placed_at[placed].argsort()])
 
 
 def build_disk_table(points) -> DiskTable:
-    """fast_cover_plus pass that also maintains, per placed grid-disk,
-    the bounding box of every point assigned to it (a neighbor-cover hit
-    extends that neighbor's box)."""
-    arr = _as_array(points)
-    n = arr.shape[0]
-    table: DiskTable = {}
-    if n == 0:
-        return table
-    cells = np.floor(arr / SQRT2).astype(np.int64)
-    # vectorized threshold gates; the loop below stays sequential but
-    # only pays for dict lookups and the rare distance check
-    gx = cells[:, 0] * SQRT2
-    gy = cells[:, 1] * SQRT2
-    east = (arr[:, 0] >= gx + _GATE_FAR).tolist()
-    west = (arr[:, 0] <= gx + _GATE_NEAR).tolist()
-    north = (arr[:, 1] >= gy + _GATE_FAR).tolist()
-    south = (arr[:, 1] <= gy + _GATE_NEAR).tolist()
-    xs = arr[:, 0].tolist()
-    ys = arr[:, 1].tolist()
-    ii = cells[:, 0].tolist()
-    jj = cells[:, 1].tolist()
-    keys = list(zip(ii, jj))
-    get = table.get
-    for x, y, i, j, key, e, w, nb, s in zip(
-            xs, ys, ii, jj, keys, east, west, north, south):
-        box = get(key)
-        if box is not None:
-            if x < box.xmin:
-                box.xmin = x
-            elif x > box.xmax:
-                box.xmax = x
-            if y < box.ymin:
-                box.ymin = y
-            elif y > box.ymax:
-                box.ymax = y
-            continue
-        if e:
-            box = get((i + 1, j))
-            if box is not None:
-                dx = x - (SQRT2 * (i + 1) + INV_SQRT2)
-                dy = y - (SQRT2 * j + INV_SQRT2)
-                if dx * dx + dy * dy <= 1.0:
-                    box.add((x, y))
-                    continue
-        if w:
-            box = get((i - 1, j))
-            if box is not None:
-                dx = x - (SQRT2 * (i - 1) + INV_SQRT2)
-                dy = y - (SQRT2 * j + INV_SQRT2)
-                if dx * dx + dy * dy <= 1.0:
-                    box.add((x, y))
-                    continue
-        if nb:
-            box = get((i, j + 1))
-            if box is not None:
-                dx = x - (SQRT2 * i + INV_SQRT2)
-                dy = y - (SQRT2 * (j + 1) + INV_SQRT2)
-                if dx * dx + dy * dy <= 1.0:
-                    box.add((x, y))
-                    continue
-        if s:
-            box = get((i, j - 1))
-            if box is not None:
-                dx = x - (SQRT2 * i + INV_SQRT2)
-                dy = y - (SQRT2 * (j - 1) + INV_SQRT2)
-                if dx * dx + dy * dy <= 1.0:
-                    box.add((x, y))
-                    continue
-        table[key] = BBox(x, y, x, y)
-    return table
+    """fast_cover_plus pass that also keeps, per placed grid-disk, the
+    bounding box of every point assigned to it (a neighbor-cover hit
+    extends that neighbor's box). Keys are in placement order."""
+    xy = _as_points(points)
+    if len(xy) == 0:
+        return {}
+    p = _place(xy)
+    disks, box = _boxes(p)
+    order = p.placed_at[disks].argsort()  # placement order
+    placed = disks[order]
+    keys = zip(p.cells.i[placed].tolist(), p.cells.j[placed].tolist())
+    return dict(zip(keys, map(BBox, *box[:, order].tolist())))
 
 
 def coalesce_pass(table: DiskTable) -> Cover:
@@ -210,44 +289,25 @@ def coalesce_pass(table: DiskTable) -> Cover:
     scanned in row-major order and the first eligible partner wins.
     Merged disks are terminal: they never take part in a later merge.
     Merged centers come first in the output, then the surviving
-    grid-disk centers, both in key order.
+    grid-disk centers, both in key order. ``table`` is not modified.
     """
-    merged: Cover = []
-    get = table.get
-    for key in sorted(table):
-        box = get(key)
-        if box is None:
-            continue
-        i, j = key
-        xmin = box.xmin
-        ymin = box.ymin
-        xmax = box.xmax
-        ymax = box.ymax
-        for di, dj in _NEIGHBORS_8:
-            other_key = (i + di, j + dj)
-            other = get(other_key)
-            if other is None:
-                continue
-            # inline union-diagonal test (hot path over every neighbor)
-            ux0 = xmin if xmin < other.xmin else other.xmin
-            uy0 = ymin if ymin < other.ymin else other.ymin
-            ux1 = xmax if xmax > other.xmax else other.xmax
-            uy1 = ymax if ymax > other.ymax else other.ymax
-            dx = ux1 - ux0
-            dy = uy1 - uy0
-            if dx * dx + dy * dy <= 4.0:
-                del table[key]
-                del table[other_key]
-                merged.append(((ux0 + ux1) / 2.0, (uy0 + uy1) / 2.0))
-                break
-    merged.extend(grid_disk_center(k) for k in sorted(table))
-    return merged
+    if not table:
+        return []
+    ij = np.array(list(table), dtype=np.int64)
+    box = np.array([(b.xmin, b.ymin, b.xmax, b.ymax) for b in table.values()],
+                   dtype=np.float64)
+    cells = _Cells(ij)
+    return _coalesce(cells, np.arange(len(cells.key)), box.T[:, cells.first])
 
 
 def fast_cover_pp(points) -> Cover:
     """fast_cover_plus with per-disk bounding boxes, followed by one
     coalescing pass over the placed disks."""
-    return coalesce_pass(build_disk_table(points))
+    xy = _as_points(points)
+    if len(xy) == 0:
+        return []
+    p = _place(xy)
+    return _coalesce(p.cells, *_boxes(p))
 
 
 # Worst-case input: seven points inside one unit disk that straddle a

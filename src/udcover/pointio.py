@@ -130,7 +130,7 @@ def read_tsplib(stream: IO[str]) -> np.ndarray:
         raise ParseError("missing NODE_COORD_SECTION")
     if dimension is not None and dimension != len(xs):
         raise ParseError(f"DIMENSION is {dimension} but found {len(xs)} coordinate rows")
-    return np.array([xs, ys], dtype=np.float64).T.reshape(-1, 2)
+    return np.column_stack((xs, ys))
 
 
 def write_csv(records: Iterable[BenchRecord], stream: IO[str]) -> None:

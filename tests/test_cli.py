@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from udcover import ALGORITHMS, gen_annulus, gen_convex, gen_disk, gen_square
+from udcover import cli
 from udcover.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main
+from udcover.pointio import read_xy, write_xy
 
 
 def run(args):
@@ -168,6 +170,30 @@ def test_bench_deterministic_sizes(tmp_path):
         for l in text.splitlines()
     ]
     assert strip(a.read_text()) == strip(b.read_text())
+
+
+def test_bench_reads_input_once_with_unchanged_records(tmp_path, monkeypatch):
+    pts = gen_disk(60, 120, 3)
+    f = tmp_path / "p.xy"
+    with open(f, "w", encoding="utf-8") as fh:
+        write_xy(pts, fh)
+    reads = []
+
+    def counting_read_xy(stream):
+        reads.append(stream.name)
+        return read_xy(stream)
+
+    monkeypatch.setattr(cli, "read_xy", counting_read_xy)
+    csv = tmp_path / "out.csv"
+    assert run(["bench", "--input", str(f), "--algorithm", "all",
+                "--trials", "3", "--seed", "4", "--csv", str(csv)]) == EXIT_OK
+    assert reads == [str(f)]
+    expected = []
+    for name, solver in ALGORITHMS.items():
+        size = str(len(solver(pts)))
+        expected += [[name, str(f), "60", size, "4", str(t)] for t in (0, 1, 2, -1)]
+    rows = [r.split(",") for r in csv.read_text().splitlines()[1:]]
+    assert [r[:4] + r[5:] for r in rows] == expected
 
 
 def test_shuffle_seed_changes_online_order(tmp_path, capsys):

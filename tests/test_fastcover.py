@@ -1,13 +1,16 @@
 import math
 import random
 
+import pytest
+
 from udcover.fastcover import (
+    _GATE_FAR,
+    _GATE_NEAR,
     build_disk_table,
     coalesce_pass,
     fast_cover,
     fast_cover_plus,
     fast_cover_pp,
-    neighbor_threshold_check,
     worst_case_pointset,
 )
 from udcover.geom import INV_SQRT2, SQRT2, cell_of, grid_disk_center
@@ -40,17 +43,20 @@ def test_fast_cover_order_insensitive_as_set():
 
 
 def test_neighbor_threshold_gates():
+    # the gate lines of cell (0, 0) lie 1 inside its E/N and W/S
+    # neighbors' disk centers: no point short of them is within reach
+    assert math.isclose(_GATE_FAR, grid_disk_center((1, 0))[0] - 1.0)
+    assert math.isclose(_GATE_NEAR, grid_disk_center((-1, 0))[0] + 1.0)
     # point near the east wall of cell (0,0) passes the east gate only
-    p = (SQRT2 - 1e-6, INV_SQRT2)
-    k = (0, 0)
-    assert neighbor_threshold_check(p, k, "E")
-    assert not neighbor_threshold_check(p, k, "W")
-    assert not neighbor_threshold_check(p, k, "N")
-    assert not neighbor_threshold_check(p, k, "S")
+    x, y = SQRT2 - 1e-6, INV_SQRT2
+    assert x >= _GATE_FAR
+    assert not x <= _GATE_NEAR
+    assert not y >= _GATE_FAR
+    assert not y <= _GATE_NEAR
     # cell-center point passes no gate
-    q = (INV_SQRT2, INV_SQRT2)
-    for d in "EWNS":
-        assert not neighbor_threshold_check(q, k, d)
+    q = INV_SQRT2
+    assert not q >= _GATE_FAR
+    assert not q <= _GATE_NEAR
 
 
 def test_fast_cover_plus_reuses_west_neighbor():
@@ -128,3 +134,10 @@ def test_worst_case_pointset_copies():
     xs1 = sorted(p[0] for p in worst_case_pointset(1))
     xs3 = sorted(p[0] for p in q3)
     assert abs(xs3[-1] - (xs1[-1] + 6.0)) < 1e-12
+
+
+def test_plus_and_pp_reject_non_finite_points():
+    for bad in (math.nan, math.inf, -math.inf):
+        for solver in (fast_cover_plus, fast_cover_pp, build_disk_table):
+            with pytest.raises(ValueError):
+                solver([(0.5, 0.5), (bad, 1.0)])

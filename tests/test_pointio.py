@@ -53,6 +53,13 @@ def test_tsplib_minimal():
     assert pts.tolist() == [[0.0, 0.0], [3.5, 4.5]]
 
 
+def test_tsplib_returns_c_contiguous_float64():
+    for rows in ("1 0.0 0.0\n2 3.5 4.5\n", ""):
+        pts = read_tsplib(io.StringIO("NODE_COORD_SECTION\n" + rows + "EOF\n"))
+        assert pts.dtype == np.float64 and pts.flags.c_contiguous
+        assert pts.shape == (2 if rows else 0, 2)
+
+
 def test_tsplib_dimension_mismatch():
     text = "DIMENSION: 3\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n"
     with pytest.raises(ParseError):
