@@ -1,0 +1,90 @@
+"""Golden digests: every solver's cover, bit for bit, on fixed instances.
+
+Each entry is the sha256 of ``np.asarray(cover, float64).tobytes()``, so
+any change to a center's bits, to the order of the centers or to their
+number changes the digest. A change that keeps every digest keeps every
+cover these instances produce.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from udcover import (
+    ALGORITHMS,
+    gen_annulus,
+    gen_convex,
+    gen_disk,
+    gen_square,
+    worst_case_pointset,
+)
+from udcover.geom import SQRT2
+
+INSTANCES = {
+    "square": lambda: gen_square(2000, 2000.0, 11),
+    "disk": lambda: gen_disk(2000, 2000.0, 12),
+    "annulus": lambda: gen_annulus(2000, 25.0, 12.5, 13),
+    "convex": lambda: gen_convex(2000, 2000.0, 14),
+    "worst_case": lambda: worst_case_pointset(3, 3 * SQRT2),
+}
+
+DIGESTS = {
+    ("g1991", "square"): "7203181f93c5a2d4faa57447e420e65cf01c85639546f088c66dbf1f541a30e0",
+    ("g1991", "disk"): "459aef903f3e330ec3e5e40fd838f3ae17d209190c010e4dab0b18b4b524c1b0",
+    ("g1991", "annulus"): "931d505c01d2564fc86633769aad8a067522d628fcfb358fa7d857bfd41b3432",
+    ("g1991", "convex"): "f3ec4bb36b577683da269bdf8883a133d297d4bed5e75aa638833d90f667dd92",
+    ("g1991", "worst_case"): "7ccb35ee9072e87c931043e72d242d35014fc5d877d17eee3a7a94af1790f19c",
+    ("ccfm1997", "square"): "cd2c59fe162a6139e00f603a211eebe7f4fada84dec597ac831cab7781617cda",
+    ("ccfm1997", "disk"): "fee9585ebc12f3e198169fb1e525f61c2e9733e7f06f76e6c1772f7f9e587b7a",
+    ("ccfm1997", "annulus"): "67d61624efeda0295c8860275414ea08e8c68239c9639948b36e021b8420ffef",
+    ("ccfm1997", "convex"): "c916d4ea58e9ecae0b7e70f49fc3612ccb7f0b5b6f338f93f41bd9f5b861401e",
+    ("ccfm1997", "worst_case"): "d07c9ff1ce7297738a3ea8024fa2894385c173fa109d6823453e0776a2a25c1d",
+    ("ll2014", "square"): "50d6085d076da041ac26d57c6e8277f5d015c7794d26c0ce7597405a7bea78fc",
+    ("ll2014", "disk"): "c951b1e89b284cd3e6c74c740a84084be4f5850a34ce4615d0a8582a74906cb8",
+    ("ll2014", "annulus"): "ff2af1c430450b43c714b0e9ed717939074fc26f572adbae3e6e004240be828a",
+    ("ll2014", "convex"): "4caeb56b5d14073c3ca25d1edd2828ab2108a21f7bba9e07eeeb2cca79dd5d68",
+    ("ll2014", "worst_case"): "9e8a3dcdc1f68c686498130777647d31edb0453e862b970958a246a358328192",
+    ("ll2014-1p", "square"): "9141fd9293ee8ba01846614151fddd8c1f9887bd46a868fbb26a8498cab37865",
+    ("ll2014-1p", "disk"): "bca60224b62780d582f54b53b799547a6184415a4060fd49f10c4322459b65fa",
+    ("ll2014-1p", "annulus"): "980d2795b4357d5fc804e73173274d82cfe127662c55caae1ace30d22728320f",
+    ("ll2014-1p", "convex"): "b1ee2277db65a17aded23cd5f2f37bb55d16004cab4418c13ab169e75c521cdc",
+    ("ll2014-1p", "worst_case"): "9e8a3dcdc1f68c686498130777647d31edb0453e862b970958a246a358328192",
+    ("blms2017", "square"): "f768648b54522c8039dd3a2e2020920022fbacc22b9cf3df041e119394df0680",
+    ("blms2017", "disk"): "f5002ff80c8cd179becb2517aa7afb1ac70222a92050a91364c10776875c93a2",
+    ("blms2017", "annulus"): "69fb5a7e238f7167b7604e6fa38c3b64fc940fad6b5f89f50b22f3205124a88a",
+    ("blms2017", "convex"): "c1befd81629b72d4f421149c1b1049493c39c1135d861c8eba6441fced3ec28f",
+    ("blms2017", "worst_case"): "5f625d0960f6df12fede3346e51b1083f40dd0eb8bc6b1d640e1cd21a4e36856",
+    ("dgt2018", "square"): "31a08eb4189d40423b450447368a3516e12ad63ba11479d164ca55219c83e4aa",
+    ("dgt2018", "disk"): "eed78047f9476c6d3376f49035ef394abba6ed7630b47862390f0bd5cd25362f",
+    ("dgt2018", "annulus"): "7970ba81d9804d90c720cd035eb47e2820c417beaf3700fd97b98814bd88e0bf",
+    ("dgt2018", "convex"): "8fbffa3f84df9df0047d7e5ae7eaea2e0260847bc899cca57923424afa5a38f1",
+    ("dgt2018", "worst_case"): "d07c9ff1ce7297738a3ea8024fa2894385c173fa109d6823453e0776a2a25c1d",
+    ("fastcover", "square"): "5992740c92d50a84dd3335fe6ea30c0e9cb39b1cfd1d729eb09ccd6b2095b54d",
+    ("fastcover", "disk"): "99db2176d602056f8a1bec251ffeb418eb85defc1a0a358a92c3261108f36f05",
+    ("fastcover", "annulus"): "0e4b65d05769f12dd4c4a145d888797692bc384017c1a8b8018c4a9db0866ea0",
+    ("fastcover", "convex"): "1a6cd38ab051e1be5147b33a6811912e8d0b315208e620a4ba9bdb1748653a83",
+    ("fastcover", "worst_case"): "501ce97149e7b3ef01e53c2fb4114badb08c8b2167c82c3267cd611589c6b8ef",
+    ("fastcover+", "square"): "bd0f668056704c4a1079d2de22ce96969abfc0cb3a72b8080bdb5db82adee7f1",
+    ("fastcover+", "disk"): "6ab1053dc08398c64a904c5430233bb9206e0d2eec90f3fe33e8e32348a9bc55",
+    ("fastcover+", "annulus"): "893795e42472e80d9f7a509db85477e34505a79f912c080eb1cf534d97b6b4ab",
+    ("fastcover+", "convex"): "1243ae5663c7282728553b444b9251cbc0e383d72551d93a8c7894200446c635",
+    ("fastcover+", "worst_case"): "37ed5cbc41de1b1dc5175c9d4c1ca37c61297a9eddc629e440d1474374a536a4",
+    ("fastcover++", "square"): "a428fd81d7c913e9f64d2ff5677ad1cbee1d6fbab8f03e93b6b3f0fe69b71eff",
+    ("fastcover++", "disk"): "fcec8b93e86690224eeecefa94712306dc8ba41b748c28bbb5357f8c6522e56e",
+    ("fastcover++", "annulus"): "662c8bcd75d74881ccd4efbc69bdd3c9ab8f477f825158502bbabc89a5ad7bf9",
+    ("fastcover++", "convex"): "8de956b19aba874867a29a8d124c4db98a4d8059abb9096a3a7785e7db8cb9e0",
+    ("fastcover++", "worst_case"): "5bd3d5dd1ec90ba18fc50eb57b93776f4f4fe77c35646fe0781aa01cef9d8ac3",
+}
+
+
+@pytest.mark.parametrize("algorithm, instance", sorted(DIGESTS))
+def test_cover_digest(algorithm, instance):
+    cover = ALGORITHMS[algorithm](INSTANCES[instance]())
+    digest = hashlib.sha256(np.asarray(cover, np.float64).tobytes()).hexdigest()
+    assert digest == DIGESTS[algorithm, instance]
+
+
+def test_every_algorithm_is_pinned():
+    assert {a for a, _ in DIGESTS} == set(ALGORITHMS)
+    assert {i for _, i in DIGESTS} == set(INSTANCES)
