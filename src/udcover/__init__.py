@@ -1,8 +1,9 @@
 """Unit disk cover: approximation algorithms, verifier, exact oracle,
 generators, and a benchmark harness.
 
-Every solver takes a sequence of (x, y) points and returns a list of
-disk centers whose closed unit disks cover the input.
+Every solver takes an (n, 2) array or a sequence of (x, y) pairs with
+finite coordinates (``geom.as_points``) and returns a list of disk
+centers whose closed unit disks cover the input.
 """
 
 from __future__ import annotations

@@ -17,16 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .geom import Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3
+from .geom import Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points
 from .gridindex import RadiusGrid
-
-
-def _point_list(points) -> list:
-    import numpy as np
-
-    if isinstance(points, np.ndarray):
-        return points.reshape(-1, 2).tolist() if points.size else []
-    return list(points)
 
 
 def g1991(points) -> Cover:
@@ -36,7 +28,7 @@ def g1991(points) -> Cover:
     """
     strips: dict[int, list] = {}
     floor = math.floor
-    for p in _point_list(points):
+    for p in as_points(points).tolist():
         strips.setdefault(floor(p[1] / SQRT2), []).append(p)
     centers: Cover = []
     for iy in sorted(strips):
@@ -84,15 +76,15 @@ class CcfmState:
             self.inactive.insert(q)
 
     def promote(self, q: Point) -> None:
-        removed = self.inactive.remove(q)
-        assert removed
+        if not self.inactive.remove(q):
+            raise RuntimeError(f"promoted center {q} is not a candidate")
         self.active.insert(q)
         self.active_order.append(q)
 
 
 def ccfm1997(points) -> Cover:
     state = CcfmState()
-    for xy in _point_list(points):
+    for xy in as_points(points).tolist():
         p = (xy[0], xy[1])
         if state.active.nearest_within(p, 1.0) is not None:
             continue
@@ -110,7 +102,7 @@ def ccfm1997(points) -> Cover:
 def dgt2018(points) -> Cover:
     centers = RadiusGrid(1.0)
     out: Cover = []
-    for xy in _point_list(points):
+    for xy in as_points(points).tolist():
         p = (xy[0], xy[1])
         if centers.nearest_within(p, 1.0) is None:
             centers.insert(p)

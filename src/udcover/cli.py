@@ -101,8 +101,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         cover = solver(points)
         elapsed = time.perf_counter() - start
-        if args.drop_disks:
-            cover = cover[:max(0, len(cover) - args.drop_disks)]
         line = f"{name}: {len(cover)} disks in {elapsed:.6f} s"
         if args.verify:
             report = verify_cover(points, cover, eps=args.eps)
@@ -236,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--svg", help="write a rendering of the last cover")
     p_cover.add_argument("--shuffle-seed", type=int, default=None,
                          help="seeded permutation of the input order")
-    p_cover.add_argument("--drop-disks", type=int, default=0,
-                         help="truncate the cover by K disks (testing hook)")
     p_cover.set_defaults(func=cmd_cover)
 
     p_bench = sub.add_parser("bench", help="timed multi-trial comparison")

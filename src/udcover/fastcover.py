@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import BBox, Cover, GridKey, INV_SQRT2, Point, SQRT2
+from .geom import BBox, Cover, GridKey, INV_SQRT2, Point, SQRT2, as_points
 
 # disk-table: placed grid-disk -> bounding box of its assigned points
 DiskTable = dict[GridKey, BBox]
@@ -231,34 +231,21 @@ def _coalesce(cells: _Cells, disks: np.ndarray, box: np.ndarray) -> Cover:
     return merged + cells.centers(disks[np.array(alive, dtype=bool)])
 
 
-def _as_points(points) -> np.ndarray:
-    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if not np.isfinite(xy).all():
-        raise ValueError("point coordinates must be finite")
-    return xy
-
-
 def fast_cover(points) -> Cover:
     """One grid-disk per distinct nonempty cell, in first-occurrence
-    order of the input. Expected O(n) time, O(s) extra space."""
-    arr = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if arr.shape[0] == 0:
+    order of the input. O(n log n) time: the cells are numbered by sorting."""
+    xy = as_points(points)
+    if len(xy) == 0:
         return []
-    cells = np.floor(arr / SQRT2).astype(np.int64)
-    # pack (i, j) into one int64 so the uniqueness pass runs on a flat
-    # array; injective while |j| < 2^31, i.e. |y| < 2^31 * sqrt(2)
-    keys = (cells[:, 0] << 32) ^ (cells[:, 1] & 0xFFFFFFFF)
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    centers = cells[first] * SQRT2 + INV_SQRT2
-    return [tuple(c) for c in centers.tolist()]
+    cells = _Cells(np.floor(xy / SQRT2).astype(np.int64))
+    return cells.centers(cells.first.argsort())
 
 
 def fast_cover_plus(points) -> Cover:
     """Single pass; a point whose own cell-disk is absent is first tested
     against the E, W, N, S neighbor disks (in that order) before a new
     grid-disk is placed. Disks are listed in placement order."""
-    xy = _as_points(points)
+    xy = as_points(points)
     if len(xy) == 0:
         return []
     p = _place(xy)
@@ -270,7 +257,7 @@ def build_disk_table(points) -> DiskTable:
     """fast_cover_plus pass that also keeps, per placed grid-disk, the
     bounding box of every point assigned to it (a neighbor-cover hit
     extends that neighbor's box). Keys are in placement order."""
-    xy = _as_points(points)
+    xy = as_points(points)
     if len(xy) == 0:
         return {}
     p = _place(xy)
@@ -303,7 +290,7 @@ def coalesce_pass(table: DiskTable) -> Cover:
 def fast_cover_pp(points) -> Cover:
     """fast_cover_plus with per-disk bounding boxes, followed by one
     coalescing pass over the placed disks."""
-    xy = _as_points(points)
+    xy = as_points(points)
     if len(xy) == 0:
         return []
     p = _place(xy)

@@ -1,14 +1,17 @@
 """Core geometric primitives shared by all cover algorithms.
 
-Points are plain ``(x, y)`` tuples and a cover is a list of unit-disk
-centers. The plane is tiled by half-open sqrt(2)-sized cells; every cell
-is circumscribed by a unique unit disk, which is what makes grid hashing
-work as a covering strategy.
+Every solver, the verifier and the writers take their points through
+``as_points``: an ``(n, 2)`` float64 array of finite coordinates. A cover
+is a list of unit-disk centers. The plane is tiled by half-open
+sqrt(2)-sized cells; every cell is circumscribed by a unique unit disk,
+which is what makes grid hashing work as a covering strategy.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 Point = tuple[float, float]
 Cover = list[Point]
@@ -20,27 +23,30 @@ HALF_SQRT2 = SQRT2 / 2.0
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
 SQRT3_OVER_6 = SQRT3 / 6.0
-# gap between a cell's inner square and the cell boundary
-ALPHA_MARGIN = 1.0 - SQRT2 / 2.0
 
 
-def cell_of(p: Point) -> GridKey:
-    """Grid cell containing p. Cells are half-open: lower edge included,
-    upper edge excluded, on both axes. Uses true floor, so negative
-    coordinates round down (never toward zero)."""
-    return (math.floor(p[0] / SQRT2), math.floor(p[1] / SQRT2))
+def as_points(points) -> np.ndarray:
+    """``points`` as an ``(n, 2)`` C-contiguous float64 array: an array
+    or a sequence of ``(x, y)`` pairs, ``[]`` giving ``(0, 2)``. Copies
+    nothing when ``points`` already is such an array.
+
+    Raises ValueError on any other shape and on a NaN or infinite
+    coordinate.
+    """
+    xy = np.ascontiguousarray(points, dtype=np.float64)
+    if xy.shape == (0,):
+        xy = xy.reshape(-1, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise ValueError("point coordinates must be finite")
+    return xy
 
 
 def grid_disk_center(k: GridKey) -> Point:
     """Center of the unit disk circumscribing cell k: all four cell
     corners lie at distance exactly 1 from it."""
     return (SQRT2 * k[0] + INV_SQRT2, SQRT2 * k[1] + INV_SQRT2)
-
-
-def dist_sq(a: Point, b: Point) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy
 
 
 class BBox:
@@ -54,10 +60,6 @@ class BBox:
         self.xmax = xmax
         self.ymax = ymax
 
-    @classmethod
-    def of_point(cls, p: Point) -> "BBox":
-        return cls(p[0], p[1], p[0], p[1])
-
     def add(self, p: Point) -> None:
         x, y = p
         if x < self.xmin:
@@ -69,31 +71,5 @@ class BBox:
         elif y > self.ymax:
             self.ymax = y
 
-    def contains(self, p: Point) -> bool:
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
-
-    def union(self, other: "BBox") -> "BBox":
-        return BBox(
-            min(self.xmin, other.xmin),
-            min(self.ymin, other.ymin),
-            max(self.xmax, other.xmax),
-            max(self.ymax, other.ymax),
-        )
-
-    def center(self) -> Point:
-        return ((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
-
-    def diagonal_sq(self) -> float:
-        dx = self.xmax - self.xmin
-        dy = self.ymax - self.ymin
-        return dx * dx + dy * dy
-
     def __repr__(self) -> str:
         return f"BBox({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
-
-
-def bbox_union_diagonal_sq(a: BBox, b: BBox) -> float:
-    """Squared diagonal of the smallest box containing both a and b."""
-    dx = max(a.xmax, b.xmax) - min(a.xmin, b.xmin)
-    dy = max(a.ymax, b.ymax) - min(a.ymin, b.ymin)
-    return dx * dx + dy * dy

@@ -22,7 +22,8 @@ class RadiusGrid:
     """
 
     def __init__(self, cell_side: float = 1.0):
-        assert cell_side > 0.0
+        if not cell_side > 0.0:
+            raise ValueError(f"cell side must be positive, got {cell_side}")
         self.cell_side = cell_side
         self._inv = 1.0 / cell_side
         self._cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
@@ -61,7 +62,8 @@ class RadiusGrid:
         """Nearest stored point at distance <= r from q (boundary
         inclusive), or None. Requires r <= cell_side so the 3x3 probe
         window is sufficient."""
-        assert r <= self.cell_side, "query radius exceeds grid cell side"
+        if not r <= self.cell_side:
+            raise ValueError(f"query radius {r} exceeds grid cell side {self.cell_side}")
         qx, qy = q
         ci, cj = self._key(qx, qy)
         r_sq = r * r

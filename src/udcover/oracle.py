@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Cover, Point
+from .geom import Cover, Point, as_points
 
 MAX_EXACT_POINTS = 12
 
@@ -43,12 +43,12 @@ class OptResult:
 def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     """Check that every point is within distance 1 of some center, with
     relative tolerance eps on the radius."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if isinstance(cover, np.ndarray):
-        ctr = np.asarray(cover, dtype=np.float64).reshape(-1, 2)
-    else:
-        ctr = np.fromiter(itertools.chain.from_iterable(cover),
-                          dtype=np.float64).reshape(-1, 2)
+    pts = as_points(points)
+    if not isinstance(cover, np.ndarray):
+        # much faster than np.asarray on a list of tuples
+        cover = np.fromiter(itertools.chain.from_iterable(cover),
+                            dtype=np.float64).reshape(-1, 2)
+    ctr = as_points(cover)
     if pts.shape[0] == 0:
         return VerifyReport(True, [], ctr.shape[0])
     if ctr.shape[0] == 0:
@@ -74,7 +74,7 @@ def candidate_centers(points) -> list[Point]:
     """Input points plus the unit-circle centers through every pair at
     distance <= 2 (midpoint only at distance exactly 2), deduplicated
     within 1e-12."""
-    pts = [(float(p[0]), float(p[1])) for p in points]
+    pts = list(map(tuple, as_points(points).tolist()))
     if not pts:
         raise ValueError("need at least one point")
     cands: list[Point] = list(pts)
@@ -136,7 +136,7 @@ def optimal_cover(points) -> OptResult:
     """Exact minimum cover over the candidate-center disks, by branch
     and bound on the lowest-index uncovered point. Points are ordered
     lexicographically; input size is capped at MAX_EXACT_POINTS."""
-    pts = sorted((float(p[0]), float(p[1])) for p in points)
+    pts = sorted(map(tuple, as_points(points).tolist()))
     n = len(pts)
     if n == 0:
         return OptResult(0, [])
@@ -180,7 +180,7 @@ def optimal_cover(points) -> OptResult:
 def optimal_cover_exhaustive(points) -> int:
     """Minimum cover size by exhaustive enumeration over candidate-disk
     subsets, smallest size first. Reference for the branch and bound."""
-    pts = sorted((float(p[0]), float(p[1])) for p in points)
+    pts = sorted(map(tuple, as_points(points).tolist()))
     n = len(pts)
     if n == 0:
         return 0

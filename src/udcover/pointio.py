@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
-from .geom import Cover
+from .geom import Cover, as_points
 
 
 class ParseError(ValueError):
@@ -91,8 +91,8 @@ def _read_xy_lines(lines: Iterable[str]) -> np.ndarray:
 
 
 def write_xy(points, stream: IO[str]) -> None:
-    for x, y in np.asarray(points, dtype=np.float64).reshape(-1, 2):
-        stream.write(f"{float(x)!r} {float(y)!r}\n")
+    for x, y in as_points(points).tolist():
+        stream.write(f"{x!r} {y!r}\n")
 
 
 def read_tsplib(stream: IO[str]) -> np.ndarray:
@@ -150,8 +150,8 @@ def write_svg(points, cover: Cover, stream: IO[str], point_radius: float = 0.05)
     orientation; the viewBox encloses all points and disk extents with a
     1-unit margin.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    ctr = np.asarray(cover, dtype=np.float64).reshape(-1, 2)
+    pts = as_points(points)
+    ctr = as_points(cover)
     xs: list[float] = []
     ys: list[float] = []
     if pts.size:
@@ -184,12 +184,3 @@ def write_svg(points, cover: Cover, stream: IO[str], point_radius: float = 0.05)
         )
     stream.write("</svg>\n")
 
-
-def point_density(points) -> float:
-    """Number of points divided by the area of their bounding box."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return 0.0
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    area = float(spans[0] * spans[1])
-    return math.inf if area == 0 else pts.shape[0] / area

@@ -15,15 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from .geom import Cover, HALF_SQRT3, Point, SQRT3, SQRT3_OVER_6
-
-
-def _point_list(points) -> list:
-    import numpy as np
-
-    if isinstance(points, np.ndarray):
-        return points.reshape(-1, 2).tolist() if points.size else []
-    return list(points)
+from .geom import Cover, HALF_SQRT3, Point, SQRT3, SQRT3_OVER_6, as_points
 
 
 def stab_segments(x: float, segments: list[tuple[float, float]]) -> Cover:
@@ -52,7 +44,7 @@ def ll2014(points, passes: int = 6) -> Cover:
     """Strip-and-stab cover; ``passes`` must be 1 or 6."""
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
-    pts = sorted((p[0], p[1]) for p in _point_list(points))
+    pts = sorted(as_points(points).tolist())
     n = len(pts)
     if n == 0:
         return []
@@ -168,7 +160,7 @@ def nearest_anchor_scan(anchors: list[Point], p: Point) -> int | None:
 
 
 def _blms_anchors(points) -> list[_Anchor]:
-    pts = sorted((p[0], p[1]) for p in _point_list(points))
+    pts = sorted(as_points(points).tolist())
     index = _AnchorIndex()
     for x, y in pts:
         p = (x, y)
@@ -184,7 +176,8 @@ def _blms_anchors(points) -> list[_Anchor]:
                 break
         # the quad covers the right half of the anchor's radius-2
         # neighborhood, and p is right of (or at) its anchor
-        assert assigned, "point not covered by its quad"
+        if not assigned:
+            raise RuntimeError(f"point {p} not covered by its quad")
     return index.anchors
 
 

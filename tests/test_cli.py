@@ -86,11 +86,13 @@ def test_cover_same_from_ndarray_and_tuple_list(name):
                     == np.asarray(from_array, dtype=np.float64).tobytes())
 
 
-def test_cover_truncated_fails_verification(tmp_path):
+def test_cover_invalid_cover_exits_with_verify_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.ALGORITHMS, "fastcover", lambda points: [])
     f = tmp_path / "p.xy"
     f.write_text("0 0\n9 9\n")
     assert run(["cover", "--input", str(f), "--algorithm", "fastcover",
-                "--verify", "--drop-disks", "1"]) == EXIT_VERIFY
+                "--verify"]) == EXIT_VERIFY
+    assert "INVALID (2 uncovered)" in capsys.readouterr().out
 
 
 def test_cover_unknown_algorithm(tmp_path):

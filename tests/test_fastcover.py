@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from udcover.fastcover import (
@@ -13,13 +14,17 @@ from udcover.fastcover import (
     fast_cover_pp,
     worst_case_pointset,
 )
-from udcover.geom import INV_SQRT2, SQRT2, cell_of, grid_disk_center
+from udcover.geom import INV_SQRT2, SQRT2, grid_disk_center
 from udcover.oracle import verify_cover
 
 
 def rand_points(n, side, seed):
     rnd = random.Random(seed)
     return [(rnd.uniform(0, side), rnd.uniform(0, side)) for _ in range(n)]
+
+
+def occupied_cells(points):
+    return len(np.unique(np.floor(np.asarray(points) / SQRT2), axis=0))
 
 
 def test_fast_cover_single_point():
@@ -31,7 +36,25 @@ def test_fast_cover_single_point():
 def test_fast_cover_one_disk_per_occupied_cell():
     pts = rand_points(500, 20.0, 1)
     cover = fast_cover(pts)
-    assert len(cover) == len({cell_of(p) for p in pts})
+    assert len(cover) == occupied_cells(pts)
+    assert verify_cover(pts, cover).valid
+
+
+def test_fast_cover_cells_are_half_open_with_floor():
+    # lower edge included, upper edge excluded, on both axes; negative
+    # coordinates round down, never toward zero
+    for p, cell in [((0.0, 0.0), (0, 0)), ((1.0, 1.0), (0, 0)),
+                    ((SQRT2, 0.0), (1, 0)), ((0.0, SQRT2), (0, 1)),
+                    ((-0.1, -0.1), (-1, -1)), ((2.9, 0.1), (2, 0))]:
+        assert fast_cover([p]) == [grid_disk_center(cell)]
+
+
+def test_fast_cover_cells_far_apart_do_not_collide():
+    # 2^32 rows apart: these cells once shared a packed 64-bit key
+    y = 3.1e9
+    pts = [(0.5, y), (0.5, y - 2**32 * SQRT2)]
+    cover = fast_cover(pts)
+    assert len(cover) == 2
     assert verify_cover(pts, cover).valid
 
 
@@ -124,7 +147,7 @@ def test_worst_case_pointset_shape():
         math.dist(a, b) for a in q for b in q
     )
     assert dmax <= 2.0
-    assert len({cell_of(p) for p in q}) == 7
+    assert occupied_cells(q) == 7
     assert len(fast_cover(q)) == 7
 
 

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
+import pytest
+
 from udcover.geom import (
     BBox,
     HALF_SQRT2,
     INV_SQRT2,
     SQRT2,
-    bbox_union_diagonal_sq,
-    cell_of,
-    dist_sq,
+    as_points,
     grid_disk_center,
 )
 
@@ -16,14 +17,6 @@ def test_constants():
     assert SQRT2 == math.sqrt(2.0)
     assert abs(INV_SQRT2 - 1 / SQRT2) < 1e-15
     assert HALF_SQRT2 == SQRT2 / 2.0
-
-
-def test_cell_of_basic():
-    assert cell_of((0.0, 0.0)) == (0, 0)
-    assert cell_of((1.0, 1.0)) == (0, 0)
-    assert cell_of((SQRT2, 0.0)) == (1, 0)  # half-open on the right
-    assert cell_of((-0.1, -0.1)) == (-1, -1)
-    assert cell_of((2.9, 0.1)) == (2, 0)
 
 
 def test_grid_disk_center_circumscribes_cell():
@@ -37,7 +30,7 @@ def test_grid_disk_center_circumscribes_cell():
             (SQRT2 * (i + 1), SQRT2 * (j + 1)),
         ]
         for c in corners:
-            assert dist_sq((cx, cy), c) <= 1.0 + 1e-12
+            assert math.dist((cx, cy), c) <= 1.0 + 1e-12
 
 
 def test_grid_disk_center_value():
@@ -50,24 +43,32 @@ def test_grid_disk_center_value():
 
 
 def test_bbox_grow_and_contains():
-    b = BBox.of_point((1.0, 2.0))
-    assert b.contains((1.0, 2.0))
+    b = BBox(1.0, 2.0, 1.0, 2.0)
     b.add((3.0, 0.5))
-    assert b.contains((2.0, 1.0))
-    assert not b.contains((3.1, 1.0))
-    assert abs(b.diagonal_sq() - (2.0 ** 2 + 1.5 ** 2)) < 1e-12
+    assert (b.xmin, b.ymin, b.xmax, b.ymax) == (1.0, 0.5, 3.0, 2.0)
+    b.add((2.0, 1.0))  # inside: no change
+    assert (b.xmin, b.ymin, b.xmax, b.ymax) == (1.0, 0.5, 3.0, 2.0)
+    b.add((-1.0, 4.0))
+    assert (b.xmin, b.ymin, b.xmax, b.ymax) == (-1.0, 0.5, 3.0, 4.0)
 
 
-def test_bbox_union_diagonal():
-    a = BBox.of_point((0.0, 0.0))
-    b = BBox.of_point((3.0, 4.0))
-    assert abs(bbox_union_diagonal_sq(a, b) - 25.0) < 1e-12
-    # union of overlapping boxes is no larger than the wider operands
-    a.add((5.0, 5.0))
-    assert bbox_union_diagonal_sq(a, b) == a.diagonal_sq()
+def test_as_points_returns_c_contiguous_float64():
+    a = np.arange(6.0).reshape(3, 2)
+    assert as_points(a) is a  # nothing copied
+    for p in (a.T.copy().T, a.astype(np.float32), a.tolist(),
+              [tuple(r) for r in a], [(int(x), int(y)) for x, y in a]):
+        out = as_points(p)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tolist() == a.tolist()
+    for empty in ([], (), np.empty(0), np.empty((0, 2))):
+        assert as_points(empty).shape == (0, 2)
 
 
-def test_bbox_center():
-    b = BBox.of_point((0.0, 0.0))
-    b.add((2.0, 4.0))
-    assert b.center() == (1.0, 2.0)
+@pytest.mark.parametrize("bad", [
+    np.arange(6.0).reshape(2, 3), np.arange(6.0), np.empty((0, 3)),
+    np.zeros((2, 2, 2)), [(1.0, 2.0, 3.0)], [[]], 1.0,
+    [(0.0, math.nan)], [(math.inf, 0.0)], [(0.0, -math.inf)],
+])
+def test_as_points_rejects_other_shapes_and_non_finite(bad):
+    with pytest.raises(ValueError):
+        as_points(bad)

@@ -1,5 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import udcover
 
 from udcover.gridindex import RadiusGrid
 
@@ -81,3 +87,22 @@ def test_matches_linear_scan():
             gd = got[1]
             ed = (expect[0] - q[0]) ** 2 + (expect[1] - q[1]) ** 2
             assert abs(gd - ed) < 1e-12
+
+
+def test_contract_checks_survive_python_O():
+    # -O strips assert statements; these checks must still raise
+    code = """
+from udcover.gridindex import RadiusGrid
+for check in (lambda: RadiusGrid(0.0),
+              lambda: RadiusGrid(1.0).nearest_within((0.0, 0.0), 2.0)):
+    try:
+        check()
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+    src = str(Path(udcover.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.count("ValueError:") == 2, out
