@@ -44,7 +44,7 @@ def ll2014(points, passes: int = 6) -> Cover:
     """Strip-and-stab cover; ``passes`` must be 1 or 6."""
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
-    pts = sorted(as_points(points).tolist())
+    pts = sorted(map(tuple, as_points(points).tolist()))
     n = len(pts)
     if n == 0:
         return []
@@ -160,7 +160,7 @@ def nearest_anchor_scan(anchors: list[Point], p: Point) -> int | None:
 
 
 def _blms_anchors(points) -> list[_Anchor]:
-    pts = sorted(as_points(points).tolist())
+    pts = sorted(map(tuple, as_points(points).tolist()))
     index = _AnchorIndex()
     for x, y in pts:
         p = (x, y)

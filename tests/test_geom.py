@@ -67,8 +67,7 @@ def test_as_points_returns_c_contiguous_float64():
 @pytest.mark.parametrize("bad", [
     np.arange(6.0).reshape(2, 3), np.arange(6.0), np.empty((0, 3)),
     np.zeros((2, 2, 2)), [(1.0, 2.0, 3.0)], [[]], 1.0,
-    [(0.0, math.nan)], [(math.inf, 0.0)], [(0.0, -math.inf)],
 ])
-def test_as_points_rejects_other_shapes_and_non_finite(bad):
+def test_as_points_rejects_other_shapes(bad):
     with pytest.raises(ValueError):
         as_points(bad)
