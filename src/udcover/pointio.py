@@ -183,4 +183,3 @@ def write_svg(points, cover: Cover, stream: IO[str], point_radius: float = 0.05)
             f'r="{point_radius}" fill="black"/>\n'
         )
     stream.write("</svg>\n")
-

@@ -55,7 +55,7 @@ def test_bbox_grow_and_contains():
 def test_as_points_returns_c_contiguous_float64():
     a = np.arange(6.0).reshape(3, 2)
     assert as_points(a) is a  # nothing copied
-    for p in (a.T.copy().T, a.astype(np.float32), a.tolist(),
+    for p in (np.asfortranarray(a), a.astype(np.float32), a.tolist(),
               [tuple(r) for r in a], [(int(x), int(y)) for x, y in a]):
         out = as_points(p)
         assert out.dtype == np.float64 and out.flags.c_contiguous
