@@ -48,6 +48,15 @@ def _runs(sorted_values: np.ndarray) -> np.ndarray:
     return new
 
 
+def _floor_cells(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(xy / sqrt(2)) of n >= 1 points, as floats and as int64 cell
+    indices. Raises ValueError where a cell index leaves the int64 range."""
+    floor = np.floor(xy / SQRT2)
+    if not (floor.min() >= -2.0**63 and floor.max() < 2.0**63):
+        raise ValueError("coordinates too large: cell index out of int64 range")
+    return floor, floor.astype(np.int64)
+
+
 class _Cells:
     """The distinct cells among n (i, j) pairs, numbered in (i, j) order.
 
@@ -130,8 +139,7 @@ def _place(xy: np.ndarray) -> _Placement:
     only those points go through the sequential loop.
     """
     n = len(xy)
-    floor = np.floor(xy / SQRT2)
-    ij = floor.astype(np.int64)
+    floor, ij = _floor_cells(xy)
     cells = _Cells(ij)
     cid = cells.id
     corner = floor * SQRT2
@@ -237,7 +245,7 @@ def fast_cover(points) -> Cover:
     xy = as_points(points)
     if len(xy) == 0:
         return []
-    cells = _Cells(np.floor(xy / SQRT2).astype(np.int64))
+    cells = _Cells(_floor_cells(xy)[1])
     return cells.centers(cells.first.argsort())
 
 

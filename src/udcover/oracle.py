@@ -46,8 +46,10 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     pts = as_points(points)
     if not isinstance(cover, np.ndarray):
         # much faster than np.asarray on a list of tuples
-        cover = np.fromiter(itertools.chain.from_iterable(cover),
-                            dtype=np.float64).reshape(-1, 2)
+        flat = np.fromiter(itertools.chain.from_iterable(cover), dtype=np.float64)
+        if len(flat) != 2 * len(cover):
+            raise ValueError("cover entries must be (x, y) pairs")
+        cover = flat.reshape(-1, 2)
     ctr = as_points(cover)
     if pts.shape[0] == 0:
         return VerifyReport(True, [], ctr.shape[0])

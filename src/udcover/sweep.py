@@ -2,9 +2,9 @@
 
 * ``ll2014``   -- vertical strips of width sqrt(3); each point in a strip
   induces a vertical segment on the strip midline (the locus of midline
-  centers covering it), and a greedy interval stabbing of those segments
-  yields the disk centers. Six pass offsets of sqrt(3)/6 are tried and
-  the smallest cover kept; ``passes=1`` is the one-pass variant.
+  centers covering it), and the fewest stabs of those segments are the
+  disk centers. Six pass offsets of sqrt(3)/6 are tried and the smallest
+  cover kept; ``passes=1`` is the one-pass variant.
 * ``blms2017`` -- left-to-right sweep; a point farther than 2 from every
   anchor becomes an anchor and places four disks covering the right half
   of its radius-2 neighborhood. Disks that end up covering no point are
@@ -14,65 +14,60 @@
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import count
+
+import numpy as np
 
 from .geom import Cover, HALF_SQRT3, Point, SQRT3, SQRT3_OVER_6, as_points
 
 
-def stab_segments(x: float, segments: list[tuple[float, float]]) -> Cover:
-    """Greedy stabbing of vertical segments sharing abscissa x.
-
-    ``segments`` holds (top, bottom) pairs. Repeatedly the unstabbed
-    segment with the greatest top is stabbed as low as possible (at its
-    bottom). Ties on top break toward the lower bottom. Returns the stab
-    points in stab order.
-    """
-    if not segments:
-        return []
-    order = sorted(segments, key=lambda s: (-s[0], s[1]))
-    stabs_sorted: list[float] = []
-    out: Cover = []
-    for top, bottom in order:
-        idx = bisect_left(stabs_sorted, bottom)
-        if idx < len(stabs_sorted) and stabs_sorted[idx] <= top:
-            continue
-        insort(stabs_sorted, bottom)
-        out.append((x, bottom))
-    return out
-
-
 def ll2014(points, passes: int = 6) -> Cover:
-    """Strip-and-stab cover; ``passes`` must be 1 or 6."""
+    """Strip-and-stab cover; ``passes`` must be 1 or 6.
+
+    Pass i's strips are [o + k*sqrt(3), o + (k+1)*sqrt(3)), with
+    o = min x + i*sqrt(3)/6. Per strip, the points' midline segments are
+    taken by bottom, highest first, and each one the last stab misses is
+    stabbed at its bottom: the fewest stabs. Strips run left to right,
+    stabs top down. Raises ValueError where rounding leaves a point more
+    than 1 from its strip's midline (|x| from about 1e15).
+    """
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
-    pts = sorted(map(tuple, as_points(points).tolist()))
-    n = len(pts)
-    if n == 0:
+    xy = as_points(points)
+    if len(xy) == 0:
         return []
-    best: Cover | None = None
+    x, y = xy.T
+    x_min = x.min()
+    best = None
     for i in range(passes):
-        right = pts[0][0] + i * SQRT3_OVER_6
-        cover: Cover = []
-        current = 0
-        while current < n:
-            index = current
-            while current < n and pts[current][0] < right:
-                current += 1
-            if current > index:
-                x_rl = right - HALF_SQRT3
-                segs = []
-                for j in range(index, current):
-                    d = pts[j][0] - x_rl
-                    half = (1.0 - d * d) ** 0.5
-                    segs.append((pts[j][1] + half, pts[j][1] - half))
-                cover.extend(stab_segments(x_rl, segs))
-            if current < n:
-                # smallest positive multiple of sqrt(3) putting the next
-                # point strictly left of the strip's right boundary
-                gap = pts[current][0] - right
-                right += (int(gap / SQRT3) + 1) * SQRT3
-        if best is None or len(cover) < len(best):
-            best = cover
-    return best if best is not None else []
+        origin = x_min + i * SQRT3_OVER_6
+        strip = np.floor((x - origin) / SQRT3)
+        x_rl = origin + (strip + 0.5) * SQRT3
+        d = x - x_rl
+        half_sq = 1.0 - d * d
+        if not half_sq.min() >= 0.0:
+            raise ValueError("a point lies more than 1 from its strip's "
+                             "midline: coordinates too large")
+        half = np.sqrt(half_sq)
+        bottom = y - half
+        # order by (strip, -bottom): equal bottoms give equal stabs, so
+        # an unstable sort by -bottom and a stable one by strip do, at
+        # half the cost of a lexsort
+        order = np.argsort(-bottom)
+        order = order[np.argsort(strip[order], kind="stable")]
+        bottom = bottom[order]
+        strip = strip[order]
+        top = (y + half)[order]
+        top[np.r_[True, strip[1:] != strip[:-1]]] = -np.inf  # opens a stab
+        stabs = []
+        last = 0.0
+        for s, t, b in zip(count(), top.tolist(), bottom.tolist()):
+            if last > t:
+                last = b
+                stabs.append(s)
+        if best is None or len(stabs) < len(best[0]):
+            best = (x_rl[order[stabs]], bottom[stabs])
+    return list(zip(best[0].tolist(), best[1].tolist()))
 
 
 def ll2014_1p(points) -> Cover:
@@ -140,23 +135,6 @@ class _AnchorIndex:
         if best is None:
             return None
         return self.anchors[best]
-
-
-def nearest_anchor_scan(anchors: list[Point], p: Point) -> int | None:
-    """Linear-scan reference for the sliding-window query: nearest
-    anchor restricted to |x - p.x| <= 2 and |y - p.y| <= 2, ties by
-    list position. Anchors outside that box are at distance > 2 and
-    never influence the sweep."""
-    best = None
-    best_d = None
-    for idx, (x, y) in enumerate(anchors):
-        if abs(x - p[0]) > 2.0 or abs(y - p[1]) > 2.0:
-            continue
-        d = (x - p[0]) ** 2 + (y - p[1]) ** 2
-        if best_d is None or d < best_d:
-            best_d = d
-            best = idx
-    return best
 
 
 def _blms_anchors(points) -> list[_Anchor]:

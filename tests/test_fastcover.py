@@ -164,3 +164,16 @@ def test_plus_and_pp_reject_non_finite_points():
         for solver in (fast_cover_plus, fast_cover_pp, build_disk_table):
             with pytest.raises(ValueError):
                 solver([(0.5, 0.5), (bad, 1.0)])
+
+
+def test_cells_past_int64_raise():
+    # floor(x / sqrt(2)) past 2^63 once wrapped to a disk at x = -1.3e19
+    edge = math.ldexp(1.0, 63) * SQRT2
+    for solver in (fast_cover, fast_cover_plus, fast_cover_pp):
+        for pts in ([(1e20, 0.0), (3e20, 0.0)], [(0.5, -1e20)],
+                    [(edge, 0.0)], [(0.0, -math.nextafter(edge, math.inf))]):
+            with pytest.raises(ValueError):
+                solver(pts)
+        # the largest cell index below 2^63 still works
+        pts = [(math.nextafter(edge, 0.0), 0.0)]
+        assert len(solver(pts)) == 1

@@ -40,16 +40,16 @@ DIGESTS = {
     ("ccfm1997", "annulus"): "67d61624efeda0295c8860275414ea08e8c68239c9639948b36e021b8420ffef",
     ("ccfm1997", "convex"): "c916d4ea58e9ecae0b7e70f49fc3612ccb7f0b5b6f338f93f41bd9f5b861401e",
     ("ccfm1997", "worst_case"): "d07c9ff1ce7297738a3ea8024fa2894385c173fa109d6823453e0776a2a25c1d",
-    ("ll2014", "square"): "50d6085d076da041ac26d57c6e8277f5d015c7794d26c0ce7597405a7bea78fc",
-    ("ll2014", "disk"): "c951b1e89b284cd3e6c74c740a84084be4f5850a34ce4615d0a8582a74906cb8",
-    ("ll2014", "annulus"): "ff2af1c430450b43c714b0e9ed717939074fc26f572adbae3e6e004240be828a",
-    ("ll2014", "convex"): "4caeb56b5d14073c3ca25d1edd2828ab2108a21f7bba9e07eeeb2cca79dd5d68",
-    ("ll2014", "worst_case"): "9e8a3dcdc1f68c686498130777647d31edb0453e862b970958a246a358328192",
-    ("ll2014-1p", "square"): "9141fd9293ee8ba01846614151fddd8c1f9887bd46a868fbb26a8498cab37865",
-    ("ll2014-1p", "disk"): "bca60224b62780d582f54b53b799547a6184415a4060fd49f10c4322459b65fa",
-    ("ll2014-1p", "annulus"): "980d2795b4357d5fc804e73173274d82cfe127662c55caae1ace30d22728320f",
-    ("ll2014-1p", "convex"): "b1ee2277db65a17aded23cd5f2f37bb55d16004cab4418c13ab169e75c521cdc",
-    ("ll2014-1p", "worst_case"): "9e8a3dcdc1f68c686498130777647d31edb0453e862b970958a246a358328192",
+    ("ll2014", "square"): "1bd664682bec556d2407ffb961fabe63b4baf15db33821b7cfca85555697fc23",
+    ("ll2014", "disk"): "8cd62e07b60a0e6b81ed2dda6f536c342b91e28dbb761d5e909b6dc5c635c208",
+    ("ll2014", "annulus"): "d29e11089b0f1e23894b7699038e3c29d529ab86fbf6c1609f8e56e2bae6a6c6",
+    ("ll2014", "convex"): "443da11490931efdfcb7a2da319d915cd28a810899ba49c85fdd2da5ec40763f",
+    ("ll2014", "worst_case"): "e746d7d8c279cdf9b44a42d83b6d455a5cf5017cbf07deb4ced3c7e1b03810cb",
+    ("ll2014-1p", "square"): "1bd664682bec556d2407ffb961fabe63b4baf15db33821b7cfca85555697fc23",
+    ("ll2014-1p", "disk"): "da93b85c1fd4b7d407716dc6938a915c1c1644be0f9f6b30b7678d34512a6464",
+    ("ll2014-1p", "annulus"): "ac73659aa18243af8302b98add18301f43237d89af3b13fca112b1bcefe0448b",
+    ("ll2014-1p", "convex"): "7cf504ec2ea05abfe3a6a744dee289d21f8051cb59bfb0523fa8ff97623113d6",
+    ("ll2014-1p", "worst_case"): "e746d7d8c279cdf9b44a42d83b6d455a5cf5017cbf07deb4ced3c7e1b03810cb",
     ("blms2017", "square"): "f768648b54522c8039dd3a2e2020920022fbacc22b9cf3df041e119394df0680",
     ("blms2017", "disk"): "f5002ff80c8cd179becb2517aa7afb1ac70222a92050a91364c10776875c93a2",
     ("blms2017", "annulus"): "69fb5a7e238f7167b7604e6fa38c3b64fc940fad6b5f89f50b22f3205124a88a",

@@ -1,0 +1,95 @@
+"""ll2014 against the plain-Python reference built from the same
+closed-form strips and the textbook stabbing greedy, and that greedy
+against a brute-force minimum."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from sweep_reference import reference_ll2014, stab_segments
+from udcover.fastcover import worst_case_pointset
+from udcover.geom import HALF_SQRT3, SQRT3, SQRT3_OVER_6
+from udcover.oracle import verify_cover
+from udcover.sweep import ll2014
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+
+def _bits(cover):
+    return np.asarray(cover, np.float64).reshape(-1, 2).tobytes()
+
+
+def _nudge(x, ulps):
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, step)
+    return x
+
+
+# offsets from the smallest x that put a point on a strip boundary
+# (frac 0) or a midline (frac 0.5) of some pass i
+_ON_STRIP_LINE = st.builds(lambda m, frac, i: (m + frac) * SQRT3 + i * SQRT3_OVER_6,
+                           st.integers(0, 5), st.sampled_from([0.0, 0.5]),
+                           st.integers(0, 5))
+_Y = st.one_of(st.floats(-4.0, 4.0),
+               st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, HALF_SQRT3]))
+
+
+@st.composite
+def point_sets(draw):
+    x0 = draw(st.one_of(st.sampled_from([0.0, -0.0, -7.25, 123456.789]),
+                        st.floats(-1e6, 1e6)))
+    pts = [(x0, draw(_Y))]
+    for _ in range(draw(st.integers(0, 8))):
+        x = x0 + draw(st.one_of(_ON_STRIP_LINE, st.floats(0.0, 12.0)))
+        x = _nudge(x, draw(st.integers(-2, 2)))
+        # a collinear column: equally spaced points at one x
+        y0 = draw(_Y)
+        step = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+        pts += [(x, y0 + j * step) for j in range(draw(st.integers(1, 5)))]
+    dup = draw(st.integers(0, len(pts)))
+    return pts + pts[:dup]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+@example([(x, 0.0) for x in (0.0, SQRT3, 2 * SQRT3, SQRT3 / 2, SQRT3_OVER_6)])
+@example([(0.0, y / 10.0) for y in range(10)] * 2)
+@example(worst_case_pointset(3))
+def test_ll2014_matches_reference(pts):
+    for passes in (1, 6):
+        cover = ll2014(pts, passes=passes)
+        assert _bits(cover) == _bits(reference_ll2014(pts, passes=passes))
+        assert _bits(ll2014(pts[::-1], passes=passes)) == _bits(cover)
+        assert verify_cover(pts, cover).valid
+    assert len(ll2014(pts)) <= len(ll2014(pts, passes=1))
+
+
+def _fewest_stabs(segments):
+    # some fewest stabs all sit at segment bottoms: a stab moved down to
+    # the highest bottom among the segments it stabs still stabs them
+    bottoms = sorted({b for _, b in segments})
+    for size in range(len(bottoms) + 1):
+        for stabs in itertools.combinations(bottoms, size):
+            if all(any(b <= s <= t for s in stabs) for t, b in segments):
+                return size
+    raise AssertionError("every segment holds its own bottom")
+
+
+# a point at distance d from a sqrt(3) strip's midline gives a segment of
+# length 2 * sqrt(1 - d^2), between 1 and 2
+_SEGMENT = st.builds(lambda b, length: (b + length, b),
+                     st.one_of(st.floats(-5.0, 5.0), st.integers(-20, 20).map(lambda v: v / 4)),
+                     st.one_of(st.floats(1.0, 2.0), st.sampled_from([1.0, 1.5, 2.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SEGMENT, max_size=8))
+def test_stab_segments_is_minimal(segments):
+    stabs = stab_segments(0.0, segments)
+    assert all(x == 0.0 for x, _ in stabs)
+    assert all(any(b <= s <= t for _, s in stabs) for t, b in segments)
+    assert len(stabs) == _fewest_stabs(segments)

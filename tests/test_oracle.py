@@ -41,6 +41,15 @@ def test_verify_reports_uncovered_indices():
     assert [i for i, _ in report.uncovered] == [1]
 
 
+def test_verify_rejects_cover_entries_that_are_not_pairs():
+    # flattened, these once re-cut into three "centers"
+    with pytest.raises(ValueError):
+        verify_cover([(0, 0)], [(0, 0, 5), (1, 1, 5)])
+    with pytest.raises(ValueError):
+        verify_cover([(0, 0)], [(0, 0), (1,)])
+    assert verify_cover([(0, 0)], [(0, 0), (1, 1)]).valid
+
+
 def test_candidate_centers_include_points():
     pts = [(0.0, 0.0), (1.0, 0.0)]
     cands = candidate_centers(pts)

@@ -1,8 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import udcover
+from sweep_reference import nearest_anchor_scan, stab_segments
 from udcover.geom import HALF_SQRT3, SQRT3
 from udcover.oracle import verify_cover
 from udcover.sweep import (
@@ -12,8 +18,6 @@ from udcover.sweep import (
     blms2017_raw,
     ll2014,
     ll2014_1p,
-    nearest_anchor_scan,
-    stab_segments,
 )
 
 
@@ -23,8 +27,11 @@ def rand_points(n, side, seed):
 
 
 def test_stab_nested_segments():
+    # y = 1 lies in both
     stabs = stab_segments(0.0, [(4.0, 0.0), (2.0, 1.0)])
-    assert stabs == [(0.0, 0.0), (0.0, 1.0)]
+    assert stabs == [(0.0, 1.0)]
+    stabs = stab_segments(0.0, [(2.0, 0.0), (1.5, 0.5)])
+    assert stabs == [(0.0, 0.5)]
 
 
 def test_stab_shared_point():
@@ -38,9 +45,10 @@ def test_stab_disjoint():
     assert stabs == [(0.0, 2.0), (0.0, 0.0)]
 
 
-def test_stab_tie_on_top_takes_lower_bottom_first():
+def test_stab_tie_on_top_needs_one_stab():
+    # the higher bottom comes first and its stab lies in both
     stabs = stab_segments(0.0, [(2.0, 1.5), (2.0, 0.5)])
-    assert stabs == [(0.0, 0.5), (0.0, 1.5)]
+    assert stabs == [(0.0, 1.5)]
 
 
 def test_ll_single_point():
@@ -81,6 +89,34 @@ def test_ll_collinear_column():
     cover = ll2014(pts)
     assert len(cover) == 1
     assert verify_cover(pts, cover).valid
+
+
+def test_ll_huge_x_returns_or_raises():
+    # the strip walk once looped forever from |x| = 2^54; each call must
+    # return a valid cover or raise ValueError
+    code = """
+from udcover import ll2014, verify_cover
+for pts in ([(1e17, 0.0)], [(1e20, 0.0), (3e20, 0.0)], [(0.0, 0.0), (1e16, 0.0)]):
+    try:
+        print(verify_cover(pts, ll2014(pts)).valid)
+    except ValueError:
+        print("ValueError")
+"""
+    src = str(Path(udcover.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60).stdout
+    assert out.split() == ["True", "True", "ValueError"], out
+
+
+def test_ll_point_off_its_midline_raises():
+    # the midline of the strip of x = 1.3e16 rounds more than 1 away
+    # from the point (in pass 0), and that of x = 1e16 in a later pass
+    for pts, passes in [([(0.0, 0.0), (1.3e16, 0.0)], 1),
+                        ([(0.0, 0.0), (1e16, 0.0)], 6)]:
+        with pytest.raises(ValueError):
+            ll2014(pts, passes=passes)
 
 
 def test_anchor_quad_layout():
