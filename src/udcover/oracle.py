@@ -42,7 +42,8 @@ class OptResult:
 
 def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     """Check that every point is within distance 1 of some center, with
-    relative tolerance eps on the radius."""
+    relative tolerance eps on the radius. A cover other than an ndarray
+    must be a sequence of (x, y) pairs; else ValueError."""
     pts = as_points(points)
     if not isinstance(cover, np.ndarray):
         # much faster than np.asarray on a list of tuples

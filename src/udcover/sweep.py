@@ -29,7 +29,7 @@ def ll2014(points, passes: int = 6) -> Cover:
     taken by bottom, highest first, and each one the last stab misses is
     stabbed at its bottom: the fewest stabs. Strips run left to right,
     stabs top down. Raises ValueError where rounding leaves a point more
-    than 1 from its strip's midline (|x| from about 1e15).
+    than 1 from its strip's midline (|x| from about 2^51 to 2^52).
     """
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
@@ -58,7 +58,8 @@ def ll2014(points, passes: int = 6) -> Cover:
         bottom = bottom[order]
         strip = strip[order]
         top = (y + half)[order]
-        top[np.r_[True, strip[1:] != strip[:-1]]] = -np.inf  # opens a stab
+        # a strip's first segment always opens a stab
+        top[np.r_[True, strip[1:] != strip[:-1]]] = -np.inf
         stabs = []
         last = 0.0
         for s, t, b in zip(count(), top.tolist(), bottom.tolist()):
