@@ -9,16 +9,57 @@
 * ``dgt2018``  -- online: a point becomes a center iff no existing
   center is within distance 1.
 
-The two online algorithms use RadiusGrid for their nearest-neighbor
-queries (cell side 1, 3x3 probe).
+The two online algorithms take the points in blocks that keep the input
+order. Where earlier centers covered enough of the previous block, one
+cKDTree query over the centers placed so far drops the points they already
+cover; the rest go through RadiusGrid (cell side 1, 3x3 probe) one by one.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.spatial import cKDTree
+
 from .geom import Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points
 from .gridindex import RadiusGrid
+
+# Blocks double in size from _FIRST_BLOCK on, so a run builds O(log n)
+# trees and each tree sees the centers of every earlier block. A tree is
+# built for a block only if at least 1/_GATE of the previous block was
+# covered on arrival: a tree query costs about a seventh of a RadiusGrid
+# probe per point plus the build, so it pays only where many points are
+# dropped, and sparse input (about one center per point) never builds one.
+_FIRST_BLOCK = 256
+_GATE = 4
+# A center the tree finds nearer than this is within 1 in the solvers'
+# own dx*dx + dy*dy <= 1 too, whatever the rounding of either, so the
+# probe the dropped point skips would have found a center.
+_INSIDE = 1.0 - 1e-9
+
+
+def _uncovered_blocks(xy: np.ndarray, centers: Cover):
+    """Yield the rows of xy, in order and as lists of [x, y], block by
+    block, leaving out those that ``centers`` already covers. ``centers``
+    is the caller's list of placed centers, which it grows by exactly one
+    per yielded point that no center covers, before asking for the next
+    block."""
+    start, size = 0, _FIRST_BLOCK
+    use_tree = False
+    while start < len(xy):
+        block = xy[start:start + size]
+        placed = len(centers)
+        if use_tree:
+            tree = cKDTree(np.array(centers), balanced_tree=False, compact_nodes=False)
+            dist, _ = tree.query(block, distance_upper_bound=_INSIDE)
+            yield block[dist >= _INSIDE].tolist()
+        else:
+            yield block.tolist()
+        uncovered = len(centers) - placed
+        use_tree = (len(block) - uncovered) * _GATE >= len(block)
+        start += size
+        size *= 2
 
 
 def g1991(points) -> Cover:
@@ -84,27 +125,26 @@ class CcfmState:
 
 def ccfm1997(points) -> Cover:
     state = CcfmState()
-    for xy in as_points(points).tolist():
-        p = (xy[0], xy[1])
-        if state.active.nearest_within(p, 1.0) is not None:
-            continue
-        if len(state.inactive) == 0:
-            state.activate(p)
-            continue
-        hit = state.inactive.nearest_within(p, 1.0)
-        if hit is not None:
-            state.promote(hit[0])
-        else:
-            state.activate(p)
+    for block in _uncovered_blocks(as_points(points), state.active_order):
+        for xy in block:
+            p = (xy[0], xy[1])
+            if state.active.nearest_within(p, 1.0) is not None:
+                continue
+            hit = state.inactive.nearest_within(p, 1.0)
+            if hit is not None:
+                state.promote(hit[0])
+            else:
+                state.activate(p)
     return state.active_order
 
 
 def dgt2018(points) -> Cover:
     centers = RadiusGrid(1.0)
     out: Cover = []
-    for xy in as_points(points).tolist():
-        p = (xy[0], xy[1])
-        if centers.nearest_within(p, 1.0) is None:
-            centers.insert(p)
-            out.append(p)
+    for block in _uncovered_blocks(as_points(points), out):
+        for xy in block:
+            p = (xy[0], xy[1])
+            if centers.nearest_within(p, 1.0) is None:
+                centers.insert(p)
+                out.append(p)
     return out

@@ -1,0 +1,36 @@
+"""Plain-loop references for ``udcover.classic``'s online solvers: every
+point, in input order, goes through a ``RadiusGrid`` probe. The solvers
+skip in numpy the points an earlier center already covers and must give
+the same covers bit for bit."""
+
+from udcover.classic import CcfmState
+from udcover.geom import Cover, as_points
+from udcover.gridindex import RadiusGrid
+
+
+def reference_ccfm1997(points) -> Cover:
+    state = CcfmState()
+    for xy in as_points(points).tolist():
+        p = (xy[0], xy[1])
+        if state.active.nearest_within(p, 1.0) is not None:
+            continue
+        if len(state.inactive) == 0:
+            state.activate(p)
+            continue
+        hit = state.inactive.nearest_within(p, 1.0)
+        if hit is not None:
+            state.promote(hit[0])
+        else:
+            state.activate(p)
+    return state.active_order
+
+
+def reference_dgt2018(points) -> Cover:
+    centers = RadiusGrid(1.0)
+    out: Cover = []
+    for xy in as_points(points).tolist():
+        p = (xy[0], xy[1])
+        if centers.nearest_within(p, 1.0) is None:
+            centers.insert(p)
+            out.append(p)
+    return out
