@@ -8,17 +8,20 @@
 * ``blms2017`` -- left-to-right sweep; a point farther than 2 from every
   anchor becomes an anchor and places four disks covering the right half
   of its radius-2 neighborhood. Disks that end up covering no point are
-  dropped from the result.
+  dropped from the result. The sweep runs anchor by anchor: each new
+  anchor marks, in bulk, the later points it dominates, found in a static
+  grid of width-2 columns sorted by y, and the next anchor is the first
+  unmarked point. A point that rounding leaves outside its anchor's quad
+  gets a disk of its own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from itertools import count
 
 import numpy as np
 
-from .geom import Cover, HALF_SQRT3, Point, SQRT3, SQRT3_OVER_6, as_points
+from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points
 
 
 def ll2014(points, passes: int = 6) -> Cover:
@@ -75,103 +78,191 @@ def ll2014_1p(points) -> Cover:
     return ll2014(points, passes=1)
 
 
-class _Anchor:
-    __slots__ = ("x", "y", "idx", "disks", "occupancy")
-
-    def __init__(self, x: float, y: float, idx: int):
-        self.x = x
-        self.y = y
-        self.idx = idx
-        # quad order fixed: center, right, upper, lower
-        self.disks = (
-            (x, y),
-            (x + SQRT3, y),
-            (x + HALF_SQRT3, y + 1.5),
-            (x + HALF_SQRT3, y - 1.5),
-        )
-        self.occupancy = [0, 0, 0, 0]
+# Above this many candidates, an anchor marks a column's window in numpy;
+# at or below it, in a plain loop.
+_NUMPY_CUTOFF = 48
+# The sweep's bounds test dx ** 2 + dy ** 2, and the C pow behind ** is
+# not always the rounded v * v: the two sums differ by a few ulps at
+# most, so only a sum this close to a bound is tested with **.
+_BAND = 1e-12
 
 
-class _AnchorIndex:
-    """Anchors keyed by y with a sliding x-window of width 2.
+def _blms_sweep(points):
+    """The sweep, anchor by anchor.
 
-    Anchors arrive in nondecreasing x; ``nearest`` retires anchors left
-    of the window and scans only candidates within 2 in y.
+    Returns the points sorted by (x, y), the sorted positions of the
+    anchors in creation order and, per sorted point, the index of its
+    anchor (its own index for an anchor).
+
+    A point's anchor is the nearest earlier anchor a in its window,
+    ``not a.x < x - 2.0`` and ``y - 2.0 <= a.y <= y + 2.0``, by
+    (dx*dx + dy*dy, creation order); the point becomes an anchor itself
+    when there is none or ``dx ** 2 + dy ** 2 > 4.0``. Each new anchor
+    marks the later points whose window it lies in, so the next anchor
+    is the first point left unmarked.
     """
+    x, y = as_points(points).T
+    # a quicksort by x gives the stable (x, y) order when no two x are
+    # equal (0.0 and -0.0 are), and costs a tenth of the lexsort
+    order = np.argsort(x)
+    xs = x[order]
+    if (xs[1:] == xs[:-1]).any():
+        order = np.lexsort((y, x))
+        xs = x[order]
+    ys = y[order]
+    n = len(xs)
+    if n == 0:
+        return xs, ys, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    # columns of width 2, numbered by rank; a later point in an anchor's
+    # own column lies within 2 to its right, and the window reaches no
+    # further than the next column
+    col = np.floor(xs / 2.0)
+    new_col = col[1:] != col[:-1]
+    rank = np.r_[0.0, np.cumsum(new_col)]
+    col_end = np.r_[np.flatnonzero(new_col) + 1, n]
+    # the points by (column, y) -- the cells -- so that an anchor's
+    # window in a column is the slice between two exact searches
+    key = np.empty(n, np.complex128)
+    key.real = rank
+    key.imag = ys
+    cell = np.argsort(key)
+    key = key[cell]
+    lo = np.searchsorted(key + 2j, key, "left")
+    hi = np.searchsorted(key - 2j, key, "right")
+    lo_next = np.searchsorted(key + 2j, key + 1.0, "left")
+    hi_next = np.searchsorted(key - 2j, key + 1.0, "right")
+    # skip the next column when no point of it is within 2 in x
+    x_end = np.searchsorted(xs - 2.0, xs, "right")[cell]
+    hi_next = np.where(x_end > col_end[key.real.astype(np.int64)],
+                       hi_next, lo_next)
+    of_cell = np.empty(n, np.int64)
+    of_cell[cell] = np.arange(n)
+    xc = xs[cell]
+    yc = ys[cell]
 
-    def __init__(self):
-        self._by_y: list[tuple[float, float, int]] = []  # (y, x, idx)
-        self._by_x: list[tuple[float, float, int]] = []  # creation order
-        self._retired = 0
-        self.anchors: list[_Anchor] = []
+    live = bytearray(b"\x01") * n
+    live_np = np.frombuffer(live, np.uint8)
+    best_d = np.full(n, np.inf)
+    anchor = np.full(n, -1, np.int64)
+    # whether a point's windows hold any point but itself
+    busy = ((hi - lo > 1) | (hi_next > lo_next)).view(np.uint8)
+    # memoryviews give Python scalars without converting whole arrays
+    (m_of, m_pos, m_x, m_y, m_d, m_a, m_busy,
+     m_lo, m_hi, m_lo_next, m_hi_next) = map(
+        memoryview, (of_cell, cell, xc, yc, best_d, anchor, busy,
+                     lo, hi, lo_next, hi_next))
 
-    def add(self, a: _Anchor) -> None:
-        self.anchors.append(a)
-        insort(self._by_y, (a.y, a.x, a.idx))
-        self._by_x.append((a.x, a.y, a.idx))
+    def mark(k, a, ax, ay, s, e, own):
+        qx = xc[s:e]
+        dx = ax - qx
+        dy = ay - yc[s:e]
+        d = dx * dx + dy * dy
+        upd = d < best_d[s:e]
+        pos = cell[s:e]
+        upd &= pos > k if own else qx - 2.0 <= ax
+        np.putmask(best_d[s:e], upd, d)
+        np.putmask(anchor[s:e], upd, a)
+        d = d[upd]
+        pos = pos[upd]
+        live_np[pos] = d > 4.0
+        for t in np.flatnonzero(np.abs(d - 4.0) <= _BAND).tolist():
+            j = int(pos[t])
+            live[j] = (ax - xs.item(j)) ** 2 + (ay - ys.item(j)) ** 2 > 4.0
 
-    def nearest(self, p: Point) -> _Anchor | None:
-        """Nearest live anchor with x >= p.x - 2; ties broken by
-        creation order."""
-        px, py = p
-        while self._retired < len(self._by_x) and self._by_x[self._retired][0] < px - 2.0:
-            x, y, idx = self._by_x[self._retired]
-            pos = bisect_left(self._by_y, (y, x, idx))
-            del self._by_y[pos]
-            self._retired += 1
-        lo = bisect_left(self._by_y, (py - 2.0, -float("inf"), -1))
-        best = None
-        best_key = None
-        for k in range(lo, len(self._by_y)):
-            y, x, idx = self._by_y[k]
-            if y > py + 2.0:
-                break
-            dx = x - px
-            dy = y - py
-            d = dx * dx + dy * dy
-            key = (d, idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = idx
-        if best is None:
-            return None
-        return self.anchors[best]
+    near = 4.0 - _BAND
+    anchors = []
+    a = 0
+    k = 0
+    while k >= 0:
+        anchors.append(k)
+        i = m_of[k]
+        if m_busy[i]:
+            ax = m_x[i]
+            ay = m_y[i]
+            # own column: every point in it after k is within 2 in x
+            s = m_lo[i]
+            e = m_hi[i]
+            if e - s > _NUMPY_CUTOFF:
+                mark(k, a, ax, ay, s, e, True)
+            else:
+                for t in range(s, e):
+                    j = m_pos[t]
+                    if j > k:
+                        dx = ax - m_x[t]
+                        dy = ay - m_y[t]
+                        d = dx * dx + dy * dy
+                        if d < m_d[t]:
+                            m_d[t] = d
+                            m_a[t] = a
+                            live[j] = d > near and dx ** 2 + dy ** 2 > 4.0
+            # next column: every point in it is after k
+            s = m_lo_next[i]
+            e = m_hi_next[i]
+            if e - s > _NUMPY_CUTOFF:
+                mark(k, a, ax, ay, s, e, False)
+            else:
+                for t in range(s, e):
+                    qx = m_x[t]
+                    if qx - 2.0 <= ax:
+                        dx = ax - qx
+                        dy = ay - m_y[t]
+                        d = dx * dx + dy * dy
+                        if d < m_d[t]:
+                            m_d[t] = d
+                            m_a[t] = a
+                            live[m_pos[t]] = (d > near
+                                              and dx ** 2 + dy ** 2 > 4.0)
+        a += 1
+        k = live.find(1, k + 1)
+    of = np.empty(n, np.int64)
+    of[cell] = anchor
+    of[anchors] = np.arange(a)
+    return xs, ys, np.array(anchors, np.int64), of
 
 
-def _blms_anchors(points) -> list[_Anchor]:
-    pts = sorted(map(tuple, as_points(points).tolist()))
-    index = _AnchorIndex()
-    for x, y in pts:
-        p = (x, y)
-        near = index.nearest(p)
-        if near is None or (near.x - x) ** 2 + (near.y - y) ** 2 > 4.0:
-            near = _Anchor(x, y, len(index.anchors))
-            index.add(near)
-        assigned = False
-        for d, (cx, cy) in enumerate(near.disks):
-            if (cx - x) ** 2 + (cy - y) ** 2 <= 1.0:
-                near.occupancy[d] += 1
-                assigned = True
-                break
-        # the quad covers the right half of the anchor's radius-2
-        # neighborhood, and p is right of (or at) its anchor
-        if not assigned:
-            raise RuntimeError(f"point {p} not covered by its quad")
-    return index.anchors
+def _quads(xs, ys):
+    """The four disks of anchors at (xs, ys), as (anchors, 4) arrays of
+    center coordinates in quad order: center, right, upper, lower."""
+    cx = np.stack((xs, xs + SQRT3, xs + HALF_SQRT3, xs + HALF_SQRT3), 1)
+    cy = np.stack((ys, ys, ys + 1.5, ys - 1.5), 1)
+    return cx, cy
 
 
 def blms2017(points) -> Cover:
     """Sweep cover with empty-disk elimination: only disks that received
-    at least one point survive."""
-    out: Cover = []
-    for a in _blms_anchors(points):
-        out.extend(c for d, c in enumerate(a.disks) if a.occupancy[d] > 0)
-    return out
+    at least one point survive.
+
+    Each point goes to the first disk of its anchor's quad that holds it
+    (``(cx - x) ** 2 + (cy - y) ** 2 <= 1.0``). The quad's outer edge
+    touches the radius-2 circle around the anchor, straight above and
+    below it and at 30 degrees above and below its right, and rounding
+    can leave a point there outside all four disks. Such a point gets a
+    disk at its own position; these follow the quad disks, in sweep
+    order.
+    """
+    xs, ys, anchors, of = _blms_sweep(points)
+    cx, cy = _quads(xs[anchors], ys[anchors])
+    quad = np.full(len(xs), -1, np.int64)
+    for i in range(4):
+        todo = np.flatnonzero(quad < 0)
+        dx = cx[of[todo], i] - xs[todo]
+        dy = cy[of[todo], i] - ys[todo]
+        d = dx * dx + dy * dy
+        inside = d <= 1.0
+        for t in np.flatnonzero(np.abs(d - 1.0) <= _BAND).tolist():
+            inside[t] = dx.item(t) ** 2 + dy.item(t) ** 2 <= 1.0
+        quad[todo[inside]] = i
+    used = np.zeros(cx.shape, bool)
+    held = quad >= 0
+    used[of[held], quad[held]] = True
+    own = ~held
+    return list(zip(np.r_[cx[used], xs[own]].tolist(),
+                    np.r_[cy[used], ys[own]].tolist()))
 
 
 def blms2017_raw(points) -> Cover:
-    """All four disks of every anchor, before empty-disk elimination."""
-    out: Cover = []
-    for a in _blms_anchors(points):
-        out.extend(a.disks)
-    return out
+    """All four disks of every anchor, before empty-disk elimination and
+    without the own-position disks ``blms2017`` may add."""
+    xs, ys, anchors, _ = _blms_sweep(points)
+    cx, cy = _quads(xs[anchors], ys[anchors])
+    return list(zip(cx.ravel().tolist(), cy.ravel().tolist()))

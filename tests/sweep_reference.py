@@ -1,11 +1,20 @@
 """Plain-Python references for ``udcover.sweep``: the textbook stabbing
 greedy, ll2014 built from it point by point and strip by strip (with the
-same closed-form strips as the numpy solver), and the linear scan behind
-blms2017's anchor index."""
+same closed-form strips as the numpy solver), blms2017 as the per-point
+sweep over a sorted anchor index, and the linear scan that index is
+checked against."""
 
 import math
+from bisect import bisect_left, insort
 
-from udcover.geom import SQRT3, SQRT3_OVER_6, as_points
+from udcover.geom import (
+    HALF_SQRT3,
+    SQRT3,
+    SQRT3_OVER_6,
+    Cover,
+    Point,
+    as_points,
+)
 
 
 def stab_segments(x, segments):
@@ -61,3 +70,109 @@ def nearest_anchor_scan(anchors, p):
             best_d = d
             best = idx
     return best
+
+
+# The blms2017 sweep as it was before the anchor-driven rewrite: one
+# ``_AnchorIndex.nearest`` query per point. Copied verbatim; only the
+# entry points are renamed.
+
+class _Anchor:
+    __slots__ = ("x", "y", "idx", "disks", "occupancy")
+
+    def __init__(self, x: float, y: float, idx: int):
+        self.x = x
+        self.y = y
+        self.idx = idx
+        # quad order fixed: center, right, upper, lower
+        self.disks = (
+            (x, y),
+            (x + SQRT3, y),
+            (x + HALF_SQRT3, y + 1.5),
+            (x + HALF_SQRT3, y - 1.5),
+        )
+        self.occupancy = [0, 0, 0, 0]
+
+
+class _AnchorIndex:
+    """Anchors keyed by y with a sliding x-window of width 2.
+
+    Anchors arrive in nondecreasing x; ``nearest`` retires anchors left
+    of the window and scans only candidates within 2 in y.
+    """
+
+    def __init__(self):
+        self._by_y: list[tuple[float, float, int]] = []  # (y, x, idx)
+        self._by_x: list[tuple[float, float, int]] = []  # creation order
+        self._retired = 0
+        self.anchors: list[_Anchor] = []
+
+    def add(self, a: _Anchor) -> None:
+        self.anchors.append(a)
+        insort(self._by_y, (a.y, a.x, a.idx))
+        self._by_x.append((a.x, a.y, a.idx))
+
+    def nearest(self, p: Point) -> _Anchor | None:
+        """Nearest live anchor with x >= p.x - 2; ties broken by
+        creation order."""
+        px, py = p
+        while self._retired < len(self._by_x) and self._by_x[self._retired][0] < px - 2.0:
+            x, y, idx = self._by_x[self._retired]
+            pos = bisect_left(self._by_y, (y, x, idx))
+            del self._by_y[pos]
+            self._retired += 1
+        lo = bisect_left(self._by_y, (py - 2.0, -float("inf"), -1))
+        best = None
+        best_key = None
+        for k in range(lo, len(self._by_y)):
+            y, x, idx = self._by_y[k]
+            if y > py + 2.0:
+                break
+            dx = x - px
+            dy = y - py
+            d = dx * dx + dy * dy
+            key = (d, idx)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = idx
+        if best is None:
+            return None
+        return self.anchors[best]
+
+
+def _blms_anchors(points) -> list[_Anchor]:
+    pts = sorted(map(tuple, as_points(points).tolist()))
+    index = _AnchorIndex()
+    for x, y in pts:
+        p = (x, y)
+        near = index.nearest(p)
+        if near is None or (near.x - x) ** 2 + (near.y - y) ** 2 > 4.0:
+            near = _Anchor(x, y, len(index.anchors))
+            index.add(near)
+        assigned = False
+        for d, (cx, cy) in enumerate(near.disks):
+            if (cx - x) ** 2 + (cy - y) ** 2 <= 1.0:
+                near.occupancy[d] += 1
+                assigned = True
+                break
+        # the quad covers the right half of the anchor's radius-2
+        # neighborhood, and p is right of (or at) its anchor
+        if not assigned:
+            raise RuntimeError(f"point {p} not covered by its quad")
+    return index.anchors
+
+
+def reference_blms2017(points) -> Cover:
+    """Sweep cover with empty-disk elimination: only disks that received
+    at least one point survive."""
+    out: Cover = []
+    for a in _blms_anchors(points):
+        out.extend(c for d, c in enumerate(a.disks) if a.occupancy[d] > 0)
+    return out
+
+
+def reference_blms2017_raw(points) -> Cover:
+    """All four disks of every anchor, before empty-disk elimination."""
+    out: Cover = []
+    for a in _blms_anchors(points):
+        out.extend(a.disks)
+    return out

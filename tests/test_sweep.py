@@ -8,17 +8,10 @@ from pathlib import Path
 import pytest
 
 import udcover
-from sweep_reference import nearest_anchor_scan, stab_segments
+from sweep_reference import _Anchor, _AnchorIndex, nearest_anchor_scan, stab_segments
 from udcover.geom import HALF_SQRT3, SQRT3
 from udcover.oracle import verify_cover
-from udcover.sweep import (
-    _AnchorIndex,
-    _Anchor,
-    blms2017,
-    blms2017_raw,
-    ll2014,
-    ll2014_1p,
-)
+from udcover.sweep import blms2017, blms2017_raw, ll2014, ll2014_1p
 
 
 def rand_points(n, side, seed):
@@ -116,14 +109,17 @@ def test_ll_point_off_its_midline_raises():
 
 
 def test_anchor_quad_layout():
-    a = _Anchor(1.0, 2.0, 0)
-    assert a.disks[0] == (1.0, 2.0)
-    assert a.disks[1] == (1.0 + SQRT3, 2.0)
-    assert a.disks[2] == (1.0 + HALF_SQRT3, 3.5)
-    assert a.disks[3] == (1.0 + HALF_SQRT3, 0.5)
+    # center, right, upper, lower
+    assert blms2017_raw([(1.0, 2.0)]) == [
+        (1.0, 2.0),
+        (1.0 + SQRT3, 2.0),
+        (1.0 + HALF_SQRT3, 3.5),
+        (1.0 + HALF_SQRT3, 0.5),
+    ]
 
 
 def test_anchor_index_matches_linear_scan():
+    # the index behind the per-point reference sweep
     rnd = random.Random(11)
     xs = sorted(rnd.uniform(0, 30) for _ in range(120))
     anchors = [(x, rnd.uniform(0, 30)) for x in xs]
@@ -172,3 +168,17 @@ def test_blms_elimination_only_drops_empty_disks():
     kept = set(blms2017(pts))
     raw = set(blms2017_raw(pts))
     assert kept <= raw
+
+
+def test_blms_point_on_quad_boundary_gets_own_disk():
+    # (1024, 2) is exactly 2 above its anchor, on the boundary of the
+    # upper quad disk, and 1024 + sqrt(3)/2 rounds so that it falls
+    # outside; it gets a disk at its own position, after the quad disks
+    pts = [(1024.0, 0.0), (1024.0, 2.0)]
+    cover = blms2017(pts)
+    assert cover == [(1024.0, 0.0), (1024.0, 2.0)]
+    assert verify_cover(pts, cover).valid
+    assert len(blms2017_raw(pts)) == 4
+    lattice = [(1024.0 + 2.0 * i, 1024.0 + 2.0 * j)
+               for i in range(8) for j in range(8)]
+    assert verify_cover(lattice, blms2017(lattice)).valid
