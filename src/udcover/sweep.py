@@ -103,7 +103,7 @@ def _blms_sweep(points):
     """
     x, y = as_points(points).T
     # a quicksort by x gives the stable (x, y) order when no two x are
-    # equal (0.0 and -0.0 are), and costs a tenth of the lexsort
+    # equal (0.0 and -0.0 count as equal), at a tenth of the lexsort's cost
     order = np.argsort(x)
     xs = x[order]
     if (xs[1:] == xs[:-1]).any():
@@ -135,8 +135,8 @@ def _blms_sweep(points):
     x_end = np.searchsorted(xs - 2.0, xs, "right")[cell]
     hi_next = np.where(x_end > col_end[key.real.astype(np.int64)],
                        hi_next, lo_next)
-    of_cell = np.empty(n, np.int64)
-    of_cell[cell] = np.arange(n)
+    cell_of = np.empty(n, np.int64)
+    cell_of[cell] = np.arange(n)
     xc = xs[cell]
     yc = ys[cell]
 
@@ -147,9 +147,9 @@ def _blms_sweep(points):
     # whether a point's windows hold any point but itself
     busy = ((hi - lo > 1) | (hi_next > lo_next)).view(np.uint8)
     # memoryviews give Python scalars without converting whole arrays
-    (m_of, m_pos, m_x, m_y, m_d, m_a, m_busy,
+    (m_cell_of, m_pos, m_x, m_y, m_d, m_a, m_busy,
      m_lo, m_hi, m_lo_next, m_hi_next) = map(
-        memoryview, (of_cell, cell, xc, yc, best_d, anchor, busy,
+        memoryview, (cell_of, cell, xc, yc, best_d, anchor, busy,
                      lo, hi, lo_next, hi_next))
 
     def mark(k, a, ax, ay, s, e, own):
@@ -175,7 +175,7 @@ def _blms_sweep(points):
     k = 0
     while k >= 0:
         anchors.append(k)
-        i = m_of[k]
+        i = m_cell_of[k]
         if m_busy[i]:
             ax = m_x[i]
             ay = m_y[i]

@@ -132,7 +132,9 @@ def check(pts):
             raw = blms2017_raw(pts)
         if want is None:
             assert verify_cover(pts, got).valid
+            # quad disks, then disks at points of their own
             assert len(raw) % 4 == 0
+            assert set(got) <= set(raw) | set(pts)
         else:
             assert _bits(got) == _bits(want)
             assert _bits(raw) == _bits(want_raw)
