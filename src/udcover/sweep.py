@@ -153,6 +153,9 @@ def _blms_sweep(points):
                      lo, hi, lo_next, hi_next))
 
     def mark(k, a, ax, ay, s, e, own):
+        """The plain loops below, in numpy, over cells[s:e] of the own
+        (``own``) or the next column of anchor ``a`` at sorted position
+        ``k``."""
         qx = xc[s:e]
         dx = ax - qx
         dy = ay - yc[s:e]
