@@ -148,21 +148,17 @@ def _blms_sweep(points):
     busy = ((hi - lo > 1) | (hi_next > lo_next)).view(np.uint8)
     # memoryviews give Python scalars without converting whole arrays
     (m_cell_of, m_pos, m_x, m_y, m_d, m_a, m_busy,
-     m_lo, m_hi, m_lo_next, m_hi_next) = map(
+     m_lo, m_hi, m_lo_next, m_hi_next, m_end) = map(
         memoryview, (cell_of, cell, xc, yc, best_d, anchor, busy,
-                     lo, hi, lo_next, hi_next))
+                     lo, hi, lo_next, hi_next, x_end))
 
-    def mark(k, a, ax, ay, s, e, own):
-        """The plain loops below, in numpy, over cells[s:e] of the own
-        (``own``) or the next column of anchor ``a`` at sorted position
-        ``k``."""
-        qx = xc[s:e]
-        dx = ax - qx
+    def mark(k, end, a, ax, ay, s, e):
+        """The plain loop below, in numpy, over cells[s:e]."""
+        dx = ax - xc[s:e]
         dy = ay - yc[s:e]
         d = dx * dx + dy * dy
-        upd = d < best_d[s:e]
         pos = cell[s:e]
-        upd &= pos > k if own else qx - 2.0 <= ax
+        upd = (d < best_d[s:e]) & (pos > k) & (pos < end)
         np.putmask(best_d[s:e], upd, d)
         np.putmask(anchor[s:e], upd, a)
         d = d[upd]
@@ -182,15 +178,17 @@ def _blms_sweep(points):
         if m_busy[i]:
             ax = m_x[i]
             ay = m_y[i]
-            # own column: every point in it after k is within 2 in x
-            s = m_lo[i]
-            e = m_hi[i]
-            if e - s > _NUMPY_CUTOFF:
-                mark(k, a, ax, ay, s, e, True)
-            else:
+            # the later points of the window, in the own column and in the
+            # next one, that lie within 2 in x: sorted positions k + 1 to
+            # end - 1
+            end = m_end[i]
+            for s, e in ((m_lo[i], m_hi[i]), (m_lo_next[i], m_hi_next[i])):
+                if e - s > _NUMPY_CUTOFF:
+                    mark(k, end, a, ax, ay, s, e)
+                    continue
                 for t in range(s, e):
                     j = m_pos[t]
-                    if j > k:
+                    if k < j < end:
                         dx = ax - m_x[t]
                         dy = ay - m_y[t]
                         d = dx * dx + dy * dy
@@ -198,23 +196,6 @@ def _blms_sweep(points):
                             m_d[t] = d
                             m_a[t] = a
                             live[j] = d > near and dx ** 2 + dy ** 2 > 4.0
-            # next column: every point in it is after k
-            s = m_lo_next[i]
-            e = m_hi_next[i]
-            if e - s > _NUMPY_CUTOFF:
-                mark(k, a, ax, ay, s, e, False)
-            else:
-                for t in range(s, e):
-                    qx = m_x[t]
-                    if qx - 2.0 <= ax:
-                        dx = ax - qx
-                        dy = ay - m_y[t]
-                        d = dx * dx + dy * dy
-                        if d < m_d[t]:
-                            m_d[t] = d
-                            m_a[t] = a
-                            live[m_pos[t]] = (d > near
-                                              and dx ** 2 + dy ** 2 > 4.0)
         a += 1
         k = live.find(1, k + 1)
     of = np.empty(n, np.int64)

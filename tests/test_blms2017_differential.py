@@ -147,6 +147,10 @@ def check(pts):
 # the anchor lies just outside the point's y-window, 2 + ulp above it,
 # and dx * dx + dy * dy still rounds to 4
 @example([(0.0, 2.0 + 2.0**-51), (1e-9, 2.0**-52)])
+# the same in x, in the next column: x - 2.0 lies just right of the
+# anchor and ax - x still rounds to -2, while another point of that
+# column lies within 2 in x
+@example([(1.0 + 2.0**-52, 0.0), (3.0 + 2.0**-51, 0.0), (2.0, 10.0)])
 # a point equidistant from two anchors, in their column and in the next
 # one: the first anchor created wins
 @example([(0.0, -1.25), (0.0, 1.25), (1.0, 0.0)])
