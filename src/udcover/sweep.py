@@ -79,8 +79,11 @@ def ll2014_1p(points) -> Cover:
 
 
 # Above this many candidates, an anchor marks a column's window in numpy;
-# at or below it, in a plain loop.
-_NUMPY_CUTOFF = 48
+# at or below it, in a plain loop. The two break even near 100: in numpy
+# alone the sweep takes 4-5 times as long on density-1 squares (windows
+# of about 8 points), in the plain loop alone 1.7 times as long on
+# density-50 ones (about 400).
+_NUMPY_CUTOFF = 96
 # The sweep's bounds test dx ** 2 + dy ** 2, and the C pow behind ** is
 # not always the rounded v * v: the two sums differ by a few ulps at
 # most, so only a sum this close to a bound is tested with **.
