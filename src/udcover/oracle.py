@@ -48,7 +48,8 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     if not isinstance(cover, np.ndarray):
         # much faster than np.asarray on a list of tuples
         flat = np.fromiter(itertools.chain.from_iterable(cover), dtype=np.float64)
-        if len(flat) != 2 * len(cover):
+        # no entry shorter than 2 and 2 values per entry in all: all pairs
+        if len(flat) != 2 * len(cover) or min(map(len, cover), default=2) < 2:
             raise ValueError("cover entries must be (x, y) pairs")
         cover = flat.reshape(-1, 2)
     ctr = as_points(cover)

@@ -1,7 +1,8 @@
 """Plain-loop references for ``udcover.classic``'s online solvers: every
 point, in input order, goes through a ``RadiusGrid`` probe. The solvers
-skip in numpy the points an earlier center already covers and must give
-the same covers bit for bit."""
+skip in numpy the points an earlier center already covers, put the lone
+points (no other point within reach) into the cover without a probe, and
+must give the same covers bit for bit."""
 
 from udcover.classic import CcfmState
 from udcover.geom import Cover, as_points

@@ -1,10 +1,12 @@
 """dgt2018 and ccfm1997 against the plain loops of ``classic_reference``.
 
 The solvers drop, with one cKDTree query per block, the points an earlier
-center already covers. The covers must stay bit-equal to the plain loops
-on lattices with points at exactly distance 1, duplicates, sorted input,
-sizes at the block edges, sparse/dense mixes that switch the tree on and
-off, and offsets up to 2^30.
+center already covers, and put the lone points (no other point within the
+solver's reach) straight into the cover. The covers must stay bit-equal to
+the plain loops on lattices with points at exactly distance 1, duplicates,
+sorted input, sizes at the block edges, sparse/dense mixes that switch the
+trees on and off, pairs at exactly the reach give or take an ulp, and
+offsets up to 2^30 (2^52 for the pairs).
 """
 
 import math
@@ -154,17 +156,79 @@ def test_tree_only_after_a_block_with_enough_covered_points(monkeypatch):
     built = _count_trees(monkeypatch)
     sparse = gen_disk(4000, 4000 / 0.02, 5)
     dense = gen_square(4000, 4000 / 50.0, 6)
+    mixed = np.concatenate([dense[:256], sparse[:512], dense[:1024] + 1e4])
     for solver in (dgt2018, ccfm1997):
+        # one tree over all 4000 points finds the lone ones; about one
+        # center per point, so no block gets a tree
         built.clear()
         solver(sparse)
-        assert built == [], solver.__name__
-        # blocks of 256, 512, 1024, 2048 and 160 points: every block after
-        # the first gets a tree
+        assert built == [len(sparse)], solver.__name__
+        # the bounding box puts the lone share far below 1/_GATE, so no
+        # tree over the points; blocks of 256, 512, 1024, 2048 and 160
+        # points: every block after the first gets a tree over the centers
         built.clear()
         solver(dense)
-        assert len(built) == 4, solver.__name__
-        # a dense first block switches the tree on for the second; the
-        # sparse second block switches it off for the third
+        assert len(built) == 4 and max(built) < len(dense), solver.__name__
+        # the far-apart runs make the bounding box wide, so the points get
+        # their tree; a dense first block switches the block tree on for
+        # the second; the sparse second block switches it off for the third
         built.clear()
-        solver(np.concatenate([dense[:256], sparse[:512], dense[:1024] + 1e4]))
-        assert len(built) == 1, solver.__name__
+        solver(mixed)
+        assert built[0] == len(mixed) and len(built) == 2, solver.__name__
+        assert built[1] < len(mixed), solver.__name__
+
+
+# Pairs of points at exactly a solver's reach, give or take an ulp or two,
+# along ccfm1997's six candidate directions and the axes: at 1 + sqrt(3)
+# the later point is at distance 1 from a candidate of the earlier one, at
+# 1 it is at distance 1 from the earlier one itself. The lone rows' tree
+# must leave every such pair to the loop, at every offset.
+_REACHES = (1.0, 1.0 + math.sqrt(3.0))
+_DIRECTIONS = [(math.cos(math.radians(a)), math.sin(math.radians(a)))
+               for a in (0, 60, 120, 180, 240, 300)] + [(0.0, 1.0), (0.0, -1.0)]
+
+
+def _nudged(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def _pairs_at_reach(offset):
+    pts = []
+    k = 0
+    for reach in _REACHES:
+        for ux, uy in _DIRECTIONS:
+            for ulps in (-2, -1, 0, 1, 2):
+                ax, ay = offset + 40.0 * k, offset + 200.0
+                bx, by = ax + reach * ux, ay + reach * uy
+                if abs(ux) >= abs(uy):
+                    bx = _nudged(bx, ulps)
+                else:
+                    by = _nudged(by, ulps)
+                pts += [(ax, ay), (bx, by)]
+                k += 1
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0**20, -(2.0**20), 2.0**30, -(2.0**30), 2.0**40, 2.0**52])
+def test_pairs_at_the_reach_match_the_plain_loops_with_either_gate(offset):
+    # spread with the tree's margin (16 ulps), so that some points stay lone
+    background = gen_disk(300, 300 / 0.02, 7) * (1.0 + 16 * math.ulp(offset)) + offset
+    pairs = _pairs_at_reach(offset)
+    rng = np.random.default_rng(8)
+    inputs = [np.concatenate([background, pairs]),
+              np.concatenate([pairs[::-1], background]),
+              rng.permutation(np.concatenate([background, pairs]))]
+    for gate in (1, 10**9):
+        with mock.patch.object(classic, "_GATE", gate):
+            for pts in inputs:
+                pts = np.ascontiguousarray(pts)
+                if gate > 1:
+                    # the lone path really runs, for the background at least
+                    for reach in _REACHES:
+                        assert classic._lone(pts, reach).any()
+                else:
+                    assert classic._lone(pts, 1.0) is None
+                _assert_same(pts)
+                _assert_same(pts, first_block=7)

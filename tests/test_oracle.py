@@ -47,6 +47,13 @@ def test_verify_rejects_cover_entries_that_are_not_pairs():
         verify_cover([(0, 0)], [(0, 0, 5), (1, 1, 5)])
     with pytest.raises(ValueError):
         verify_cover([(0, 0)], [(0, 0), (1,)])
+    # mixed lengths with the right total, once re-cut into two pairs
+    with pytest.raises(ValueError):
+        verify_cover([(0, 0)], [(0,), (0, 0, 5)])
+    with pytest.raises(ValueError):
+        verify_cover([(0, 0)], [(0, 0, 5), (0,)])
+    with pytest.raises(ValueError):
+        verify_cover([(0, 0)], [(), (0, 0, 5, 5)])
     assert verify_cover([(0, 0)], [(0, 0), (1, 1)]).valid
 
 
