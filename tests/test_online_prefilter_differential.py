@@ -1,12 +1,16 @@
 """dgt2018 and ccfm1997 against the plain loops of ``classic_reference``.
 
-The solvers drop, with one cKDTree query per block, the points an earlier
-center already covers, and put the lone points (no other point within the
-solver's reach) straight into the cover. The covers must stay bit-equal to
-the plain loops on lattices with points at exactly distance 1, duplicates,
-sorted input, sizes at the block edges, sparse/dense mixes that switch the
-trees on and off, pairs at exactly the reach give or take an ulp, and
-offsets up to 2^30 (2^52 for the pairs).
+dgt2018 computes its cover, where the sampled degree is low, as the first
+maximal independent set of the grid-probe graph, in numpy rounds over one
+cKDTree pair list; elsewhere both solvers drop, with one cKDTree query per
+block, the points an earlier center already covers, and ccfm1997 puts the
+lone points (no other point within its reach) straight into the cover.
+The covers must stay bit-equal to the plain loops, and dgt2018's on either
+path, on lattices with points at exactly distance 1, duplicates, sorted
+input and lines that stall the rounds, sizes at the block edges and of 0-2
+points, sparse/dense mixes that switch the trees on and off, sets just
+either side of the path threshold, pairs at exactly the reach give or take
+an ulp, and offsets up to 2^30 (2^52 for the pairs).
 """
 
 import math
@@ -36,6 +40,12 @@ def _assert_same(pts, first_block=classic._FIRST_BLOCK):
     with mock.patch.object(classic, "_FIRST_BLOCK", first_block):
         for solver, reference in PAIRS:
             assert _bits(solver(pts)) == _bits(reference(pts)), solver.__name__
+        # dgt2018 on either path, whichever the sample picks: a threshold of
+        # 0 sends every input of 2 or more points to the grid, inf to the pairs
+        expected = _bits(reference_dgt2018(pts))
+        for degree in (0.0, math.inf):
+            with mock.patch.object(classic, "_MIS_DEGREE", degree):
+                assert _bits(dgt2018(pts)) == expected, degree
 
 
 _OFFSET = st.one_of(
@@ -103,6 +113,9 @@ def mixes(draw):
 @given(lattices(), _FIRST)
 @example(np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (2.0, 0.0)] * 3), 1)
 @example(np.array([(2.0**30 + i, 2.0**30 + j) for j in range(17) for i in range(17)]), 256)
+# 1 + 9.7e-147 apart, which rounds to exactly 1, but two cells apart, where
+# the 3x3 probe does not look: no edge
+@example(np.array([(-9.7050727e-147, 0.0), (1.0, 0.0)]), 1)
 def test_lattices_match_the_plain_loops(pts, first_block):
     _assert_same(pts, first_block)
 
@@ -141,15 +154,51 @@ def test_points_nudged_around_distance_one_match_the_plain_loops():
 
 
 def _count_trees(monkeypatch):
+    """Record each cKDTree the solvers build as (rows, names of the methods
+    called on it), so a test can tell the sample's trees (query_pairs on a
+    few rows), dgt2018's pair list (query_pairs on all rows), the lone-point
+    tree (query on all rows) and the block trees (query on the centers)."""
     built = []
     real = classic.cKDTree
 
-    def counting(*args, **kwargs):
-        built.append(len(args[0]))
-        return real(*args, **kwargs)
+    class Spy:
+        def __init__(self, data, **kwargs):
+            self.calls = []
+            built.append((len(data), self.calls))
+            self.tree = real(data, **kwargs)
 
-    monkeypatch.setattr(classic, "cKDTree", counting)
+        def __getattr__(self, name):
+            self.calls.append(name)
+            return getattr(self.tree, name)
+
+    monkeypatch.setattr(classic, "cKDTree", Spy)
     return built
+
+
+def _queried(built):
+    """The rows of the trees asked for nearest neighbours: the lone-point
+    tree and the block trees, in the order they were built."""
+    return [rows for rows, calls in built if "query" in calls]
+
+
+def _pair_path(built, n):
+    """Whether dgt2018 took the pair path: one pair list over all n rows
+    and no tree asked for nearest neighbours."""
+    pair_lists = [rows for rows, calls in built if rows == n and "query_pairs" in calls]
+    return pair_lists == [n] and not _queried(built)
+
+
+def _count_probes(monkeypatch):
+    """Record the point of each RadiusGrid probe the solvers make."""
+    probes = []
+
+    class Counting(classic.RadiusGrid):
+        def nearest_within(self, q, r):
+            probes.append(q)
+            return super().nearest_within(q, r)
+
+    monkeypatch.setattr(classic, "RadiusGrid", Counting)
+    return probes
 
 
 def test_tree_only_after_a_block_with_enough_covered_points(monkeypatch):
@@ -157,25 +206,101 @@ def test_tree_only_after_a_block_with_enough_covered_points(monkeypatch):
     sparse = gen_disk(4000, 4000 / 0.02, 5)
     dense = gen_square(4000, 4000 / 50.0, 6)
     mixed = np.concatenate([dense[:256], sparse[:512], dense[:1024] + 1e4])
-    for solver in (dgt2018, ccfm1997):
-        # one tree over all 4000 points finds the lone ones; about one
-        # center per point, so no block gets a tree
+    # one tree over all 4000 points finds the lone ones; about one center
+    # per point, so no block gets a tree
+    built.clear()
+    ccfm1997(sparse)
+    assert _queried(built) == [len(sparse)]
+    # the bounding box puts the lone share far below 1/_GATE, so no tree over
+    # the points; blocks of 256, 512, 1024, 2048 and 160 points: every block
+    # after the first gets a tree over the centers
+    built.clear()
+    ccfm1997(dense)
+    assert len(_queried(built)) == 4 and max(_queried(built)) < len(dense)
+    # a dense first block switches the block tree on for the second; the
+    # sparse second block switches it off for the third. The far-apart runs
+    # make the bounding box wide, but fewer than a quarter of the points
+    # are lone, and the sample sees that: no tree over the points
+    built.clear()
+    ccfm1997(mixed)
+    assert len(_queried(built)) == 1 and _queried(built)[0] < len(mixed)
+    # with a sparse third block most points are lone, and their tree comes
+    # first
+    mostly_sparse = np.concatenate([dense[:256], sparse[:1536]])
+    built.clear()
+    ccfm1997(mostly_sparse)
+    assert _queried(built)[0] == len(mostly_sparse) and len(_queried(built)) == 2
+    assert _queried(built)[1] < len(mostly_sparse)
+
+
+def _clusters(n, k, seed):
+    """n points in k clusters (standard normal around uniform centers in a
+    10^5 square): far apart on the sample's scale, dense within."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((k, 2)) * 1e5
+    return np.ascontiguousarray(centers[rng.integers(0, k, n)] + rng.normal(size=(n, 2)))
+
+
+def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch):
+    built = _count_trees(monkeypatch)
+    cases = [
+        (gen_disk(4000, 4000 / 0.02, 5), True),     # sparse, mean degree 0.06
+        (gen_square(4000, 4000.0, 6), True),        # density 1, mean degree 3
+        (gen_disk(500, 500.0, 7), True),            # small-batch-like
+        (gen_square(4000, 4000 / 50.0, 6), False),  # density 50
+        # mean degree about 90, which the spread sample misses; the sampled
+        # pairs within 1 catch it
+        (_clusters(20000, 50, 8), False),
+    ]
+    for pts, pair in cases:
         built.clear()
-        solver(sparse)
-        assert built == [len(sparse)], solver.__name__
-        # the bounding box puts the lone share far below 1/_GATE, so no
-        # tree over the points; blocks of 256, 512, 1024, 2048 and 160
-        # points: every block after the first gets a tree over the centers
+        dgt2018(pts)
+        assert _pair_path(built, len(pts)) is pair, (len(pts), built)
+        # sorted input is sampled alike and takes the same path
         built.clear()
-        solver(dense)
-        assert len(built) == 4 and max(built) < len(dense), solver.__name__
-        # the far-apart runs make the bounding box wide, so the points get
-        # their tree; a dense first block switches the block tree on for
-        # the second; the sparse second block switches it off for the third
-        built.clear()
-        solver(mixed)
-        assert built[0] == len(mixed) and len(built) == 2, solver.__name__
-        assert built[1] < len(mixed), solver.__name__
+        dgt2018(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+        assert _pair_path(built, len(pts)) is pair, (len(pts), built)
+
+
+@pytest.mark.parametrize("spacing", [0.5, 1.0])
+def test_sorted_lines_stall_the_rounds_and_match_the_plain_loop(monkeypatch, spacing):
+    # each round decides the first undecided point and its one or two later
+    # neighbours, fewer than _STALL * n, so the probe loop takes the rest
+    pts = np.array([(2.0**20 + spacing * i, -3.25) for i in range(2000)])
+    built = _count_trees(monkeypatch)
+    probes = _count_probes(monkeypatch)
+    cover = dgt2018(pts)
+    assert _pair_path(built, len(pts))
+    assert len(probes) >= len(pts) - 3
+    assert _bits(cover) == _bits(reference_dgt2018(pts))
+    _assert_same(pts[::-1])
+
+
+@pytest.mark.parametrize("pts", [
+    [], [(0.5, -2.0)], [(0.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)],
+    [(0.0, 0.0), (0.0, -1.0)], [(0.0, 0.0), (math.nextafter(1.0, 2.0), 0.0)],
+    [(0.0, 0.0), (5.0, 5.0)], [(0.999, 0.0), (2.0, 0.0)],
+])
+def test_zero_one_and_two_points_match_the_plain_loops(pts):
+    _assert_same(np.array(pts, np.float64).reshape(-1, 2))
+
+
+def test_sets_either_side_of_the_path_threshold_match_the_plain_loop():
+    # the same points spread over a larger area have a lower sampled
+    # degree: bisect for the area where dgt2018 changes path
+    def grid_path(area):
+        pts = gen_square(600, area, 9)
+        return classic._dense(pts, classic._tree_radius(pts, 1.0), classic._MIS_DEGREE)
+
+    lo, hi = 600 / 20.0, 600 / 0.5
+    assert grid_path(lo) and not grid_path(hi)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if grid_path(mid) else (lo, mid)
+    for area in (lo, hi):
+        pts = gen_square(600, area, 9)
+        _assert_same(pts)
+        _assert_same(pts[::-1])
 
 
 # Pairs of points at exactly a solver's reach, give or take an ulp or two,
