@@ -87,12 +87,10 @@ _STALL = 0.002
 def _tree_radius(xy: np.ndarray, reach: float) -> float:
     """``reach`` plus a margin far above the rounding of any distance
     between rows of xy, in the solvers' arithmetic or in a cKDTree's."""
-    # per column (xy.max(axis=0) is over ten times slower), as Python
+    # over the whole array (five times faster than per column), as Python
     # floats, which overflow to inf without a warning; initial=0 leaves the
     # largest |coordinate| as it is and gives 0 for no rows
-    x, y = xy[:, 0], xy[:, 1]
-    top = max(-float(x.min(initial=0.0)), float(x.max(initial=0.0)),
-              -float(y.min(initial=0.0)), float(y.max(initial=0.0)))
+    top = max(-float(xy.min(initial=0.0)), float(xy.max(initial=0.0)))
     return reach + 1e-6 + 16 * math.ulp(top + reach)
 
 
