@@ -29,8 +29,8 @@ lone ones. A lone point has no other input point within 1 + sqrt(3), the
 reach of ccfm1997, whose candidates lie sqrt(3) from the point that placed
 them. Every probe of a lone point misses, so it becomes a center, and no
 later probe finds it or its candidates; it goes straight into the cover.
-One cKDTree query over all points finds them, where the sample says that
-enough are lone.
+One cKDTree query over all points finds them, where the bounding box and
+a random sample both say that enough are lone.
 """
 
 from __future__ import annotations
