@@ -1,24 +1,28 @@
-"""Command-line front end and benchmark harness."""
+"""Command-line front end and benchmark harness.
+
+Argument rules (sizes, areas, radii, the exact solver's point limit, the
+supported coordinate range) live in the library: a ``ValueError`` it raises
+is reported as one ``udcover: ...`` line with exit code 2. An unreadable
+file also gives exit 2, a malformed one exit 3, an invalid cover exit 4.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from . import ALGORITHMS
-from .generators import gen_annulus, gen_convex, gen_disk, gen_square
-from .oracle import MAX_EXACT_POINTS, optimal_cover, verify_cover
+from . import ALGORITHMS, GENERATORS
+from .oracle import optimal_cover, verify_cover
 from .pointio import BenchRecord, ParseError, read_tsplib, read_xy, write_csv, write_svg, write_xy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VERIFY = 4
-
-SHAPES = ("square", "disk", "convex", "annulus")
 
 
 class CliError(Exception):
@@ -27,40 +31,40 @@ class CliError(Exception):
         self.code = code
 
 
-def _generate(shape: str, n: int, area: float, r_outer: float, r_inner: float,
-              seed: int) -> np.ndarray:
-    if shape == "square":
-        return gen_square(n, area, seed)
-    if shape == "disk":
-        return gen_disk(n, area, seed)
-    if shape == "convex":
-        if n < 3:
-            raise CliError("convex shape needs --n >= 3", EXIT_USAGE)
-        return gen_convex(n, area, seed)
-    if shape == "annulus":
-        if not 0.0 < r_inner < r_outer:
-            raise CliError("annulus needs 0 < --rinner < --router", EXIT_USAGE)
-        return gen_annulus(n, r_outer, r_inner, seed)
-    raise CliError(f"unknown shape {shape!r}", EXIT_USAGE)
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
 
 
-def _load_points(args: argparse.Namespace) -> np.ndarray:
-    if args.input is not None:
+def _read(path: str, reader) -> np.ndarray:
+    with _open(path, "r") as fh:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                if args.input.endswith(".tsp"):
-                    return read_tsplib(fh)
-                return read_xy(fh)
-        except ParseError as exc:
-            raise CliError(f"{args.input}: {exc}", EXIT_PARSE) from None
-        except OSError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from None
-    if args.shape is None:
-        raise CliError("either --input or --shape is required", EXIT_USAGE)
-    if args.n is None:
-        raise CliError("--shape requires --n", EXIT_USAGE)
-    return _generate(args.shape, args.n, args.area, args.router, args.rinner,
-                     args.seed)
+            return reader(fh)
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise CliError(f"{path}: {exc}", EXIT_PARSE) from None
+
+
+def _write(path: str | None, writer, data) -> None:
+    if path is None or path == "-":
+        writer(data, sys.stdout)
+        return
+    with _open(path, "w") as fh:
+        writer(data, fh)
+
+
+def _generate(args: argparse.Namespace, seed: int) -> np.ndarray:
+    if args.shape is None or args.n is None:
+        raise CliError("--shape and --n are required to generate points", EXIT_USAGE)
+    size = (args.router, args.rinner) if args.shape == "annulus" else (args.area,)
+    return GENERATORS[args.shape](args.n, *size, seed)
+
+
+def _load_points(args: argparse.Namespace, seed: int) -> np.ndarray:
+    if args.input is not None:
+        return _read(args.input, read_tsplib if args.input.endswith(".tsp") else read_xy)
+    return _generate(args, seed)
 
 
 def _maybe_shuffle(points: np.ndarray, shuffle_seed: int | None) -> np.ndarray:
@@ -79,54 +83,45 @@ def _selected_algorithms(name: str) -> list[str]:
     return [name]
 
 
+def _solve(name: str, points: np.ndarray, eps: float | None):
+    """Run one solver, timing the solve call alone. Returns the cover, the
+    time and the ``verify_cover`` report, or None when ``eps`` is None."""
+    start = time.perf_counter()
+    cover = ALGORITHMS[name](points)
+    elapsed = time.perf_counter() - start
+    report = None if eps is None else verify_cover(points, cover, eps=eps)
+    return cover, elapsed, report
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.shape is None or args.n is None:
-        raise CliError("generate requires --shape and --n", EXIT_USAGE)
-    points = _generate(args.shape, args.n, args.area, args.router,
-                       args.rinner, args.seed)
-    if args.output is None or args.output == "-":
-        write_xy(points, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_xy(points, fh)
+    _write(args.output, write_xy, _generate(args, args.seed))
     return EXIT_OK
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    points = _maybe_shuffle(_load_points(args), args.shuffle_seed)
+    points = _maybe_shuffle(_load_points(args, args.seed), args.shuffle_seed)
     rc = EXIT_OK
-    last_cover = None
     for name in _selected_algorithms(args.algorithm):
-        solver = ALGORITHMS[name]
-        start = time.perf_counter()
-        cover = solver(points)
-        elapsed = time.perf_counter() - start
+        cover, elapsed, report = _solve(name, points, args.eps if args.verify else None)
         line = f"{name}: {len(cover)} disks in {elapsed:.6f} s"
-        if args.verify:
-            report = verify_cover(points, cover, eps=args.eps)
+        if report is not None:
             if not report.valid:
                 line += f"  INVALID ({len(report.uncovered)} uncovered)"
                 rc = EXIT_VERIFY
             else:
                 line += "  verified"
         print(line)
-        last_cover = cover
-    if args.svg and last_cover is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            write_svg(points, last_cover, fh)
+    if args.svg:  # the last algorithm's cover
+        with _open(args.svg, "w") as fh:
+            write_svg(points, cover, fh)
     return rc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    points = _load_points(args)
+    points = _load_points(args, args.seed)
     if args.cover is None:
         raise CliError("verify requires --cover FILE", EXIT_USAGE)
-    try:
-        with open(args.cover, "r", encoding="utf-8") as fh:
-            cover = read_xy(fh)
-    except ParseError as exc:
-        raise CliError(f"{args.cover}: {exc}", EXIT_PARSE) from None
-    report = verify_cover(points, cover, eps=args.eps)
+    report = verify_cover(points, _read(args.cover, read_xy), eps=args.eps)
     if report.valid:
         print(f"valid: {report.cover_size} disks cover {len(points)} points")
         return EXIT_OK
@@ -136,137 +131,101 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
-    points = _load_points(args)
-    if len(points) > MAX_EXACT_POINTS:
-        raise CliError(f"optimal handles at most {MAX_EXACT_POINTS} points, "
-                       f"got {len(points)}", EXIT_USAGE)
-    result = optimal_cover(points)
+    result = optimal_cover(_load_points(args, args.seed))
     print(f"optimal: {result.size} disks")
     for cx, cy in result.centers:
         print(f"{cx!r} {cy!r}")
     return EXIT_OK
 
 
-def _bench_one(name: str, args: argparse.Namespace, trial: int,
-               loaded: np.ndarray | None) -> BenchRecord:
-    """One timed, verified trial; ``loaded`` is the ``--input`` pointset,
-    read once for every trial, or None to generate one per trial."""
-    if loaded is not None:
-        points = loaded
-        instance = args.input
-        seed = args.seed
-    else:
-        seed = args.seed + trial
-        points = _generate(args.shape, args.n, args.area, args.router,
-                           args.rinner, seed)
-        instance = f"{args.shape}-n{args.n}"
-    points = _maybe_shuffle(points, args.shuffle_seed)
-    solver = ALGORITHMS[name]
-    start = time.perf_counter()
-    cover = solver(points)
-    elapsed = time.perf_counter() - start
-    report = verify_cover(points, cover, eps=args.eps)
-    if not report.valid:
-        raise CliError(
-            f"{name} produced an invalid cover on {instance} seed {seed}: "
-            f"{len(report.uncovered)} uncovered (first index "
-            f"{report.uncovered[0][0]})", EXIT_VERIFY)
-    return BenchRecord(algorithm=name, instance=instance, n=len(points),
-                       cover_size=len(cover), wall_time_s=elapsed,
-                       seed=seed, trial=trial)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Timed, verified trials of each algorithm. An ``--input`` pointset is
+    read once for every trial; otherwise trial t generates with seed + t."""
     if args.trials < 1:
         raise CliError("--trials must be >= 1", EXIT_USAGE)
-    loaded = _load_points(args) if args.input is not None else None
+    loaded = _load_points(args, args.seed) if args.input is not None else None
+    instance = args.input if loaded is not None else f"{args.shape}-n{args.n}"
     records: list[BenchRecord] = []
     for name in _selected_algorithms(args.algorithm):
-        rows = [_bench_one(name, args, trial, loaded)
-                for trial in range(args.trials)]
+        rows = []
+        for trial in range(args.trials):
+            seed = args.seed if loaded is not None else args.seed + trial
+            points = loaded if loaded is not None else _load_points(args, seed)
+            points = _maybe_shuffle(points, args.shuffle_seed)
+            cover, elapsed, report = _solve(name, points, args.eps)
+            if not report.valid:
+                raise CliError(
+                    f"{name} produced an invalid cover on {instance} seed {seed}: "
+                    f"{len(report.uncovered)} uncovered (first index "
+                    f"{report.uncovered[0][0]})", EXIT_VERIFY)
+            rows.append(BenchRecord(algorithm=name, instance=instance, n=len(points),
+                                    cover_size=len(cover), wall_time_s=elapsed,
+                                    seed=seed, trial=trial))
         records.extend(rows)
         mean_size = sum(r.cover_size for r in rows) / len(rows)
         if mean_size.is_integer():
             mean_size = int(mean_size)
-        records.append(BenchRecord(
-            algorithm=name, instance=rows[0].instance, n=rows[0].n,
-            cover_size=mean_size,
-            wall_time_s=sum(r.wall_time_s for r in rows) / len(rows),
-            seed=args.seed, trial=-1))
-    if args.csv is None or args.csv == "-":
-        write_csv(records, sys.stdout)
-    else:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            write_csv(records, fh)
+        records.append(replace(rows[0], cover_size=mean_size, seed=args.seed, trial=-1,
+                               wall_time_s=sum(r.wall_time_s for r in rows) / len(rows)))
+    _write(args.csv, write_csv, records)
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="pointset file (.tsp parsed as TSPLIB, else x-y pairs)")
-    p.add_argument("--shape", choices=SHAPES, help="generate the input instead")
-    p.add_argument("--n", type=int, help="generated pointset size")
-    p.add_argument("--area", type=float, default=1.0,
-                   help="area of the square/disk/convex region")
-    p.add_argument("--router", type=float, default=1.0, help="annulus outer radius")
-    p.add_argument("--rinner", type=float, default=0.5, help="annulus inner radius")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", help="pointset file (.tsp parsed as TSPLIB, else x-y pairs)")
+    source.add_argument("--shape", choices=GENERATORS, help="generate the input instead")
+    source.add_argument("--n", type=int, help="generated pointset size")
+    source.add_argument("--area", type=float, default=1.0,
+                        help="area of the square/disk/convex region")
+    source.add_argument("--router", type=float, default=1.0, help="annulus outer radius")
+    source.add_argument("--rinner", type=float, default=0.5, help="annulus inner radius")
+    source.add_argument("--seed", type=int, default=0, help="generator seed")
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=float, default=1e-9,
+                     help="verification tolerance on the radius")
+    shuffle = argparse.ArgumentParser(add_help=False)
+    shuffle.add_argument("--shuffle-seed", type=int, default=None,
+                         help="seeded permutation of the input order")
+
     parser = argparse.ArgumentParser(
         prog="udcover",
         description="Cover planar points with unit-radius disks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="write a random pointset")
-    _add_common(p_gen)
-    p_gen.add_argument("--output", "-o", help="destination file (default stdout)")
-    p_gen.set_defaults(func=cmd_generate)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[source, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p_cover = sub.add_parser("cover", help="run one algorithm (or all)")
-    _add_common(p_cover)
-    p_cover.add_argument("--algorithm", default="fastcover",
-                         help="algorithm name or 'all'")
+    p_gen = command("generate", cmd_generate, "write a random pointset")
+    p_gen.add_argument("--output", "-o", help="destination file (default stdout)")
+
+    p_cover = command("cover", cmd_cover, "run one algorithm (or all)", eps, shuffle)
+    p_cover.add_argument("--algorithm", default="fastcover", help="algorithm name or 'all'")
     p_cover.add_argument("--verify", action="store_true",
                          help="check the cover before reporting")
-    p_cover.add_argument("--eps", type=float, default=1e-9,
-                         help="verification tolerance on the radius")
     p_cover.add_argument("--svg", help="write a rendering of the last cover")
-    p_cover.add_argument("--shuffle-seed", type=int, default=None,
-                         help="seeded permutation of the input order")
-    p_cover.set_defaults(func=cmd_cover)
 
-    p_bench = sub.add_parser("bench", help="timed multi-trial comparison")
-    _add_common(p_bench)
-    p_bench.add_argument("--algorithm", default="all",
-                         help="algorithm name or 'all'")
+    p_bench = command("bench", cmd_bench, "timed multi-trial comparison", eps, shuffle)
+    p_bench.add_argument("--algorithm", default="all", help="algorithm name or 'all'")
     p_bench.add_argument("--trials", type=int, default=5)
-    p_bench.add_argument("--eps", type=float, default=1e-9)
     p_bench.add_argument("--csv", help="results file (default stdout)")
-    p_bench.add_argument("--shuffle-seed", type=int, default=None)
-    p_bench.set_defaults(func=cmd_bench)
 
-    p_verify = sub.add_parser("verify", help="check a cover file against points")
-    _add_common(p_verify)
+    p_verify = command("verify", cmd_verify, "check a cover file against points", eps)
     p_verify.add_argument("--cover", help="disk centers, x-y pairs")
-    p_verify.add_argument("--eps", type=float, default=1e-9)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_opt = sub.add_parser("optimal", help="exact minimum cover (small n)")
-    _add_common(p_opt)
-    p_opt.set_defaults(func=cmd_optimal)
-
+    command("optimal", cmd_optimal, "exact minimum cover (small n)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # ValueError: a check in the library
         print(f"udcover: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -69,8 +69,7 @@ def _read_xy_plain(lines: list[str]) -> np.ndarray | None:
 
 
 def _read_xy_lines(lines: Iterable[str]) -> np.ndarray:
-    xs: list[float] = []
-    ys: list[float] = []
+    rows: list[tuple[float, float]] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -78,16 +77,20 @@ def _read_xy_lines(lines: Iterable[str]) -> np.ndarray:
         parts = text.split()
         if len(parts) != 2:
             raise ParseError(f"expected two numbers, got {text!r}", lineno)
-        try:
-            x = float(parts[0])
-            y = float(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed number in {text!r}", lineno) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"non-finite coordinate in {text!r}", lineno)
-        xs.append(x)
-        ys.append(y)
-    return np.column_stack((xs, ys))
+        rows.append(_coords(parts, text, lineno))
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def _coords(parts: list[str], text: str, lineno: int) -> tuple[float, float]:
+    """The last two fields of row ``text`` as finite floats."""
+    try:
+        x = float(parts[-2])
+        y = float(parts[-1])
+    except ValueError:
+        raise ParseError(f"malformed number in {text!r}", lineno) from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParseError(f"non-finite coordinate in {text!r}", lineno)
+    return x, y
 
 
 def write_xy(points, stream: IO[str]) -> None:
@@ -101,8 +104,7 @@ def read_tsplib(stream: IO[str]) -> np.ndarray:
     present, must match the row count."""
     dimension: int | None = None
     in_coords = False
-    xs: list[float] = []
-    ys: list[float] = []
+    rows: list[tuple[float, float]] = []
     for lineno, line in enumerate(stream, start=1):
         text = line.strip()
         if not text:
@@ -121,16 +123,12 @@ def read_tsplib(stream: IO[str]) -> np.ndarray:
         parts = text.split()
         if len(parts) != 3:
             raise ParseError(f"expected 'index x y', got {text!r}", lineno)
-        try:
-            xs.append(float(parts[1]))
-            ys.append(float(parts[2]))
-        except ValueError:
-            raise ParseError(f"malformed coordinate in {text!r}", lineno) from None
+        rows.append(_coords(parts, text, lineno))
     if not in_coords:
         raise ParseError("missing NODE_COORD_SECTION")
-    if dimension is not None and dimension != len(xs):
-        raise ParseError(f"DIMENSION is {dimension} but found {len(xs)} coordinate rows")
-    return np.column_stack((xs, ys))
+    if dimension is not None and dimension != len(rows):
+        raise ParseError(f"DIMENSION is {dimension} but found {len(rows)} coordinate rows")
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
 def write_csv(records: Iterable[BenchRecord], stream: IO[str]) -> None:

@@ -1,6 +1,12 @@
+import argparse
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import udcover
 from udcover import ALGORITHMS, gen_annulus, gen_convex, gen_disk, gen_square
 from udcover import cli
 from udcover.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main
@@ -215,3 +221,125 @@ def test_svg_output(tmp_path):
     svg = tmp_path / "c.svg"
     run(["cover", "--input", str(f), "--svg", str(svg)])
     assert svg.read_text().startswith("<svg")
+
+
+# Every option of every subcommand: (default, type name, choices), taken
+# from the parser before the front end was rewritten. A flag, default, type
+# or choice that changes must change here too.
+_SHAPES = ["square", "disk", "convex", "annulus"]
+_POINT_SOURCE = {
+    "--input": (None, None, None),
+    "--shape": (None, None, _SHAPES),
+    "--n": (None, "int", None),
+    "--area": (1.0, "float", None),
+    "--router": (1.0, "float", None),
+    "--rinner": (0.5, "float", None),
+    "--seed": (0, "int", None),
+}
+_SURFACE = {
+    "generate": {**_POINT_SOURCE,
+                 "--output": (None, None, None),
+                 "-o": (None, None, None)},
+    "cover": {**_POINT_SOURCE,
+              "--algorithm": ("fastcover", None, None),
+              "--verify": (False, None, None),
+              "--eps": (1e-09, "float", None),
+              "--svg": (None, None, None),
+              "--shuffle-seed": (None, "int", None)},
+    "bench": {**_POINT_SOURCE,
+              "--algorithm": ("all", None, None),
+              "--trials": (5, "int", None),
+              "--eps": (1e-09, "float", None),
+              "--csv": (None, None, None),
+              "--shuffle-seed": (None, "int", None)},
+    "verify": {**_POINT_SOURCE,
+               "--cover": (None, None, None),
+               "--eps": (1e-09, "float", None)},
+    "optimal": dict(_POINT_SOURCE),
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {opt: (a.default, getattr(a.type, "__name__", a.type),
+                     None if a.choices is None else list(a.choices))
+               for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for opt in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert surface == _SURFACE
+
+
+def _far_points(tmp_path):
+    f = tmp_path / "far.xy"
+    f.write_text("1e300 0\n-1e300 0\n")
+    return ["cover", "--input", str(f), "--algorithm", "fastcover"]
+
+
+def _missing_cover(tmp_path):
+    f = tmp_path / "p.xy"
+    f.write_text("0 0\n")
+    return ["verify", "--input", str(f), "--cover", str(tmp_path / "none.xy")]
+
+
+def _thirteen_points(tmp_path):
+    f = tmp_path / "p.xy"
+    f.write_text("".join(f"{i} {i}\n" for i in range(13)))
+    return ["optimal", "--input", str(f)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda _: ["generate", "--shape", "square", "--n", "10", "--area", "0"],
+    lambda _: ["generate", "--shape", "square", "--n", "-1"],
+    lambda _: ["generate", "--shape", "annulus", "--n", "10",
+               "--rinner", "2", "--router", "1"],
+    _far_points,
+    _missing_cover,
+    _thirteen_points,
+], ids=["area-0", "n-negative", "annulus-radii", "cell-range",
+        "missing-cover", "optimal-13"])
+def test_argument_and_range_errors_exit_usage_with_one_line(argv, tmp_path, capsys):
+    assert run(argv(tmp_path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("udcover: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("p.tsp", b"NODE_COORD_SECTION\n1 0 0\n2 nan 0\nEOF\n",
+     "line 3: non-finite coordinate in '2 nan 0'"),
+    ("p.xy", b"0 0\n\xff 1\n",
+     "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+], ids=["tsplib-nan", "not-utf8"])
+def test_malformed_input_exits_parse(name, data, message, tmp_path, capsys):
+    f = tmp_path / name
+    f.write_bytes(data)
+    assert run(["cover", "--input", str(f)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"udcover: {f}: {message}\n"
+
+
+def _run_module(*args):
+    src = os.path.dirname(os.path.dirname(udcover.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "udcover.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    good = tmp_path / "p.xy"
+    good.write_text("0 0\n3 4\n")
+    done = _run_module("cover", "--input", str(good), "--verify")
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith("fastcover: 2 disks in ")
+    assert done.stdout.endswith("  verified\n")
+    bad = tmp_path / "bad.xy"
+    bad.write_text("0 0\nnot a point\n")
+    done = _run_module("cover", "--input", str(bad))
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith("udcover: ")
+    assert "Traceback" not in done.stderr

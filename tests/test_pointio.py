@@ -137,3 +137,12 @@ def test_read_xy_returns_c_contiguous_float64():
         pts = read_xy(io.StringIO(text))
         assert pts.dtype == np.float64 and pts.flags.c_contiguous
         assert pts.tolist() == [[0.25, -1e-3], [7.0, 8.0]]
+
+
+@pytest.mark.parametrize("row", ["2 nan 0", "2 0 inf", "2 -inf 1", "2 1e999 0"])
+def test_tsplib_rejects_non_finite_with_line(row):
+    text = f"DIMENSION: 2\nNODE_COORD_SECTION\n1 0 0\n{row}\nEOF\n"
+    with pytest.raises(ParseError) as exc:
+        read_tsplib(io.StringIO(text))
+    assert exc.value.line == 4
+    assert str(exc.value) == f"line 4: non-finite coordinate in {row!r}"
