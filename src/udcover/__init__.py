@@ -2,8 +2,9 @@
 generators, and a benchmark harness.
 
 Every solver takes an (n, 2) array or a sequence of (x, y) pairs with
-finite coordinates (``geom.as_points``) and returns a list of disk
-centers whose closed unit disks cover the input.
+finite coordinates (``geom.as_points``) and returns the centers of closed
+unit disks that cover the input, as a new C-contiguous (m, 2) float64
+array; (0, 2) for no points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .oracle import (
     OptResult,
     VerifyReport,
     optimal_cover,
-    optimal_cover_exhaustive,
     verify_cover,
 )
 from .pointio import (
@@ -80,7 +80,6 @@ __all__ = [
     "ll2014",
     "ll2014_1p",
     "optimal_cover",
-    "optimal_cover_exhaustive",
     "read_tsplib",
     "read_xy",
     "verify_cover",

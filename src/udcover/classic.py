@@ -40,7 +40,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points
+from .geom import Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points, centers_array
 from .gridindex import RadiusGrid
 
 # Blocks double in size from _FIRST_BLOCK on, so a run builds O(log n)
@@ -159,7 +159,7 @@ def _lone(xy: np.ndarray, reach: float) -> np.ndarray | None:
     return dist[:, 0] > r
 
 
-def _uncovered_blocks(xy: np.ndarray, centers: Cover, lone: np.ndarray | None = None):
+def _uncovered_blocks(xy: np.ndarray, centers: list[Point], lone: np.ndarray | None = None):
     """Yield the rows of xy, in order and as lists of [x, y], in runs,
     leaving out those that ``centers`` already covers and those that
     ``lone`` marks (see ``_lone``). ``centers`` is the caller's list of
@@ -173,7 +173,7 @@ def _uncovered_blocks(xy: np.ndarray, centers: Cover, lone: np.ndarray | None = 
         placed = len(centers)
         keep = slice(None)
         if use_tree:
-            tree = cKDTree(np.array(centers), balanced_tree=False, compact_nodes=False)
+            tree = cKDTree(centers_array(centers), balanced_tree=False, compact_nodes=False)
             dist, _ = tree.query(block, distance_upper_bound=_INSIDE)
             keep = dist >= _INSIDE
         rows = block[keep].tolist()
@@ -204,7 +204,7 @@ def g1991(points) -> Cover:
     floor = math.floor
     for p in as_points(points).tolist():
         strips.setdefault(floor(p[1] / SQRT2), []).append(p)
-    centers: Cover = []
+    centers: list[Point] = []
     for iy in sorted(strips):
         pts = sorted(strips[iy])
         cy = (iy + 0.5) * SQRT2
@@ -217,7 +217,7 @@ def g1991(points) -> Cover:
             idx += 1
             while idx < n and pts[idx][0] <= limit:
                 idx += 1
-    return centers
+    return centers_array(centers)
 
 
 def ccfm_spawn_inactive(p: Point) -> list[Point]:
@@ -241,7 +241,7 @@ class CcfmState:
     def __init__(self):
         self.active = RadiusGrid(1.0)
         self.inactive = RadiusGrid(1.0)
-        self.active_order: Cover = []
+        self.active_order: list[Point] = []
 
     def activate(self, p: Point) -> None:
         self.active.insert(p)
@@ -269,7 +269,7 @@ def ccfm1997(points) -> Cover:
                 state.promote(hit[0])
             else:
                 state.activate(p)
-    return state.active_order
+    return centers_array(state.active_order)
 
 
 def _first_independent_set(xy: np.ndarray, r: float) -> np.ndarray:
@@ -327,13 +327,13 @@ def dgt2018(points) -> Cover:
     # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
     r = _tree_radius(xy, 1.0)
     if not _dense(xy, r, _MIS_DEGREE):
-        return list(map(tuple, xy[_first_independent_set(xy, r)].tolist()))
+        return xy[_first_independent_set(xy, r)]
     centers = RadiusGrid(1.0)
-    out: Cover = []
+    out: list[Point] = []
     for block in _uncovered_blocks(xy, out):
         for row in block:
             p = (row[0], row[1])
             if centers.nearest_within(p, 1.0) is None:
                 centers.insert(p)
                 out.append(p)
-    return out
+    return centers_array(out)

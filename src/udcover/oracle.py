@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Cover, Point, as_points
+from .geom import Cover, Point, as_points, centers_array
 
 MAX_EXACT_POINTS = 12
 
@@ -42,16 +42,10 @@ class OptResult:
 
 def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     """Check that every point is within distance 1 of some center, with
-    relative tolerance eps on the radius. A cover other than an ndarray
-    must be a sequence of (x, y) pairs; else ValueError."""
+    relative tolerance eps on the radius. ``cover`` takes the points'
+    contract (``as_points``): the ``(m, 2)`` array a solver returns, or a
+    sequence of (x, y) pairs."""
     pts = as_points(points)
-    if not isinstance(cover, np.ndarray):
-        # much faster than np.asarray on a list of tuples
-        flat = np.fromiter(itertools.chain.from_iterable(cover), dtype=np.float64)
-        # no entry shorter than 2 and 2 values per entry in all: all pairs
-        if len(flat) != 2 * len(cover) or min(map(len, cover), default=2) < 2:
-            raise ValueError("cover entries must be (x, y) pairs")
-        cover = flat.reshape(-1, 2)
     ctr = as_points(cover)
     if pts.shape[0] == 0:
         return VerifyReport(True, [], ctr.shape[0])
@@ -143,7 +137,7 @@ def optimal_cover(points) -> OptResult:
     pts = sorted(map(tuple, as_points(points).tolist()))
     n = len(pts)
     if n == 0:
-        return OptResult(0, [])
+        return OptResult(0, np.empty((0, 2)))
     if n > MAX_EXACT_POINTS:
         raise ValueError(f"exact solver limited to {MAX_EXACT_POINTS} points, got {n}")
     masks, kept = _disk_masks(pts, candidate_centers(pts))
@@ -178,23 +172,5 @@ def optimal_cover(points) -> OptResult:
             chosen.pop()
 
     descend(0, [])
-    return OptResult(best_size, [kept[k] for k in best_sel])
+    return OptResult(best_size, centers_array([kept[k] for k in best_sel]))
 
-
-def optimal_cover_exhaustive(points) -> int:
-    """Minimum cover size by exhaustive enumeration over candidate-disk
-    subsets, smallest size first. Reference for the branch and bound."""
-    pts = sorted(map(tuple, as_points(points).tolist()))
-    n = len(pts)
-    if n == 0:
-        return 0
-    masks, _ = _disk_masks(pts, candidate_centers(pts))
-    full = (1 << n) - 1
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(masks, size):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == full:
-                return size
-    raise AssertionError("point-centered disks always cover")

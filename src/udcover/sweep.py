@@ -38,7 +38,7 @@ def ll2014(points, passes: int = 6) -> Cover:
         raise ValueError("passes must be 1 or 6")
     xy = as_points(points)
     if len(xy) == 0:
-        return []
+        return np.empty((0, 2))
     x, y = xy.T
     x_min = x.min()
     best = None
@@ -71,7 +71,7 @@ def ll2014(points, passes: int = 6) -> Cover:
                 stabs.append(s)
         if best is None or len(stabs) < len(best[0]):
             best = (x_rl[order[stabs]], bottom[stabs])
-    return list(zip(best[0].tolist(), best[1].tolist()))
+    return np.column_stack(best)
 
 
 def ll2014_1p(points) -> Cover:
@@ -243,8 +243,7 @@ def blms2017(points) -> Cover:
     held = quad >= 0
     used[of[held], quad[held]] = True
     own = ~held
-    return list(zip(np.r_[cx[used], xs[own]].tolist(),
-                    np.r_[cy[used], ys[own]].tolist()))
+    return np.column_stack((np.r_[cx[used], xs[own]], np.r_[cy[used], ys[own]]))
 
 
 def blms2017_raw(points) -> Cover:
@@ -252,4 +251,4 @@ def blms2017_raw(points) -> Cover:
     without the own-position disks ``blms2017`` may add."""
     xs, ys, anchors, _ = _blms_sweep(points)
     cx, cy = _quads(xs[anchors], ys[anchors])
-    return list(zip(cx.ravel().tolist(), cy.ravel().tolist()))
+    return np.column_stack((cx.ravel(), cy.ravel()))

@@ -8,11 +8,11 @@ the lone points (no other point within reach) into the cover without a
 probe. They must give the same covers bit for bit."""
 
 from udcover.classic import CcfmState
-from udcover.geom import Cover, as_points
+from udcover.geom import Point, as_points
 from udcover.gridindex import RadiusGrid
 
 
-def reference_ccfm1997(points) -> Cover:
+def reference_ccfm1997(points) -> list[Point]:
     state = CcfmState()
     for xy in as_points(points).tolist():
         p = (xy[0], xy[1])
@@ -29,9 +29,9 @@ def reference_ccfm1997(points) -> Cover:
     return state.active_order
 
 
-def reference_dgt2018(points) -> Cover:
+def reference_dgt2018(points) -> list[Point]:
     centers = RadiusGrid(1.0)
-    out: Cover = []
+    out: list[Point] = []
     for xy in as_points(points).tolist():
         p = (xy[0], xy[1])
         if centers.nearest_within(p, 1.0) is None:

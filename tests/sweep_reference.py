@@ -11,7 +11,6 @@ from udcover.geom import (
     HALF_SQRT3,
     SQRT3,
     SQRT3_OVER_6,
-    Cover,
     Point,
     as_points,
 )
@@ -161,18 +160,18 @@ def _blms_anchors(points) -> list[_Anchor]:
     return index.anchors
 
 
-def reference_blms2017(points) -> Cover:
+def reference_blms2017(points) -> list[Point]:
     """Sweep cover with empty-disk elimination: only disks that received
     at least one point survive."""
-    out: Cover = []
+    out: list[Point] = []
     for a in _blms_anchors(points):
         out.extend(c for d, c in enumerate(a.disks) if a.occupancy[d] > 0)
     return out
 
 
-def reference_blms2017_raw(points) -> Cover:
+def reference_blms2017_raw(points) -> list[Point]:
     """All four disks of every anchor, before empty-disk elimination."""
-    out: Cover = []
+    out: list[Point] = []
     for a in _blms_anchors(points):
         out.extend(a.disks)
     return out

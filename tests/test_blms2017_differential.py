@@ -134,7 +134,7 @@ def check(pts):
             assert verify_cover(pts, got).valid
             # quad disks, then disks at points of their own
             assert len(raw) % 4 == 0
-            assert set(got) <= set(raw) | set(pts)
+            assert set(map(tuple, got.tolist())) <= set(map(tuple, raw.tolist())) | set(pts)
         else:
             assert _bits(got) == _bits(want)
             assert _bits(raw) == _bits(want_raw)

@@ -48,7 +48,7 @@ def test_ccfm_spawn_geometry():
 
 def test_ccfm_first_point_opens_disk_at_itself():
     cover = ccfm1997([(1.0, 2.0)])
-    assert cover == [(1.0, 2.0)]
+    assert cover.tolist() == [[1.0, 2.0]]
 
 
 def test_ccfm_promotes_spawned_disk():
@@ -56,25 +56,23 @@ def test_ccfm_promotes_spawned_disk():
     p0 = (0.0, 0.0)
     p1 = (SQRT3, 0.1)
     cover = ccfm1997([p0, p1])
-    assert len(cover) == 2
-    assert cover[0] == p0
-    assert cover[1] == (SQRT3, 0.0)
+    assert cover.tolist() == [list(p0), [SQRT3, 0.0]]
 
 
 def test_ccfm_reuses_active_disk():
     cover = ccfm1997([(0.0, 0.0), (0.5, 0.5)])
-    assert cover == [(0.0, 0.0)]
+    assert cover.tolist() == [[0.0, 0.0]]
 
 
 def test_dgt_single_and_reuse():
-    assert dgt2018([(3.0, 4.0)]) == [(3.0, 4.0)]
-    assert dgt2018([(0.0, 0.0), (0.6, 0.6)]) == [(0.0, 0.0)]
-    assert dgt2018([(0.0, 0.0), (1.0, 0.0)]) == [(0.0, 0.0)]
+    assert dgt2018([(3.0, 4.0)]).tolist() == [[3.0, 4.0]]
+    assert dgt2018([(0.0, 0.0), (0.6, 0.6)]).tolist() == [[0.0, 0.0]]
+    assert dgt2018([(0.0, 0.0), (1.0, 0.0)]).tolist() == [[0.0, 0.0]]
 
 
 def test_dgt_opens_second_disk_past_radius():
     cover = dgt2018([(0.0, 0.0), (1.5, 0.0)])
-    assert cover == [(0.0, 0.0), (1.5, 0.0)]
+    assert cover.tolist() == [[0.0, 0.0], [1.5, 0.0]]
 
 
 def test_all_valid_on_random():

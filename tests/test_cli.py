@@ -38,6 +38,16 @@ def test_generate_convex_too_small():
     assert run(["generate", "--shape", "convex", "--n", "2"]) == EXIT_USAGE
 
 
+def test_generate_rejects_input(tmp_path, capsys):
+    # generate writes generated points; it reads no pointset
+    f = tmp_path / "p.xy"
+    f.write_text("0 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "--input", str(f), "--shape", "square", "--n", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --input" in capsys.readouterr().err
+
+
 def test_cover_single_point(tmp_path, capsys):
     f = tmp_path / "p.xy"
     f.write_text("0 0\n")
@@ -227,8 +237,7 @@ def test_svg_output(tmp_path):
 # from the parser before the front end was rewritten. A flag, default, type
 # or choice that changes must change here too.
 _SHAPES = ["square", "disk", "convex", "annulus"]
-_POINT_SOURCE = {
-    "--input": (None, None, None),
+_GENERATOR = {
     "--shape": (None, None, _SHAPES),
     "--n": (None, "int", None),
     "--area": (1.0, "float", None),
@@ -236,8 +245,9 @@ _POINT_SOURCE = {
     "--rinner": (0.5, "float", None),
     "--seed": (0, "int", None),
 }
+_POINT_SOURCE = {"--input": (None, None, None), **_GENERATOR}
 _SURFACE = {
-    "generate": {**_POINT_SOURCE,
+    "generate": {**_GENERATOR,
                  "--output": (None, None, None),
                  "-o": (None, None, None)},
     "cover": {**_POINT_SOURCE,

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from reference import grid_disk_center
 from udcover.fastcover import (
     _GATE_FAR,
     _GATE_NEAR,
@@ -14,7 +15,7 @@ from udcover.fastcover import (
     fast_cover_pp,
     worst_case_pointset,
 )
-from udcover.geom import INV_SQRT2, SQRT2, grid_disk_center
+from udcover.geom import INV_SQRT2, SQRT2
 from udcover.oracle import verify_cover
 
 
@@ -29,8 +30,7 @@ def occupied_cells(points):
 
 def test_fast_cover_single_point():
     cover = fast_cover([(0.3, 0.3)])
-    assert len(cover) == 1
-    assert cover[0] == grid_disk_center((0, 0))
+    assert cover.tolist() == [list(grid_disk_center((0, 0)))]
 
 
 def test_fast_cover_one_disk_per_occupied_cell():
@@ -46,7 +46,7 @@ def test_fast_cover_cells_are_half_open_with_floor():
     for p, cell in [((0.0, 0.0), (0, 0)), ((1.0, 1.0), (0, 0)),
                     ((SQRT2, 0.0), (1, 0)), ((0.0, SQRT2), (0, 1)),
                     ((-0.1, -0.1), (-1, -1)), ((2.9, 0.1), (2, 0))]:
-        assert fast_cover([p]) == [grid_disk_center(cell)]
+        assert fast_cover([p]).tolist() == [list(grid_disk_center(cell))]
 
 
 def test_fast_cover_cells_far_apart_do_not_collide():
@@ -60,8 +60,8 @@ def test_fast_cover_cells_far_apart_do_not_collide():
 
 def test_fast_cover_order_insensitive_as_set():
     pts = rand_points(120, 8.0, 2)
-    a = set(fast_cover(pts))
-    b = set(fast_cover(list(reversed(pts))))
+    a = set(map(tuple, fast_cover(pts).tolist()))
+    b = set(map(tuple, fast_cover(list(reversed(pts))).tolist()))
     assert a == b
 
 
@@ -87,8 +87,7 @@ def test_fast_cover_plus_reuses_west_neighbor():
     # point's disk center, so no second disk is opened
     pts = [(0.1, 0.1), (SQRT2 + 0.05, 0.1)]
     cover = fast_cover_plus(pts)
-    assert len(cover) == 1
-    assert cover[0] == grid_disk_center((0, 0))
+    assert cover.tolist() == [list(grid_disk_center((0, 0)))]
 
 
 def test_fast_cover_plus_never_worse_than_fast_cover():
@@ -105,16 +104,16 @@ def test_disk_table_boxes_bound_their_points():
         cx, cy = grid_disk_center(key)
         # every boxed point was assigned to this disk, so the box stays
         # inside the disk's bounding square
-        for corner_x in (box.xmin, box.xmax):
+        xmin, ymin, xmax, ymax = box
+        for corner_x in (xmin, xmax):
             assert abs(corner_x - cx) <= 1.0 + 1e-9
-        for corner_y in (box.ymin, box.ymax):
+        for corner_y in (ymin, ymax):
             assert abs(corner_y - cy) <= 1.0 + 1e-9
 
 
 def test_coalesce_two_nearby_disks():
     cover = fast_cover_pp([(0.1, 0.1), (2.0, 0.1)])
-    assert len(cover) == 1
-    assert cover[0] == (1.05, 0.1)
+    assert cover.tolist() == [[1.05, 0.1]]
 
 
 def test_coalesce_respects_diameter():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import grid_disk_center
 from udcover.fastcover import (
     build_disk_table,
     coalesce_pass,
@@ -15,7 +16,7 @@ from udcover.fastcover import (
     fast_cover_pp,
     worst_case_pointset,
 )
-from udcover.geom import BBox, INV_SQRT2, SQRT2, grid_disk_center
+from udcover.geom import INV_SQRT2, SQRT2
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -82,6 +83,33 @@ def reference_fast_cover_plus(points):
     return centers
 
 
+class _Box:
+    """The loop's mutable bounding box; iterates as the library's
+    (xmin, ymin, xmax, ymax) tuples do."""
+
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
+
+    def __init__(self, xmin, ymin, xmax, ymax):
+        self.xmin = xmin
+        self.ymin = ymin
+        self.xmax = xmax
+        self.ymax = ymax
+
+    def add(self, p):
+        x, y = p
+        if x < self.xmin:
+            self.xmin = x
+        elif x > self.xmax:
+            self.xmax = x
+        if y < self.ymin:
+            self.ymin = y
+        elif y > self.ymax:
+            self.ymax = y
+
+    def __iter__(self):
+        return iter((self.xmin, self.ymin, self.xmax, self.ymax))
+
+
 def reference_build_disk_table(points):
     arr = _ref_as_array(points)
     n = arr.shape[0]
@@ -146,7 +174,7 @@ def reference_build_disk_table(points):
                 if dx * dx + dy * dy <= 1.0:
                     box.add((x, y))
                     continue
-        table[key] = BBox(x, y, x, y)
+        table[key] = _Box(x, y, x, y)
     return table
 
 
@@ -191,8 +219,7 @@ def _bits(cover):
 
 
 def _table_bits(table):
-    return [(key, tuple(float(v).hex() for v in (b.xmin, b.ymin, b.xmax, b.ymax)))
-            for key, b in table.items()]
+    return [(key, tuple(float(v).hex() for v in box)) for key, box in table.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -323,4 +350,5 @@ def test_fast_cover_plus_gate_line_follows_disk_table():
     pts = np.array([[INV_SQRT2, INV_SQRT2], [x, INV_SQRT2]])
     assert len(reference_fast_cover_plus(pts)) == 1
     assert len(reference_build_disk_table(pts)) == 2
-    assert fast_cover_plus(pts) == [grid_disk_center((0, 0)), grid_disk_center((-1, 0))]
+    assert fast_cover_plus(pts).tolist() == [list(grid_disk_center((0, 0))),
+                                             list(grid_disk_center((-1, 0)))]

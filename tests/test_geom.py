@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from udcover.geom import (
-    BBox,
-    HALF_SQRT2,
-    INV_SQRT2,
-    SQRT2,
-    as_points,
-    grid_disk_center,
-)
+from reference import grid_disk_center
+from udcover.geom import HALF_SQRT2, INV_SQRT2, SQRT2, as_points, centers_array
 
 
 def test_constants():
@@ -42,14 +36,12 @@ def test_grid_disk_center_value():
     assert abs(cy - (-SQRT2 + INV_SQRT2)) < 1e-12
 
 
-def test_bbox_grow_and_contains():
-    b = BBox(1.0, 2.0, 1.0, 2.0)
-    b.add((3.0, 0.5))
-    assert (b.xmin, b.ymin, b.xmax, b.ymax) == (1.0, 0.5, 3.0, 2.0)
-    b.add((2.0, 1.0))  # inside: no change
-    assert (b.xmin, b.ymin, b.xmax, b.ymax) == (1.0, 0.5, 3.0, 2.0)
-    b.add((-1.0, 4.0))
-    assert (b.xmin, b.ymin, b.xmax, b.ymax) == (-1.0, 0.5, 3.0, 4.0)
+def test_centers_array_keeps_values_and_order():
+    pairs = [(1.5, -0.0), (2.0, 3.0), (-1e300, 5e-324)]
+    out = centers_array(pairs)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == np.array(pairs).tobytes()
+    assert centers_array([]).shape == (0, 2)
 
 
 def test_as_points_returns_c_contiguous_float64():

@@ -1,5 +1,6 @@
 """One input contract for every solver, the verifier and the writers:
-an (n, 2) array or a sequence of (x, y) pairs of finite numbers."""
+an (n, 2) array or a sequence of (x, y) pairs of finite numbers. One
+output contract for every cover: a new C-contiguous (m, 2) float64 array."""
 
 import io
 import math
@@ -9,12 +10,14 @@ import pytest
 
 from udcover import (
     ALGORITHMS,
+    blms2017_raw,
     gen_square,
     optimal_cover,
     verify_cover,
     write_svg,
     write_xy,
 )
+from udcover.fastcover import build_disk_table, coalesce_pass
 
 
 def _written(writer):
@@ -28,12 +31,20 @@ def _written(writer):
 TARGETS = {
     **{f"solver-{name}": solver for name, solver in ALGORITHMS.items()},
     "verify_cover": lambda points: verify_cover(points, [(1.0, 1.0)]),
-    "optimal_cover": optimal_cover,
+    "optimal_cover": lambda points: optimal_cover(points).centers,
     "write_xy": _written(write_xy),
     "write_svg": _written(lambda points, out: write_svg(points, [(1.0, 1.0)], out)),
 }
 
 POINTS = gen_square(10, 9.0, 7)  # within the exact solver's limit
+
+
+def _bits(result):
+    """A cover as its shape and bytes, which tell -0.0 from 0.0; any other
+    result as it is."""
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    return result
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -58,7 +69,30 @@ def test_other_shapes_raise(target):
 @pytest.mark.parametrize("target", TARGETS)
 def test_empty_and_array_or_pairs_agree(target):
     run = TARGETS[target]
-    assert run([]) == run(np.empty((0, 2)))
-    from_array = run(POINTS)
+    assert _bits(run([])) == _bits(run(np.empty((0, 2))))
+    from_array = _bits(run(POINTS))
     for pairs in ([tuple(p) for p in POINTS], POINTS.tolist()):
-        assert run(pairs) == from_array
+        assert _bits(run(pairs)) == from_array
+
+
+COVERS = {
+    **ALGORITHMS,
+    "coalesce_pass": lambda points: coalesce_pass(build_disk_table(points)),
+    "blms2017_raw": blms2017_raw,
+    "optimal_cover": lambda points: optimal_cover(points).centers,
+}
+
+
+@pytest.mark.parametrize("name", COVERS)
+def test_cover_is_a_new_float64_array(name):
+    for points in ([], np.empty((0, 2)), POINTS[:1], POINTS, POINTS.tolist()):
+        cover = COVERS[name](points)
+        assert type(cover) is np.ndarray and cover.dtype == np.float64
+        assert cover.flags.c_contiguous
+        assert cover.ndim == 2 and cover.shape[1] == 2
+        if len(points) == 0:
+            assert cover.shape == (0, 2)
+        if isinstance(points, np.ndarray):
+            # a (0, 2) input shares no memory with anything, even itself
+            assert cover is not points and cover.base is not points
+            assert not np.shares_memory(cover, points)

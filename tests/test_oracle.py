@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from reference import optimal_cover_exhaustive
 from udcover.oracle import (
     MAX_EXACT_POINTS,
     candidate_centers,
     optimal_cover,
-    optimal_cover_exhaustive,
     verify_cover,
 )
 
