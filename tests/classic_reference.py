@@ -1,11 +1,11 @@
 """Plain-loop references for ``udcover.classic``'s online solvers: every
 point, in input order, goes through a ``RadiusGrid`` probe. The solvers
-compute dgt2018's cover, where the sampled degree is low, as the first
-maximal independent set of the graph that the probe defines (within 1 and
-cells at most 1 apart in each axis), in numpy rounds; elsewhere they skip
-in numpy the points an earlier center already covers, and ccfm1997 puts
-the lone points (no other point within reach) into the cover without a
-probe. They must give the same covers bit for bit."""
+compute their covers, where the sampled degree is low, in numpy
+dependency rounds over a pair list (dgt2018's as the first maximal
+independent set of the graph that the probe defines: within 1 and cells
+at most 1 apart in each axis), handing stalled rounds to the grid loop;
+elsewhere they skip in numpy the points an earlier center already covers.
+They must give the same covers bit for bit."""
 
 from udcover.classic import CcfmState
 from udcover.geom import Point, as_points

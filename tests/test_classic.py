@@ -1,8 +1,8 @@
 import math
 import random
 
-from udcover.classic import ccfm1997, ccfm_spawn_inactive, dgt2018, g1991
-from udcover.geom import HALF_SQRT2, SQRT2, SQRT3
+from udcover.classic import HEX_OFFSETS, ccfm1997, ccfm_spawn_inactive, dgt2018, g1991
+from udcover.geom import HALF_SQRT2, HALF_SQRT3, SQRT2, SQRT3
 from udcover.oracle import verify_cover
 
 
@@ -44,6 +44,18 @@ def test_ccfm_spawn_geometry():
         assert abs(math.hypot(sx, sy) - SQRT3) < 1e-12
     assert (SQRT3, 0.0) in spawns
     assert (-SQRT3, 0.0) in spawns
+
+
+def test_ccfm_spawn_order_is_the_tie_order():
+    # the grid loop inserts the candidates in this order, so the rounds
+    # break a tie at equal distance by (owner row, k) with k this index
+    assert HEX_OFFSETS == ((SQRT3, -0.0), (HALF_SQRT3, 1.5), (HALF_SQRT3, -1.5),
+                           (-HALF_SQRT3, 1.5), (-SQRT3, -0.0), (-HALF_SQRT3, -1.5))
+    p = (2.5, -0.0)
+    spawns = ccfm_spawn_inactive(p)
+    assert spawns == [(p[0] + dx, p[1] + dy) for dx, dy in HEX_OFFSETS]
+    # y + -0.0 keeps the sign of y = -0.0, as (x + sqrt(3), y) did
+    assert math.copysign(1.0, spawns[0][1]) == math.copysign(1.0, spawns[4][1]) == -1.0
 
 
 def test_ccfm_first_point_opens_disk_at_itself():

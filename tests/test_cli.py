@@ -283,6 +283,23 @@ def test_cli_surface_is_pinned():
     assert surface == _SURFACE
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    # a build costs more than half of a small job; later calls reuse it
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    f = tmp_path / "p.xy"
+    f.write_text("0 0\n3 0\n")
+    try:
+        for _ in range(2):
+            assert main(["cover", "--input", str(f), "--algorithm", "dgt2018"]) == EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert capsys.readouterr().out.count("dgt2018") == 2
+
+
 def _far_points(tmp_path):
     f = tmp_path / "far.xy"
     f.write_text("1e300 0\n-1e300 0\n")

@@ -1,16 +1,16 @@
 """dgt2018 and ccfm1997 against the plain loops of ``classic_reference``.
 
-dgt2018 computes its cover, where the sampled degree is low, as the first
-maximal independent set of the grid-probe graph, in numpy rounds over one
-cKDTree pair list; elsewhere both solvers drop, with one cKDTree query per
-block, the points an earlier center already covers, and ccfm1997 puts the
-lone points (no other point within its reach) straight into the cover.
-The covers must stay bit-equal to the plain loops, and dgt2018's on either
-path, on lattices with points at exactly distance 1, duplicates, sorted
-input and lines that stall the rounds, sizes at the block edges and of 0-2
-points, sparse/dense mixes that switch the trees on and off, sets just
-either side of the path threshold, pairs at exactly the reach give or take
-an ulp, and offsets up to 2^30 (2^52 for the pairs).
+Where the sampled degree is low, both solvers compute their covers in
+numpy dependency rounds over one cKDTree pair list, and hand a stalled
+run to the grid loop; elsewhere they drop, with one cKDTree query per
+block, the points an earlier center already covers. The covers must stay
+bit-equal to the plain loops on either path, with the rounds run on a
+prefix first and with a stall after the first round, on lattices with
+points at exactly distance 1, duplicates, sorted input and lines that
+stall the rounds, candidates tied at equal distance, sizes at the block
+edges and of 0-2 points, sparse/dense mixes that switch the trees on and
+off, sets just either side of the path thresholds, pairs at exactly the
+reach give or take an ulp, and offsets up to 2^30 (2^52 for the pairs).
 """
 
 import math
@@ -23,7 +23,7 @@ import udcover.classic as classic
 from classic_reference import reference_ccfm1997, reference_dgt2018
 from udcover.classic import ccfm1997, dgt2018
 from udcover.generators import gen_disk, gen_square
-from udcover.geom import HALF_SQRT3
+from udcover.geom import HALF_SQRT3, SQRT3
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -36,16 +36,28 @@ def _bits(cover):
     return np.asarray(cover, np.float64).reshape(-1, 2).tobytes()
 
 
+# Each solver on the grid loop (threshold 0: every input of 2 or more
+# points), on the rounds (threshold inf), on the rounds with the first
+# round on a prefix (of n/32 rows, from 32 rows up) and no stall, and on
+# the rounds with a stall after the first round
+_GRID = {"_MIS_DEGREE": 0.0, "_CCFM_DEGREE": 0.0}
+_ROUNDS = {"_MIS_DEGREE": math.inf, "_CCFM_DEGREE": math.inf}
+_VARIANTS = [
+    _GRID,
+    _ROUNDS,
+    {**_ROUNDS, "_PREFIX_MIN": 1, "_ordered": lambda xy, m: True, "_ROUND": 0.0, "_STALL": 0.0},
+    {**_ROUNDS, "_ROUND": math.inf},
+]
+
+
 def _assert_same(pts, first_block=classic._FIRST_BLOCK):
     with mock.patch.object(classic, "_FIRST_BLOCK", first_block):
         for solver, reference in PAIRS:
-            assert _bits(solver(pts)) == _bits(reference(pts)), solver.__name__
-        # dgt2018 on either path, whichever the sample picks: a threshold of
-        # 0 sends every input of 2 or more points to the grid, inf to the pairs
-        expected = _bits(reference_dgt2018(pts))
-        for degree in (0.0, math.inf):
-            with mock.patch.object(classic, "_MIS_DEGREE", degree):
-                assert _bits(dgt2018(pts)) == expected, degree
+            expected = _bits(reference(pts))
+            assert _bits(solver(pts)) == expected, solver.__name__
+            for variant in _VARIANTS:
+                with mock.patch.multiple(classic, **variant):
+                    assert _bits(solver(pts)) == expected, (solver.__name__, variant)
 
 
 _OFFSET = st.one_of(
@@ -156,8 +168,8 @@ def test_points_nudged_around_distance_one_match_the_plain_loops():
 def _count_trees(monkeypatch):
     """Record each cKDTree the solvers build as (rows, names of the methods
     called on it), so a test can tell the sample's trees (query_pairs on a
-    few rows), dgt2018's pair list (query_pairs on all rows), the lone-point
-    tree (query on all rows) and the block trees (query on the centers)."""
+    few rows), the rounds' pair lists (query_pairs on all rows, or on a
+    prefix) and the block trees (query on the centers)."""
     built = []
     real = classic.cKDTree
 
@@ -176,16 +188,21 @@ def _count_trees(monkeypatch):
 
 
 def _queried(built):
-    """The rows of the trees asked for nearest neighbours: the lone-point
-    tree and the block trees, in the order they were built."""
+    """The rows of the trees asked for nearest neighbours: the block
+    trees, in the order they were built."""
     return [rows for rows, calls in built if "query" in calls]
 
 
+def _pair_lists(built):
+    """The rows of the trees asked for a pair list, leaving out the
+    sample's (which has at most max(_SAMPLE, sqrt(n)) rows)."""
+    return [rows for rows, calls in built if "query_pairs" in calls and rows > classic._SAMPLE * 2]
+
+
 def _pair_path(built, n):
-    """Whether dgt2018 took the pair path: one pair list over all n rows
-    and no tree asked for nearest neighbours."""
-    pair_lists = [rows for rows, calls in built if rows == n and "query_pairs" in calls]
-    return pair_lists == [n] and not _queried(built)
+    """Whether the solver took the rounds and they ran to the end: one pair
+    list over all n rows and no tree asked for nearest neighbours."""
+    return _pair_lists(built) == [n] and not _queried(built)
 
 
 def _count_probes(monkeypatch):
@@ -206,31 +223,26 @@ def test_tree_only_after_a_block_with_enough_covered_points(monkeypatch):
     sparse = gen_disk(4000, 4000 / 0.02, 5)
     dense = gen_square(4000, 4000 / 50.0, 6)
     mixed = np.concatenate([dense[:256], sparse[:512], dense[:1024] + 1e4])
-    # one tree over all 4000 points finds the lone ones; about one center
-    # per point, so no block gets a tree
+    # sparse input takes the rounds: one pair list, no block tree
     built.clear()
     ccfm1997(sparse)
-    assert _queried(built) == [len(sparse)]
-    # the bounding box puts the lone share far below 1/_GATE, so no tree over
-    # the points; blocks of 256, 512, 1024, 2048 and 160 points: every block
-    # after the first gets a tree over the centers
+    assert _pair_path(built, len(sparse))
+    # on the grid loop, every block of sparse input has about one center
+    # per point, so no block gets a tree
+    monkeypatch.setattr(classic, "_CCFM_DEGREE", 0.0)
+    built.clear()
+    ccfm1997(sparse)
+    assert _queried(built) == [] and _pair_lists(built) == []
+    # blocks of 256, 512, 1024, 2048 and 160 points: every block after the
+    # first gets a tree over the centers
     built.clear()
     ccfm1997(dense)
     assert len(_queried(built)) == 4 and max(_queried(built)) < len(dense)
     # a dense first block switches the block tree on for the second; the
-    # sparse second block switches it off for the third. The far-apart runs
-    # make the bounding box wide, but fewer than a quarter of the points
-    # are lone, and the sample sees that: no tree over the points
+    # sparse second block switches it off for the third
     built.clear()
     ccfm1997(mixed)
     assert len(_queried(built)) == 1 and _queried(built)[0] < len(mixed)
-    # with a sparse third block most points are lone, and their tree comes
-    # first
-    mostly_sparse = np.concatenate([dense[:256], sparse[:1536]])
-    built.clear()
-    ccfm1997(mostly_sparse)
-    assert _queried(built)[0] == len(mostly_sparse) and len(_queried(built)) == 2
-    assert _queried(built)[1] < len(mostly_sparse)
 
 
 def _clusters(n, k, seed):
@@ -241,9 +253,19 @@ def _clusters(n, k, seed):
     return np.ascontiguousarray(centers[rng.integers(0, k, n)] + rng.normal(size=(n, 2)))
 
 
-def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch):
+def _assert_paths(monkeypatch, solver, cases):
     built = _count_trees(monkeypatch)
-    cases = [
+    for pts, rounds in cases:
+        # sorted input is sampled alike and takes the same path, but its
+        # rounds may stall
+        for order in (pts, pts[np.lexsort((pts[:, 1], pts[:, 0]))]):
+            built.clear()
+            solver(np.ascontiguousarray(order))
+            assert bool(_pair_lists(built)) is rounds, (len(pts), built)
+
+
+def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch):
+    _assert_paths(monkeypatch, dgt2018, [
         (gen_disk(4000, 4000 / 0.02, 5), True),     # sparse, mean degree 0.06
         (gen_square(4000, 4000.0, 6), True),        # density 1, mean degree 3
         (gen_disk(500, 500.0, 7), True),            # small-batch-like
@@ -251,29 +273,93 @@ def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch
         # mean degree about 90, which the spread sample misses; the sampled
         # pairs within 1 catch it
         (_clusters(20000, 50, 8), False),
-    ]
-    for pts, pair in cases:
-        built.clear()
-        dgt2018(pts)
-        assert _pair_path(built, len(pts)) is pair, (len(pts), built)
-        # sorted input is sampled alike and takes the same path
-        built.clear()
-        dgt2018(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
-        assert _pair_path(built, len(pts)) is pair, (len(pts), built)
+    ])
+
+
+def test_ccfm1997_takes_the_rounds_where_the_sampled_degree_is_low(monkeypatch):
+    # at reach 1 + sqrt(3), density 1 is a mean degree of 23.4; below
+    # _CCFM_ROWS points the threshold shrinks with n
+    _assert_paths(monkeypatch, ccfm1997, [
+        (gen_disk(4000, 4000 / 0.02, 5), True),
+        (gen_square(10000, 10000.0, 6), True),
+        (gen_disk(500, 500.0, 7), False),           # small-batch-like
+        (gen_disk(500, 500 / 0.1, 7), True),        # degree 2.3
+        (gen_square(4000, 4000 / 50.0, 6), False),
+        (_clusters(20000, 50, 8), False),
+    ])
 
 
 @pytest.mark.parametrize("spacing", [0.5, 1.0])
-def test_sorted_lines_stall_the_rounds_and_match_the_plain_loop(monkeypatch, spacing):
-    # each round decides the first undecided point and its one or two later
-    # neighbours, fewer than _STALL * n, so the probe loop takes the rest
+@pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
+def test_sorted_lines_stall_the_rounds_and_match_the_plain_loop(monkeypatch, solver, spacing):
+    # the first round decides the first point and its one or two later
+    # neighbours, so the grid loop takes over from the third point or so
     pts = np.array([(2.0**20 + spacing * i, -3.25) for i in range(2000)])
+    reference = dict(PAIRS)[solver]
     built = _count_trees(monkeypatch)
     probes = _count_probes(monkeypatch)
-    cover = dgt2018(pts)
-    assert _pair_path(built, len(pts))
-    assert len(probes) >= len(pts) - 3
-    assert _bits(cover) == _bits(reference_dgt2018(pts))
+    cover = solver(pts)
+    assert _pair_lists(built) == [len(pts)]
+    assert probes and probes[0] in [tuple(p) for p in pts[:4].tolist()]
+    assert _bits(cover) == _bits(reference(pts))
     _assert_same(pts[::-1])
+
+
+@pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
+def test_a_sorted_line_stalls_before_the_whole_pair_list(monkeypatch, solver):
+    # 2^14 rows: the first round runs on the first 2^9, which lie in a
+    # thirty-second of the line, and stalls there
+    pts = np.array([(0.5 * i, 7.0) for i in range(2**14)])
+    built = _count_trees(monkeypatch)
+    cover = solver(pts)
+    assert _pair_lists(built) == [2**9]
+    assert _bits(cover) == _bits(dict(PAIRS)[solver](pts))
+
+
+def test_a_stall_after_a_shuffled_block_hands_off_to_the_grid_loop(monkeypatch):
+    # the shuffled block takes a few rounds; the sorted line after it
+    # decides a few rows a round, and the grid loop takes over from the
+    # first row left: in the line for dgt2018, whose block is done in 3
+    # rounds, in the tail of the block for ccfm1997
+    block = gen_square(3000, 3000.0, 11)
+    line = np.array([(200.0 + 0.5 * i, 50.0) for i in range(3000)])
+    pts = np.concatenate([block, line])
+    rows = [tuple(p) for p in pts.tolist()]
+    probes = _count_probes(monkeypatch)
+    for solver, reference in PAIRS:
+        probes.clear()
+        assert _bits(solver(pts)) == _bits(reference(pts)), solver.__name__
+        assert probes and rows.index(probes[0]) > 0, solver.__name__
+        assert len(probes) > len(line) // 3, solver.__name__
+        if solver is dgt2018:
+            assert min(probes) >= (200.0, 50.0)
+    _assert_same(pts)
+
+
+def test_candidates_tied_at_equal_distance_go_to_the_lower_owner_and_k():
+    # owners 2 sqrt(3) apart on the x axis: the candidate k = 0 of the
+    # first and k = 4 of the second are both (sqrt(3), 0), bit for bit
+    owners = [(0.0, 0.0), (2 * SQRT3, 0.0)]
+    assert owners[1][0] + classic.HEX_OFFSETS[4][0] == SQRT3 + 0.0
+    coincident = owners + [(SQRT3, 0.5), (SQRT3, -0.75), (SQRT3 + 0.9, 0.0)]
+    # owners 4 apart: (sqrt(3), 0) and (4 - sqrt(3), 0) lie mirrored about
+    # x = 2, at the same rounded distance from (2, 0.25); the sequential
+    # loop promotes the first owner's, so the cover holds (sqrt(3), 0)
+    mirrored = [(0.0, 0.0), (4.0, 0.0), (2.0, 0.25)]
+    d = [(cx - 2.0) ** 2 + (0.0 - 0.25) ** 2 for cx in (SQRT3, 4.0 - SQRT3)]
+    assert d[0] == d[1]
+    assert ccfm1997(mirrored)[2].tolist() == [SQRT3, 0.0]
+    rng = np.random.default_rng(12)
+    for pts in (coincident, mirrored):
+        pts = np.array(pts)
+        for offset in (0.0, 64.0, 2.0**20):
+            # alone, and inside a sparse background that keeps the rounds
+            # going, in front of and behind it
+            background = gen_disk(400, 400 / 0.02, 13) + 1e3
+            for case in (pts, np.concatenate([pts, background]),
+                         np.concatenate([background, pts]),
+                         rng.permutation(np.concatenate([pts, background]))):
+                _assert_same(np.ascontiguousarray(case + offset))
 
 
 @pytest.mark.parametrize("pts", [
@@ -306,8 +392,8 @@ def test_sets_either_side_of_the_path_threshold_match_the_plain_loop():
 # Pairs of points at exactly a solver's reach, give or take an ulp or two,
 # along ccfm1997's six candidate directions and the axes: at 1 + sqrt(3)
 # the later point is at distance 1 from a candidate of the earlier one, at
-# 1 it is at distance 1 from the earlier one itself. The lone rows' tree
-# must leave every such pair to the loop, at every offset.
+# 1 it is at distance 1 from the earlier one itself. The rounds' pair lists
+# must hold every such pair, at every offset.
 _REACHES = (1.0, 1.0 + math.sqrt(3.0))
 _DIRECTIONS = [(math.cos(math.radians(a)), math.sin(math.radians(a)))
                for a in (0, 60, 120, 180, 240, 300)] + [(0.0, 1.0), (0.0, -1.0)]
@@ -338,7 +424,7 @@ def _pairs_at_reach(offset):
 
 @pytest.mark.parametrize("offset", [0.0, 2.0**20, -(2.0**20), 2.0**30, -(2.0**30), 2.0**40, 2.0**52])
 def test_pairs_at_the_reach_match_the_plain_loops_with_either_gate(offset):
-    # spread with the tree's margin (16 ulps), so that some points stay lone
+    # spread with the tree's margin (16 ulps); block trees on and off
     background = gen_disk(300, 300 / 0.02, 7) * (1.0 + 16 * math.ulp(offset)) + offset
     pairs = _pairs_at_reach(offset)
     rng = np.random.default_rng(8)
@@ -349,11 +435,5 @@ def test_pairs_at_the_reach_match_the_plain_loops_with_either_gate(offset):
         with mock.patch.object(classic, "_GATE", gate):
             for pts in inputs:
                 pts = np.ascontiguousarray(pts)
-                if gate > 1:
-                    # the lone path really runs, for the background at least
-                    for reach in _REACHES:
-                        assert classic._lone(pts, reach).any()
-                else:
-                    assert classic._lone(pts, 1.0) is None
                 _assert_same(pts)
                 _assert_same(pts, first_block=7)
