@@ -70,12 +70,15 @@ _SAMPLE = 128
 # 0.34 s there, 1.1 s and 3.5 times the memory on the pair path.
 _NEAR_PAIRS = 12
 # dgt2018 takes the pair path below this sampled mean degree at reach 1.
-# Both paths timed on gen_square points, shuffled and sorted by x, at
-# n = 500, 10^4 and 10^5: shuffled, the pair path is the faster one up to
-# a sampled degree of about 12; sorted, where the rounds stall, up to about
-# 7 at n = 10^5 (density 2.5, sampled 6.7-7.0: 0.46 s against 0.49 s;
-# density 2.8, sampled 7.5-7.9: 0.55 s against 0.43 s). Density 1 samples
-# as 2.7-3.3.
+# Both paths timed with the stall rule below on gen_square points at
+# density 1 to 5, shuffled and sorted by x, at n = 10^4 and 10^5 (process
+# time, 2-core KVM guest): shuffled, the pair path is the faster one up to
+# a sampled degree of about 12 (10.2: 14.4 ms against 16.6 ms at 10^4;
+# 12.3: 11.4 ms against 10.4 ms). Sorted at 10^5, the rounds stall from
+# density 2 on and cost within 2% of the grid loop; sorted at 10^4 they
+# run to the end and are the faster up to about 7 (6.6: 22 ms against
+# 41 ms; 7.6: 41 ms against 39 ms; 12.7: 44 ms against 30 ms). Density 1
+# samples as 2.5-3.1.
 _MIS_DEGREE = 7.0
 # ccfm1997 takes the rounds below a sampled mean degree at reach 1 + sqrt(3)
 # of _CCFM_DEGREE, scaled down by n / _CCFM_ROWS below _CCFM_ROWS rows,
@@ -100,8 +103,11 @@ _REPLAY = 0.25
 # The first round runs on the first n/32 rows, at most _PREFIX_MAX, where
 # they are _PREFIX_MIN or more and lie in a small part of the bounding box
 # (see _ordered). The stall test scales the prefix's pairs up to all rows,
-# so a few hundred rows show a stall; on a sorted line of 10^5 points the
-# first round on 3 125 rows cost 1.9 ms, against 0.4 s for the grid loop.
+# so a few hundred rows show a stall. Timed with and without the prefix
+# (7 interleaved runs, process time, 2-core KVM guest): ccfm1997 on
+# gen_square(n, n, 5) sorted by (x, y) took 585 against 989 ms at
+# n = 10^5 and 63 against 78 ms at 10^4, and 502 against 621 ms on a sorted
+# line of 10^5 points; dgt2018 was 2-8% slower with it on those squares.
 _PREFIX_MIN = 256
 _PREFIX_MAX = 1024
 # Pairs are filtered and settled this many at a time, which bounds the
@@ -156,14 +162,19 @@ def _dense(xy: np.ndarray, reach: float, degree: float) -> bool:
     two sampled rows are that near as often as any two rows, so
     2 (n - 1) Q / (m (m - 1)) estimates the degree whatever the layout; it
     decides only where Q >= _NEAR_PAIRS, which keeps its noise out. The
-    bounding box comes first and costs no sample: evenly spread over it,
-    the rows would have pi reach^2 n / area neighbours each, and bunched
-    up, more."""
+    bounding box, w by h, comes first and costs no sample: evenly spread
+    over it, the rows would have about pi reach^2 n / (w h) neighbours each
+    where both sides are 2 reach or more, and bunched up, more. A side
+    shorter than 2 reach clips the disk, so the box counts it as pi/4 of
+    the min(w, 2 reach) by min(h, 2 reach) rectangle: a line or a strip
+    thinner than the reach, evenly spread, has more neighbours than that,
+    not fewer."""
     n = len(xy)
     if n < 2:
         return False
     w, h = _extent(xy)
-    if w * h > 0 and math.pi * reach * reach * n >= degree * w * h:
+    near = math.pi / 4 * min(w, 2 * reach) * min(h, 2 * reach)
+    if w * h > 0 and near * n >= degree * w * h:
         return True
     sample, spread = _spread_sample(xy)
     m = len(sample)
@@ -311,12 +322,14 @@ def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, loop) -
     todo = np.flatnonzero(left)
     rows = np.flatnonzero(made)
     cut = np.searchsorted(rows, todo)  # the made rows before each row left
-    runs = np.flatnonzero(np.diff(cut, prepend=-1)).tolist() + [len(todo)]
+    runs = [0, *(np.flatnonzero(cut[1:] != cut[:-1]) + 1).tolist(), len(todo)]
     done = 0
     for i, j in zip(runs, runs[1:]):
         replay(rows[done:cut[i]])
         done = cut[i]
-        loop(xy[todo[i:j]])
+        first, last = int(todo[i]), int(todo[j - 1])
+        # a view, not a copy, where the run's rows are consecutive
+        loop(xy[first:last + 1] if last - first == j - 1 - i else xy[todo[i:j]])
     replay(rows[done:])
 
 

@@ -199,12 +199,6 @@ def _pair_lists(built):
     return [rows for rows, calls in built if "query_pairs" in calls and rows > classic._SAMPLE * 2]
 
 
-def _pair_path(built, n):
-    """Whether the solver took the rounds and they ran to the end: one pair
-    list over all n rows and no tree asked for nearest neighbours."""
-    return _pair_lists(built) == [n] and not _queried(built)
-
-
 def _count_probes(monkeypatch):
     """Record the point of each RadiusGrid probe the solvers make."""
     probes = []
@@ -218,15 +212,23 @@ def _count_probes(monkeypatch):
     return probes
 
 
+def _pair_path(built, probes, n):
+    """Whether the solver took the rounds and they ran to the end: one pair
+    list over all n rows, no tree asked for nearest neighbours and no
+    RadiusGrid probe, which the grid loop makes after a handoff."""
+    return _pair_lists(built) == [n] and not _queried(built) and not probes
+
+
 def test_tree_only_after_a_block_with_enough_covered_points(monkeypatch):
     built = _count_trees(monkeypatch)
+    probes = _count_probes(monkeypatch)
     sparse = gen_disk(4000, 4000 / 0.02, 5)
     dense = gen_square(4000, 4000 / 50.0, 6)
     mixed = np.concatenate([dense[:256], sparse[:512], dense[:1024] + 1e4])
     # sparse input takes the rounds: one pair list, no block tree
     built.clear()
     ccfm1997(sparse)
-    assert _pair_path(built, len(sparse))
+    assert _pair_path(built, probes, len(sparse))
     # on the grid loop, every block of sparse input has about one center
     # per point, so no block gets a tree
     monkeypatch.setattr(classic, "_CCFM_DEGREE", 0.0)
@@ -253,15 +255,28 @@ def _clusters(n, k, seed):
     return np.ascontiguousarray(centers[rng.integers(0, k, n)] + rng.normal(size=(n, 2)))
 
 
+def _strip(n, seed):
+    """n points spread evenly over an n by 0.1 strip, thinner than either
+    reach: a mean degree of 2 at reach 1 and 5.5 at 1 + sqrt(3), where an
+    unclipped disk over the bounding box would count 31 and 235."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack((rng.random(n) * n, rng.random(n) * 0.1))
+
+
 def _assert_paths(monkeypatch, solver, cases):
     built = _count_trees(monkeypatch)
+    probes = _count_probes(monkeypatch)
     for pts, rounds in cases:
+        # in random order, the rounds run to the end where they are taken
+        built.clear()
+        probes.clear()
+        solver(pts)
+        assert _pair_path(built, probes, len(pts)) is rounds, (len(pts), built, len(probes))
         # sorted input is sampled alike and takes the same path, but its
         # rounds may stall
-        for order in (pts, pts[np.lexsort((pts[:, 1], pts[:, 0]))]):
-            built.clear()
-            solver(np.ascontiguousarray(order))
-            assert bool(_pair_lists(built)) is rounds, (len(pts), built)
+        built.clear()
+        solver(np.ascontiguousarray(pts[np.lexsort((pts[:, 1], pts[:, 0]))]))
+        assert bool(_pair_lists(built)) is rounds, (len(pts), built)
 
 
 def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch):
@@ -270,6 +285,7 @@ def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch
         (gen_square(4000, 4000.0, 6), True),        # density 1, mean degree 3
         (gen_disk(500, 500.0, 7), True),            # small-batch-like
         (gen_square(4000, 4000 / 50.0, 6), False),  # density 50
+        (_strip(4000, 9), True),
         # mean degree about 90, which the spread sample misses; the sampled
         # pairs within 1 catch it
         (_clusters(20000, 50, 8), False),
@@ -285,6 +301,7 @@ def test_ccfm1997_takes_the_rounds_where_the_sampled_degree_is_low(monkeypatch):
         (gen_disk(500, 500.0, 7), False),           # small-batch-like
         (gen_disk(500, 500 / 0.1, 7), True),        # degree 2.3
         (gen_square(4000, 4000 / 50.0, 6), False),
+        (_strip(4000, 9), True),
         (_clusters(20000, 50, 8), False),
     ])
 
