@@ -1,8 +1,8 @@
 """Strip-greedy and online covering algorithms.
 
-* ``g1991``    -- partition into sqrt(2)-high horizontal strips, greedily
-  cover each strip left-to-right with sqrt(2) x sqrt(2) squares, put a
-  unit disk at each square center.
+* ``g1991``    -- sqrt(2)-high strips, each covered left to right by
+  sqrt(2) x sqrt(2) squares, a unit disk at each center: one sort by
+  (strip, x), then a walk over the points that start a square.
 * ``ccfm1997`` -- online: each placed disk pre-positions six hexagonal
   candidate centers; an uncovered point promotes the nearest candidate
   within distance 1, or becomes a center itself.
@@ -38,6 +38,7 @@ the rest go through the RadiusGrid one by one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -337,25 +338,23 @@ def g1991(points) -> Cover:
     """Strips are processed in increasing strip index, squares left to
     right; a square with left edge at the leftmost uncovered point
     covers every strip point within sqrt(2) of it in x (closed bound).
-    """
-    strips: dict[int, list] = {}
-    floor = math.floor
-    for p in as_points(points).tolist():
-        strips.setdefault(floor(p[1] / SQRT2), []).append(p)
-    centers: list[Point] = []
-    for iy in sorted(strips):
-        pts = sorted(strips[iy])
-        cy = (iy + 0.5) * SQRT2
-        n = len(pts)
-        idx = 0
-        while idx < n:
-            qx = pts[idx][0]
-            centers.append((qx + HALF_SQRT2, cy))
-            limit = qx + SQRT2
-            idx += 1
-            while idx < n and pts[idx][0] <= limit:
-                idx += 1
-    return centers_array(centers)
+    Sorted by (strip, x), the next square's point is found by bisection."""
+    xy = as_points(points)
+    order = np.argsort(xy[:, 0])
+    strip = np.floor(xy[order, 1] / SQRT2)
+    # stable, so each strip stays in x order; 16-bit keys get a radix sort
+    rank = strip - strip.min(initial=math.inf)
+    key = rank.astype(np.uint16) if rank.max(initial=0.0) < 2**16 else strip
+    by_strip = np.argsort(key, kind="stable")
+    strip, x = strip[by_strip], xy[order[by_strip], 0]
+    xs = x.tolist()
+    heads = []
+    cuts = [0, *(np.flatnonzero(strip[1:] != strip[:-1]) + 1).tolist(), len(xs)]
+    for i, end in zip(cuts, cuts[1:]):
+        while i < end:
+            heads.append(i)
+            i = bisect_right(xs, xs[i] + SQRT2, i + 1, end)
+    return np.column_stack((x[heads] + HALF_SQRT2, (strip[heads] + 0.5) * SQRT2))
 
 
 def ccfm_spawn_inactive(p: Point) -> list[Point]:

@@ -18,16 +18,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 def gen_square(n: int, area: float, seed: int) -> np.ndarray:
     """n i.i.d. uniform points in [0, sqrt(area)) squared."""
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be positive and finite, got {area}")
     return _rng(seed).random((n, 2)) * math.sqrt(area)
 
 
 def gen_disk(n: int, area: float, seed: int) -> np.ndarray:
     """n uniform points in the origin-centered disk of the given area
     (radial inverse-CDF sampling: r = R * sqrt(u))."""
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be positive and finite, got {area}")
     rng = _rng(seed)
     radius = math.sqrt(area / math.pi)
     r = radius * np.sqrt(rng.random(n))
@@ -40,8 +40,8 @@ def gen_convex(n: int, area: float, seed: int) -> np.ndarray:
     rising/falling-chain construction: random coordinate differences are
     split into two monotone chains, paired, sorted by angle, and chained
     into a convex polygon."""
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be positive and finite, got {area}")
     if n < 3:
         raise ValueError("convex generation needs n >= 3")
     rng = _rng(seed)
@@ -68,8 +68,8 @@ def gen_convex(n: int, area: float, seed: int) -> np.ndarray:
 
 def gen_annulus(n: int, r_outer: float, r_inner: float, seed: int) -> np.ndarray:
     """n area-uniform points in the origin-centered annulus."""
-    if not 0 < r_inner < r_outer:
-        raise ValueError("need 0 < r_inner < r_outer")
+    if not 0 < r_inner < r_outer < math.inf:
+        raise ValueError(f"need 0 < r_inner < r_outer < inf, got r_inner={r_inner}, r_outer={r_outer}")
     rng = _rng(seed)
     r = np.sqrt(r_inner**2 + rng.random(n) * (r_outer**2 - r_inner**2))
     theta = rng.random(n) * (2.0 * math.pi)

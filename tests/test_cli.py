@@ -336,6 +336,17 @@ def test_argument_and_range_errors_exit_usage_with_one_line(argv, tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--shape", "square", "--area", "nan"], "area must be positive and finite, got nan"),
+    (["--shape", "disk", "--area", "inf"], "area must be positive and finite, got inf"),
+    (["--shape", "annulus", "--router", "inf"],
+     "need 0 < r_inner < r_outer < inf, got r_inner=0.5, r_outer=inf"),
+], ids=["square-nan", "disk-inf", "annulus-inf"])
+def test_generate_names_a_non_finite_size(argv, message, capsys):
+    assert run(["generate", "--n", "2", *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"udcover: {message}\n"
+
+
 @pytest.mark.parametrize("name, data, message", [
     ("p.tsp", b"NODE_COORD_SECTION\n1 0 0\n2 nan 0\nEOF\n",
      "line 3: non-finite coordinate in '2 nan 0'"),

@@ -71,3 +71,28 @@ def test_all_deterministic():
     assert np.array_equal(gen_disk(50, 10.0, 1), gen_disk(50, 10.0, 1))
     assert np.array_equal(gen_convex(50, 10.0, 1), gen_convex(50, 10.0, 1))
     assert np.array_equal(gen_annulus(50, 3.0, 1.0, 1), gen_annulus(50, 3.0, 1.0, 1))
+
+
+@pytest.mark.parametrize("area", [math.nan, math.inf, 0.0, -1.0])
+def test_square_rejects_area_that_is_not_positive_and_finite(area):
+    with pytest.raises(ValueError, match="area must be positive and finite"):
+        gen_square(2, area, seed=0)
+
+
+@pytest.mark.parametrize("area", [math.nan, math.inf, 0.0, -1.0])
+def test_disk_rejects_area_that_is_not_positive_and_finite(area):
+    with pytest.raises(ValueError, match="area must be positive and finite"):
+        gen_disk(2, area, seed=0)
+
+
+@pytest.mark.parametrize("area", [math.nan, math.inf, 0.0, -1.0])
+def test_convex_rejects_area_that_is_not_positive_and_finite(area):
+    with pytest.raises(ValueError, match="area must be positive and finite"):
+        gen_convex(3, area, seed=0)
+
+
+@pytest.mark.parametrize("r_outer, r_inner", [
+    (math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (2.0, 0.0), (1.0, 2.0)])
+def test_annulus_rejects_radii_that_are_not_ordered_and_finite(r_outer, r_inner):
+    with pytest.raises(ValueError, match="r_inner=.*r_outer="):
+        gen_annulus(2, r_outer, r_inner, seed=0)
