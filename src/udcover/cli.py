@@ -58,8 +58,13 @@ def _write(path: str | None, writer, data) -> None:
 def _generate(args: argparse.Namespace, seed: int) -> np.ndarray:
     if args.shape is None or args.n is None:
         raise CliError("--shape and --n are required to generate points", EXIT_USAGE)
-    size = (args.router, args.rinner) if args.shape == "annulus" else (args.area,)
-    return GENERATORS[args.shape](args.n, *size, seed)
+    if args.shape != "annulus":
+        return GENERATORS[args.shape](args.n, args.area, seed)
+    try:
+        return GENERATORS["annulus"](args.n, args.router, args.rinner, seed)
+    except ValueError as exc:  # name the flags, not the library's arguments
+        message = str(exc).replace("r_inner", "--rinner").replace("r_outer", "--router")
+        raise CliError(message, EXIT_USAGE) from None
 
 
 def _load_points(args: argparse.Namespace, seed: int) -> np.ndarray:

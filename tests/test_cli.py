@@ -312,6 +312,16 @@ def _missing_cover(tmp_path):
     return ["verify", "--input", str(f), "--cover", str(tmp_path / "none.xy")]
 
 
+def _verify_eps(value, command="verify"):
+    def argv(tmp_path):
+        f = tmp_path / "p.xy"
+        f.write_text("0 0\n")
+        if command == "cover":
+            return ["cover", "--input", str(f), "--verify", "--eps", value]
+        return ["verify", "--input", str(f), "--cover", str(f), "--eps", value]
+    return argv
+
+
 def _thirteen_points(tmp_path):
     f = tmp_path / "p.xy"
     f.write_text("".join(f"{i} {i}\n" for i in range(13)))
@@ -326,8 +336,12 @@ def _thirteen_points(tmp_path):
     _far_points,
     _missing_cover,
     _thirteen_points,
+    _verify_eps("nan"),
+    _verify_eps("-1"),
+    _verify_eps("nan", "cover"),
 ], ids=["area-0", "n-negative", "annulus-radii", "cell-range",
-        "missing-cover", "optimal-13"])
+        "missing-cover", "optimal-13", "verify-eps-nan", "verify-eps-minus-1",
+        "cover-eps-nan"])
 def test_argument_and_range_errors_exit_usage_with_one_line(argv, tmp_path, capsys):
     assert run(argv(tmp_path)) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -340,8 +354,10 @@ def test_argument_and_range_errors_exit_usage_with_one_line(argv, tmp_path, caps
     (["--shape", "square", "--area", "nan"], "area must be positive and finite, got nan"),
     (["--shape", "disk", "--area", "inf"], "area must be positive and finite, got inf"),
     (["--shape", "annulus", "--router", "inf"],
-     "need 0 < r_inner < r_outer < inf, got r_inner=0.5, r_outer=inf"),
-], ids=["square-nan", "disk-inf", "annulus-inf"])
+     "need 0 < --rinner < --router < inf, got --rinner=0.5, --router=inf"),
+    (["--shape", "annulus", "--rinner", "2"],
+     "need 0 < --rinner < --router < inf, got --rinner=2.0, --router=1.0"),
+], ids=["square-nan", "disk-inf", "annulus-inf", "annulus-order"])
 def test_generate_names_a_non_finite_size(argv, message, capsys):
     assert run(["generate", "--n", "2", *argv]) == EXIT_USAGE
     assert capsys.readouterr().err == f"udcover: {message}\n"

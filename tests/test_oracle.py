@@ -35,6 +35,21 @@ def test_verify_boundary_point():
     assert verify_cover([(1.0 + 1e-6, 0.0)], [(0.0, 0.0)], eps=1e-5).valid
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -2.0])
+def test_verify_rejects_eps_outside_its_range(eps):
+    # a NaN limit passed every point; at eps = -1 a point on a center
+    # was uncovered at distance 0
+    with pytest.raises(ValueError, match="eps must be finite and > -1"):
+        verify_cover([(0.0, 0.0)], [(0.0, 0.0)], eps=eps)
+
+
+def test_verify_eps_just_above_minus_one():
+    eps = math.nextafter(-1.0, 0.0)
+    assert verify_cover([(3.0, 4.0)], [(3.0, 4.0)], eps=eps).valid
+    report = verify_cover([(3.0, 4.0)], [(3.0, 4.0 + 1e-15)], eps=eps)
+    assert [i for i, _ in report.uncovered] == [0]
+
+
 def test_verify_reports_uncovered_indices():
     report = verify_cover([(0.0, 0.0), (5.0, 5.0)], [(0.0, 0.0)])
     assert not report.valid

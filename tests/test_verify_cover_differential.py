@@ -1,5 +1,7 @@
 """verify_cover against the unbounded query it replaced, on generated
-points and covers."""
+points and covers: near the limit, where the cell grid hands points to
+the tree, and at the grid's edges (many cells, points far outside the
+centers' box, a far outlier center, coordinates up to 1e20)."""
 
 import math
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from udcover import fast_cover_pp
+import udcover.oracle
+from udcover import fast_cover, fast_cover_pp, gen_square
 from udcover.oracle import VerifyReport, verify_cover
 
 pytest.importorskip("hypothesis")
@@ -77,3 +80,85 @@ def test_verify_cover_matches_on_full_and_truncated_covers(pts, drop):
     cover = fast_cover_pp(pts)
     cover = cover[:len(cover) - drop]
     assert _exact(verify_cover(pts, cover)) == _exact(reference_verify_cover(pts, cover))
+
+
+# every kind of eps verify_cover accepts: just above -1, negative, zero,
+# tiny, the default, large, and so large that limit**2 overflows
+_ALLOWED_EPS = [math.nextafter(-1.0, 0.0), -0.5, 0.0, 1e-12, 1e-9, 1e-3, 1.0, 1e160]
+
+# unit vectors off the axes too, where the rounded distance moves by ulps
+_UNIT = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6),
+         (math.sqrt(0.5), -math.sqrt(0.5)), (math.cos(1.0), math.sin(1.0))]
+
+
+def _nudge(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+@st.composite
+def _grid_instance(draw, eps):
+    """Centers spread over a box of a drawn size, at a drawn offset, maybe
+    with one far outlier; points in the box, far outside it, and at 0,
+    0.5, 1 or 2 limits from a center in some direction, each coordinate
+    nudged by up to 2 ulps."""
+    limit = 1.0 + eps
+    spread = draw(st.sampled_from([2.0, 40.0, 1e3, 1e6, 1e20]))
+    base = draw(st.sampled_from([0.0, 0.0, 1e9, -1e15, 1e20]))
+    coord = st.floats(-spread, spread).map(lambda v: base + v)
+    centers = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        far = draw(st.sampled_from([1e5, -1e9, 1e15, -1e20]))
+        centers.insert(draw(st.integers(0, len(centers))), (far, draw(coord)))
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=15))
+    huge = st.floats(-1e20, 1e20)
+    pts += draw(st.lists(st.tuples(huge, huge), max_size=3))
+    for _ in range(draw(st.integers(0, 30))):
+        cx, cy = draw(st.sampled_from(centers))
+        r = draw(st.sampled_from([limit, limit, 1.0, 0.5 * limit, 2.0 * limit, 0.0]))
+        ux, uy = draw(st.sampled_from(_UNIT))
+        pts.append((_nudge(cx + r * ux, draw(st.integers(-2, 2))),
+                    _nudge(cy + r * uy, draw(st.integers(-2, 2)))))
+    return draw(st.permutations(pts)), np.array(centers, dtype=np.float64)
+
+
+@pytest.mark.parametrize("eps", _ALLOWED_EPS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_edges_match_unbounded_query(eps, data):
+    pts, cover = data.draw(_grid_instance(eps))
+    assert _exact(verify_cover(pts, cover, eps)) == _exact(
+        reference_verify_cover(pts, cover, eps))
+
+
+class _CountingTree:
+    built = 0
+
+    def __new__(cls, *args, **kwargs):
+        cls.built += 1
+        return cKDTree(*args, **kwargs)
+
+
+def _tree_builds(monkeypatch, pts, cover):
+    monkeypatch.setattr(_CountingTree, "built", 0)
+    monkeypatch.setattr(udcover.oracle, "cKDTree", _CountingTree)
+    assert _exact(verify_cover(pts, cover)) == _exact(reference_verify_cover(pts, cover))
+    return _CountingTree.built
+
+
+def test_grid_settles_a_valid_cover_without_a_tree(monkeypatch):
+    pts = gen_square(2000, 2000.0, 1)
+    cover = fast_cover(pts)
+    assert _tree_builds(monkeypatch, pts, cover) == 0
+    # an uncovered point needs the tree's exact nearest distance
+    assert _tree_builds(monkeypatch, pts, cover[1:]) == 1
+
+
+def test_far_outlier_center_skips_the_grid(monkeypatch):
+    # the cells widen until every other center shares one column slice,
+    # so the candidate pairs pass their cap and the tree checks every point
+    pts = gen_square(2000, 2000.0, 1)
+    cover = np.vstack([fast_cover(pts), [(1e9, 1e9)]])
+    assert udcover.oracle._grid_open(pts, cover, 1.0 + 1e-9) is None
+    assert _tree_builds(monkeypatch, pts, cover) == 1
