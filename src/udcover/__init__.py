@@ -10,12 +10,7 @@ array; (0, 2) for no points.
 from __future__ import annotations
 
 from .classic import ccfm1997, dgt2018, g1991
-from .fastcover import (
-    fast_cover,
-    fast_cover_plus,
-    fast_cover_pp,
-    worst_case_pointset,
-)
+from .fastcover import fast_cover, fast_cover_plus, fast_cover_pp
 from .generators import gen_annulus, gen_convex, gen_disk, gen_square
 from .oracle import (
     MAX_EXACT_POINTS,
@@ -83,7 +78,6 @@ __all__ = [
     "read_tsplib",
     "read_xy",
     "verify_cover",
-    "worst_case_pointset",
     "write_csv",
     "write_svg",
     "write_xy",

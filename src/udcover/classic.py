@@ -21,13 +21,15 @@ for dgt2018, whose cover is the first maximal independent set, in input
 order, of the graph that joins two points on that test; 1 + sqrt(3) for
 ccfm1997, whose candidates lie sqrt(3) from the point that placed them.
 Each round decides every undecided point with no undecided earlier point
-within the reach. A ccfm1997 point is skipped as soon as a center made by
-an earlier point covers it; a ready one promotes its nearest live
-candidate, ties going to the lower (owner, k), or activates. Rounds that
-stall, as on chains in sorted input, hand the points still undecided to
-the grid loop, which replays the decided points in between (``_handoff``).
-The first round runs on a prefix where the input looks sorted, so that a
-stall shows before the whole pair list is built.
+within the reach. Both settle the tree's pair list, unfiltered, by one
+rule: a center that was made settles the later points its probe hits; a
+pair that fails the probe only delays its later point. A ready ccfm1997
+point promotes its nearest live candidate, ties going to the lower
+(owner, k), or activates. Rounds that stall, as on chains in sorted
+input, hand the points still undecided to the grid loop, which replays
+the decided points in between (``_handoff``). The first round runs on a
+prefix where the input looks sorted, so that a stall shows before the
+whole pair list is built.
 
 Elsewhere the solvers take the points in blocks that keep the input order.
 Where earlier centers covered enough of the previous block, one cKDTree
@@ -105,14 +107,14 @@ _REPLAY = 0.25
 # they are _PREFIX_MIN or more and lie in a small part of the bounding box
 # (see _ordered). The stall test scales the prefix's pairs up to all rows,
 # so a few hundred rows show a stall. Timed with and without the prefix
-# (7 interleaved runs, process time, 2-core KVM guest): ccfm1997 on
-# gen_square(n, n, 5) sorted by (x, y) took 585 against 989 ms at
-# n = 10^5 and 63 against 78 ms at 10^4, and 502 against 621 ms on a sorted
-# line of 10^5 points; dgt2018 was 2-8% slower with it on those squares.
+# (alternating runs, 2-core KVM guest): ccfm1997 on gen_square(n, n, 5)
+# sorted by (x, y) took 600 against 869 ms at n = 10^5 and 57 against
+# 71 ms at 10^4, and 502 against 621 ms on a sorted line of 10^5 points;
+# dgt2018 was even at 10^5 and 4% slower with it at 10^4.
 _PREFIX_MIN = 256
 _PREFIX_MAX = 1024
-# Pairs are filtered and settled this many at a time, which bounds the
-# temporary arrays.
+# Pairs are settled this many at a time, which bounds settle's temporary
+# arrays: ccfm1997 probes a (pairs, 6) block of candidates.
 _CHUNK = 1 << 18
 # The six candidate centers a new ccfm1997 disk spawns, as offsets from it,
 # each sqrt(3) away. The row is the k of the (d, owner, k) tie order, since
@@ -222,21 +224,12 @@ def _probe(ux, uy, vx, vy):
     return d, hit
 
 
-def _pairs(xy: np.ndarray, r: float, pick) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (a, b) of rows of xy within r, a < b, as two arrays;
-    where ``pick`` is given, only those for which pick(a, b) is true,
-    picked in chunks to bound the temporary arrays."""
+def _pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b) of rows of xy within r, a < b, as two arrays."""
     pairs = cKDTree(xy, balanced_tree=False, compact_nodes=False).query_pairs(
         r, output_type="ndarray")
     a, b = pairs.T
-    if pick is None:
-        return a.copy(), b.copy()
-    if len(a) > _CHUNK:
-        keep = np.concatenate([pick(a[i:i + _CHUNK], b[i:i + _CHUNK])
-                               for i in range(0, len(a), _CHUNK)])
-    else:
-        keep = pick(a, b)
-    return a[keep], b[keep]
+    return a.copy(), b.copy()
 
 
 def _ordered(xy: np.ndarray, m: int) -> bool:
@@ -248,16 +241,16 @@ def _ordered(xy: np.ndarray, m: int) -> bool:
     return 2 * wm * hm < w * h or 2 * (wm + hm) < w + h
 
 
-def _rounds(xy: np.ndarray, r: float, decide, settle, link=None) -> np.ndarray | None:
+def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
     """Decide the rows of xy in dependency rounds, as Blelloch, Fineman and
     Shun do for the greedy maximal independent set (SPAA 2012), over the
     pairs of rows within r: r must be such that a row's decision depends
     only on those of earlier rows within r. Each round passes every
     undecided row with no undecided earlier row within r to
     ``decide(ready, undecided)``; ``settle(a, b, undecided)`` then applies
-    the decisions of the rows a to the undecided later rows b of their
-    pairs, and clears ``undecided`` for any row that it decides.
-    ``link(a, b)``, if given, keeps only the pairs it is true for.
+    the decisions of the rows a to the later rows b of their pairs, and
+    clears ``undecided`` for any row that it decides. A row b may already
+    be decided, and ``settle`` must leave it so.
 
     Rounds on sorted input can decide only a few rows each. Where the
     rounds left at the rate of the last one would cost more than the grid
@@ -265,21 +258,16 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, link=None) -> np.ndarray |
     ``_handoff``), the rounds stop and return the mask of the undecided
     rows. The first round runs on a prefix of at most n/32 rows, where it
     lies in a small part of the bounding box, so that such a stall shows
-    before the pair list of all rows is built. Returns None where every row
-    is decided."""
+    before the pair list of all rows is built. The next round, over all
+    rows, settles the prefix's decisions with its own; until then a decided
+    row only blocks its later rows. Returns None where every row is
+    decided."""
     n = len(xy)
     undecided = np.ones(n, bool)
-    done = 0
-
-    def pick(a, b):
-        # pairs of undecided rows, and the pairs that apply the decisions
-        # of the first round to the rows after its prefix
-        keep = undecided[b] & (undecided[a] | (b >= done))
-        return keep & link(a, b) if link is not None else keep
 
     def settled(a, b):
-        # settle the pairs of the rows decided since the last call (every b
-        # is undecided), then keep the pairs of two undecided rows
+        # settle the pairs of the rows decided since the last call, then
+        # keep the pairs of two undecided rows
         fresh = ~undecided[a]
         fa, fb = a[fresh], b[fresh]
         for i in range(0, len(fa), _CHUNK):
@@ -290,9 +278,7 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, link=None) -> np.ndarray |
     head = min(n >> 5, _PREFIX_MAX)
     left = n
     for m in ((head, n) if head >= _PREFIX_MIN and _ordered(xy, head) else (n,)):
-        a, b = _pairs(xy[:m], r, pick if done else link)
-        if done:
-            a, b = settled(a, b)
+        a, b = _pairs(xy[:m], r)
         while left:
             # on a prefix, as if the pairs of all rows were there: on
             # sorted input, the rows a round decides do not grow with n
@@ -309,7 +295,6 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, link=None) -> np.ndarray |
                 return undecided
             if m < n:
                 break
-        done = m
     return None
 
 
@@ -497,10 +482,11 @@ def dgt2018(points) -> Cover:
     of the graph that joins two rows where the RadiusGrid probe of either
     would find the other (see the module docstring). Where the sampled
     degree is low, ``_rounds`` computes it over the pairs within
-    r = ``_tree_radius(xy, 1)`` that pass the probe test: a ready row joins
-    the set and its later neighbours drop out, since every earlier
-    neighbour of a ready row is out. Where the rounds stall, ``_handoff``
-    finishes the cover with the probe loop."""
+    r = ``_tree_radius(xy, 1)``, a superset of the graph's edges: a ready
+    row joins the set, since every earlier neighbour of it is out, and
+    drops out the later rows of its pairs that pass the probe test. Where
+    the rounds stall, ``_handoff`` finishes the cover with the probe
+    loop."""
     xy = as_points(points)
     centers = RadiusGrid(1.0)
     out: list[Point] = []
@@ -518,12 +504,11 @@ def dgt2018(points) -> Cover:
         chosen[ready] = True
 
     def settle(a, b, undecided):
-        undecided[b[chosen[a]]] = False
+        s = chosen[a]
+        a, b = a[s], b[s]
+        undecided[b[_probe(x[a], y[a], x[b], y[b])[1]]] = False
 
-    def link(a, b):
-        return _probe(x[a], y[a], x[b], y[b])[1]
-
-    left = _rounds(xy, r, decide, settle, link)
+    left = _rounds(xy, r, decide, settle)
     if left is None:
         return xy[chosen]
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Cover, GridKey, INV_SQRT2, Point, SQRT2, as_points
+from .geom import Cover, GridKey, INV_SQRT2, SQRT2, as_points
 
 # disk-table: placed grid-disk -> (xmin, ymin, xmax, ymax) of its assigned points
 DiskTable = dict[GridKey, tuple[float, float, float, float]]
@@ -301,31 +301,3 @@ def fast_cover_pp(points) -> Cover:
         return np.empty((0, 2))
     p = _place(xy)
     return _coalesce(p.cells, *_boxes(p))
-
-
-# Worst-case input: seven points inside one unit disk that straddle a
-# grid corner so that each lands in a different cell. A single disk
-# covers them; the grid algorithm places seven.
-_CORNER_SEVEN: tuple[Point, ...] = (
-    (0.6, 0.70710678),    # own cell (0, 0)
-    (-0.01, 0.70710678),  # west cell
-    (1.4243, 0.70710678),  # east cell
-    (0.6, 1.4243),        # north cell
-    (0.6, -0.01),         # south cell
-    (-0.01, 1.4243),      # northwest cell
-    (-0.01, -0.01),       # southwest cell
-)
-
-
-def worst_case_pointset(copies: int = 1, spacing: float = 3.0) -> list[Point]:
-    """``copies`` translated copies of the 7-point worst case, each
-    shifted right by ``spacing`` relative to the previous one.
-
-    With grid-aligned spacing (a multiple of sqrt(2), at least
-    3*sqrt(2)) every copy reproduces the 7-cell pattern exactly.
-    """
-    out: list[Point] = []
-    for k in range(copies):
-        dx = spacing * k
-        out.extend((x + dx, y) for x, y in _CORNER_SEVEN)
-    return out

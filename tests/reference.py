@@ -1,5 +1,6 @@
-"""Reference computations that only tests use: the grid-disk center of a
-cell, and the exact cover size by exhaustive enumeration."""
+"""Reference computations and inputs that only tests use: the grid-disk
+center of a cell, the exact cover size by exhaustive enumeration, and the
+7-point worst case of the grid algorithm."""
 
 import itertools
 
@@ -30,3 +31,31 @@ def optimal_cover_exhaustive(points) -> int:
             if acc == full:
                 return size
     raise AssertionError("point-centered disks always cover")
+
+
+# Worst-case input: seven points inside one unit disk that straddle a
+# grid corner so that each lands in a different cell. A single disk
+# covers them; the grid algorithm places seven.
+_CORNER_SEVEN: tuple[Point, ...] = (
+    (0.6, 0.70710678),    # own cell (0, 0)
+    (-0.01, 0.70710678),  # west cell
+    (1.4243, 0.70710678),  # east cell
+    (0.6, 1.4243),        # north cell
+    (0.6, -0.01),         # south cell
+    (-0.01, 1.4243),      # northwest cell
+    (-0.01, -0.01),       # southwest cell
+)
+
+
+def worst_case_pointset(copies: int = 1, spacing: float = 3.0) -> list[Point]:
+    """``copies`` translated copies of the 7-point worst case, each
+    shifted right by ``spacing`` relative to the previous one.
+
+    With grid-aligned spacing (a multiple of sqrt(2), at least
+    3*sqrt(2)) every copy reproduces the 7-cell pattern exactly.
+    """
+    out: list[Point] = []
+    for k in range(copies):
+        dx = spacing * k
+        out.extend((x + dx, y) for x, y in _CORNER_SEVEN)
+    return out

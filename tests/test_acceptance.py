@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from reference import optimal_cover_exhaustive
+from reference import optimal_cover_exhaustive, worst_case_pointset
 from udcover import (
     ALGORITHMS,
     blms2017,
@@ -29,7 +29,6 @@ from udcover import (
     ll2014_1p,
     optimal_cover,
     verify_cover,
-    worst_case_pointset,
 )
 from udcover.geom import SQRT2
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import grid_disk_center
+from reference import grid_disk_center, worst_case_pointset
 from udcover.fastcover import (
     _GATE_FAR,
     _GATE_NEAR,
@@ -13,7 +13,6 @@ from udcover.fastcover import (
     fast_cover,
     fast_cover_plus,
     fast_cover_pp,
-    worst_case_pointset,
 )
 from udcover.geom import INV_SQRT2, SQRT2
 from udcover.oracle import verify_cover

@@ -8,13 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from reference import grid_disk_center
+from reference import grid_disk_center, worst_case_pointset
 from udcover.fastcover import (
     build_disk_table,
     coalesce_pass,
     fast_cover_plus,
     fast_cover_pp,
-    worst_case_pointset,
 )
 from udcover.geom import INV_SQRT2, SQRT2
 

@@ -11,14 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from udcover import (
-    ALGORITHMS,
-    gen_annulus,
-    gen_convex,
-    gen_disk,
-    gen_square,
-    worst_case_pointset,
-)
+from reference import worst_case_pointset
+from udcover import ALGORITHMS, gen_annulus, gen_convex, gen_disk, gen_square
 from udcover.geom import SQRT2
 
 INSTANCES = {

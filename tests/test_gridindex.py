@@ -90,19 +90,24 @@ def test_matches_linear_scan():
 
 
 def test_contract_checks_survive_python_O():
-    # -O strips assert statements; these checks must still raise
+    # -O strips assert statements; these checks must still raise. The last
+    # is ccfm1997's promotion of a point that is not a candidate, which the
+    # handoff's replay of the rounds' promotions relies on.
     code = """
+from udcover.classic import CcfmState
 from udcover.gridindex import RadiusGrid
 for check in (lambda: RadiusGrid(0.0),
-              lambda: RadiusGrid(1.0).nearest_within((0.0, 0.0), 2.0)):
+              lambda: RadiusGrid(1.0).nearest_within((0.0, 0.0), 2.0),
+              lambda: CcfmState().promote((0.0, 0.0))):
     try:
         check()
-    except ValueError as exc:
-        print("ValueError:", exc)
+    except (ValueError, RuntimeError) as exc:
+        print(type(exc).__name__ + ":", exc)
 """
     src = str(Path(udcover.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.count("ValueError:") == 2, out
+    raised = [line.split(":")[0] for line in out.splitlines()]
+    assert raised == ["ValueError", "ValueError", "RuntimeError"], out

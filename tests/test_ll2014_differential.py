@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import worst_case_pointset
 from sweep_reference import reference_ll2014, stab_segments
-from udcover.fastcover import worst_case_pointset
 from udcover.geom import HALF_SQRT3, SQRT3, SQRT3_OVER_6
 from udcover.oracle import verify_cover
 from udcover.sweep import ll2014
