@@ -45,7 +45,8 @@ from bisect import bisect_right
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points, centers_array
+from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
+                   centers_array, stable_order)
 from .gridindex import RadiusGrid
 
 # Blocks double in size from _FIRST_BLOCK on, so a run builds O(log n)
@@ -327,10 +328,7 @@ def g1991(points) -> Cover:
     xy = as_points(points)
     order = np.argsort(xy[:, 0])
     strip = np.floor(xy[order, 1] / SQRT2)
-    # stable, so each strip stays in x order; 16-bit keys get a radix sort
-    rank = strip - strip.min(initial=math.inf)
-    key = rank.astype(np.uint16) if rank.max(initial=0.0) < 2**16 else strip
-    by_strip = np.argsort(key, kind="stable")
+    by_strip = stable_order(strip)  # each strip stays in x order
     strip, x = strip[by_strip], xy[order[by_strip], 0]
     xs = x.tolist()
     heads = []

@@ -6,11 +6,11 @@ Three optimization levels over the same sqrt(2)-grid idea:
 * ``fast_cover_plus``  -- before placing, test whether an already-placed
   E/W/N/S neighbor grid-disk covers the point (threshold-gated so most
   points skip the distance checks entirely).
-* ``fast_cover_pp``    -- additionally track a bounding box of the points
-  assigned to each grid-disk and merge adjacent disks whose combined box
-  has diagonal at most 2 into a single disk.
+* ``fast_cover_pp``    -- ``build_disk_table`` also boxes the points each
+  grid-disk takes, then ``coalesce_pass`` merges adjacent disks whose
+  combined box has diagonal at most 2 into a single disk.
 
-``fast_cover_plus`` and ``fast_cover_pp`` share one placement pass over
+``fast_cover_plus`` and ``build_disk_table`` share one placement pass over
 arrays (``_place``): only the points whose fate depends on input order go
 through a Python loop.
 """
@@ -21,10 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Cover, GridKey, INV_SQRT2, SQRT2, as_points
-
-# disk-table: placed grid-disk -> (xmin, ymin, xmax, ymax) of its assigned points
-DiskTable = dict[GridKey, tuple[float, float, float, float]]
+from .geom import Cover, INV_SQRT2, SQRT2, as_points
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
@@ -35,7 +32,7 @@ _GATE_NEAR = 1.0 - 0.5 * SQRT2
 _PLACE_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 # the neighbors that come after a cell in (i, j) order, in row-major
-# order; the earlier four can never be coalesce partners (see _coalesce)
+# order; the earlier four can never be coalesce partners (see coalesce_pass)
 _LATER_NEIGHBORS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
@@ -206,36 +203,18 @@ def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray]:
     return disks, box
 
 
-def _coalesce(cells: _Cells, disks: np.ndarray, box: np.ndarray) -> Cover:
-    """Coalesce the grid-disks of ``disks`` (cell indices in (i, j)
-    order, with (4, m) boxes ``box``) as ``coalesce_pass`` describes.
+class DiskTable:
+    """The placement's cells, and its disks and boxes as ``_boxes`` gives them."""
 
-    A disk that survives its own visit found every present neighbor
-    ineligible, and the union test is symmetric, so only the four later
-    neighbors can ever be partners; all their tests run at once, and the
-    sequential part walks the eligible pairs alone.
-    """
-    m = len(disks)
-    slot = np.full(len(cells.key) + 1, -1, dtype=np.intp)  # slot[-1] stays -1
-    slot[disks] = np.arange(m)
-    partner = slot[cells.neighbors(_LATER_NEIGHBORS)[disks]]
-    rows, cols = (partner >= 0).nonzero()
-    partner = partner[rows, cols]
-    a = box.take(rows, axis=1)
-    b = box.take(partner, axis=1)
-    lo = np.where(a[:2] < b[:2], a[:2], b[:2])
-    hi = np.where(a[2:] > b[2:], a[2:], b[2:])
-    d = hi - lo
-    eligible = (d[0] * d[0] + d[1] * d[1] <= 4.0).nonzero()[0]
-    alive = [True] * m
-    merges = []
-    for pair, r, q in zip(eligible.tolist(), rows[eligible].tolist(),
-                          partner[eligible].tolist()):
-        if alive[r] and alive[q]:
-            alive[r] = alive[q] = False
-            merges.append(pair)
-    mid = (lo[:, merges] + hi[:, merges]) / 2.0
-    return np.concatenate((mid.T, cells.centers(disks[np.array(alive, dtype=bool)])))
+    __slots__ = ("cells", "disks", "box")
+
+    def __init__(self, cells, disks, box):
+        self.cells = cells
+        self.disks = disks
+        self.box = box
+
+    def __len__(self) -> int:
+        return len(self.disks)
 
 
 def fast_cover(points) -> Cover:
@@ -261,43 +240,57 @@ def fast_cover_plus(points) -> Cover:
 
 
 def build_disk_table(points) -> DiskTable:
-    """fast_cover_plus pass that also keeps, per placed grid-disk, the
-    bounding box of every point assigned to it (a neighbor-cover hit
-    extends that neighbor's box). Keys are in placement order."""
+    """fastcover++'s first stage: the fast_cover_plus pass, keeping per
+    placed grid-disk the bounding box of the points assigned to it (a
+    neighbor-cover hit extends that neighbor's box), in (i, j) order."""
     xy = as_points(points)
     if len(xy) == 0:
-        return {}
+        return DiskTable(None, np.empty(0, dtype=np.intp), np.empty((4, 0)))
     p = _place(xy)
-    disks, box = _boxes(p)
-    order = p.placed_at[disks].argsort()  # placement order
-    placed = disks[order]
-    keys = zip(p.cells.i[placed].tolist(), p.cells.j[placed].tolist())
-    return dict(zip(keys, zip(*box[:, order].tolist())))
+    return DiskTable(p.cells, *_boxes(p))
 
 
 def coalesce_pass(table: DiskTable) -> Cover:
-    """Merge adjacent grid-disks whose combined point bounding box has
-    diagonal <= 2 into a single disk at the box center.
+    """fastcover++'s second stage: merge adjacent grid-disks whose
+    combined point bounding box has diagonal <= 2 into a single disk at
+    the box center.
 
-    Keys are visited in (i, j) order; the 8 neighbors of a key are
+    Disks are visited in (i, j) order; the 8 neighbors of a disk are
     scanned in row-major order and the first eligible partner wins.
     Merged disks are terminal: they never take part in a later merge.
     Merged centers come first in the output, then the surviving
-    grid-disk centers, both in key order. ``table`` is not modified.
+    grid-disk centers, both in (i, j) order. ``table`` is not modified.
+
+    A disk that survives its visit found every present neighbor
+    ineligible, and the test is symmetric, so only the four later
+    neighbors can be partners; only the eligible pairs are walked.
     """
-    if not table:
+    if not len(table):
         return np.empty((0, 2))
-    ij = np.array(list(table), dtype=np.int64)
-    box = np.array(list(table.values()), dtype=np.float64)
-    cells = _Cells(ij)
-    return _coalesce(cells, np.arange(len(cells.key)), box.T[:, cells.first])
+    cells, disks, box = table.cells, table.disks, table.box
+    m = len(disks)
+    slot = np.full(len(cells.key) + 1, -1, dtype=np.intp)  # slot[-1] stays -1
+    slot[disks] = np.arange(m)
+    partner = slot[cells.neighbors(_LATER_NEIGHBORS)[disks]]
+    rows, cols = (partner >= 0).nonzero()
+    partner = partner[rows, cols]
+    a = box.take(rows, axis=1)
+    b = box.take(partner, axis=1)
+    lo = np.where(a[:2] < b[:2], a[:2], b[:2])
+    hi = np.where(a[2:] > b[2:], a[2:], b[2:])
+    d = hi - lo
+    eligible = (d[0] * d[0] + d[1] * d[1] <= 4.0).nonzero()[0]
+    alive = [True] * m
+    merges = []
+    for pair, r, q in zip(eligible.tolist(), rows[eligible].tolist(),
+                          partner[eligible].tolist()):
+        if alive[r] and alive[q]:
+            alive[r] = alive[q] = False
+            merges.append(pair)
+    mid = (lo[:, merges] + hi[:, merges]) / 2.0
+    return np.concatenate((mid.T, cells.centers(disks[np.array(alive, dtype=bool)])))
 
 
 def fast_cover_pp(points) -> Cover:
-    """fast_cover_plus with per-disk bounding boxes, followed by one
-    coalescing pass over the placed disks."""
-    xy = as_points(points)
-    if len(xy) == 0:
-        return np.empty((0, 2))
-    p = _place(xy)
-    return _coalesce(p.cells, *_boxes(p))
+    """fast_cover_plus's disks with their point boxes, then one coalescing pass."""
+    return coalesce_pass(build_disk_table(points))

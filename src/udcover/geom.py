@@ -18,7 +18,6 @@ import numpy as np
 
 Point = tuple[float, float]
 Cover = np.ndarray  # (m, 2) float64, C-contiguous
-GridKey = tuple[int, int]
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = math.sqrt(0.5)
@@ -44,6 +43,14 @@ def as_points(points) -> np.ndarray:
     if not np.isfinite(xy).all():
         raise ValueError("point coordinates must be finite")
     return xy
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """The stable sort order of an integer-valued float array: a radix
+    sort of 16-bit ranks where the values span fewer than 2^16."""
+    rank = values - values.min(initial=math.inf)
+    key = rank.astype(np.uint16) if rank.max(initial=0.0) < 2**16 else values
+    return np.argsort(key, kind="stable")
 
 
 def centers_array(centers: list[Point]) -> Cover:

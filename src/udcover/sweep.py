@@ -21,7 +21,7 @@ from itertools import count
 
 import numpy as np
 
-from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points
+from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, stable_order
 
 
 def ll2014(points, passes: int = 6) -> Cover:
@@ -57,7 +57,7 @@ def ll2014(points, passes: int = 6) -> Cover:
         # an unstable sort by -bottom and a stable one by strip do, at
         # half the cost of a lexsort
         order = np.argsort(-bottom)
-        order = order[np.argsort(strip[order], kind="stable")]
+        order = order[stable_order(strip[order])]
         bottom = bottom[order]
         strip = strip[order]
         top = (y + half)[order]

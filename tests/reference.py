@@ -1,17 +1,28 @@
 """Reference computations and inputs that only tests use: the grid-disk
-center of a cell, the exact cover size by exhaustive enumeration, and the
-7-point worst case of the grid algorithm."""
+center of a cell, fastcover++'s disk table as a dict, the exact cover size
+by exhaustive enumeration, and the 7-point worst case of the grid
+algorithm."""
 
 import itertools
 
-from udcover.geom import INV_SQRT2, SQRT2, GridKey, Point, as_points
+from udcover.geom import INV_SQRT2, SQRT2, Point, as_points
 from udcover.oracle import _disk_masks, candidate_centers
 
 
-def grid_disk_center(k: GridKey) -> Point:
+def grid_disk_center(k: tuple[int, int]) -> Point:
     """Center of the unit disk circumscribing cell k: all four cell
     corners lie at distance exactly 1 from it."""
     return (SQRT2 * k[0] + INV_SQRT2, SQRT2 * k[1] + INV_SQRT2)
+
+
+def disk_table_dict(table) -> dict:
+    """A ``fastcover.DiskTable`` as ``{(i, j): (xmin, ymin, xmax, ymax)}``,
+    in the table's order."""
+    if not len(table):
+        return {}
+    i = table.cells.i[table.disks].tolist()
+    j = table.cells.j[table.disks].tolist()
+    return dict(zip(zip(i, j), zip(*table.box.tolist())))
 
 
 def optimal_cover_exhaustive(points) -> int:

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from reference import grid_disk_center, worst_case_pointset
+from reference import disk_table_dict, grid_disk_center, worst_case_pointset
+from udcover import fastcover
 from udcover.fastcover import (
     _GATE_FAR,
     _GATE_NEAR,
@@ -99,8 +100,10 @@ def test_fast_cover_plus_never_worse_than_fast_cover():
 def test_disk_table_boxes_bound_their_points():
     pts = rand_points(300, 12.0, 3)
     table = build_disk_table(pts)
-    for key, box in table.items():
-        cx, cy = grid_disk_center(key)
+    assert len(table) > 0
+    cells = table.cells
+    for i, j, box in zip(cells.i[table.disks], cells.j[table.disks], table.box.T):
+        cx, cy = grid_disk_center((i, j))
         # every boxed point was assigned to this disk, so the box stays
         # inside the disk's bounding square
         xmin, ymin, xmax, ymax = box
@@ -135,6 +138,28 @@ def test_coalesce_pass_keeps_singletons():
     table = build_disk_table([(0.1, 0.1), (10.0, 10.0)])
     cover = coalesce_pass(table)
     assert len(cover) == 2
+
+
+def test_fast_cover_pp_is_the_two_stages(monkeypatch):
+    calls = []
+
+    def counted(stage):
+        def wrapper(arg):
+            calls.append(stage.__name__)
+            return stage(arg)
+        return wrapper
+
+    monkeypatch.setattr(fastcover, "build_disk_table", counted(build_disk_table))
+    monkeypatch.setattr(fastcover, "coalesce_pass", counted(coalesce_pass))
+    fast_cover_pp(rand_points(200, 10.0, 7))
+    assert calls == ["build_disk_table", "coalesce_pass"]
+
+
+def test_empty_disk_table():
+    table = build_disk_table([])
+    assert len(table) == 0 and disk_table_dict(table) == {}
+    first, second = coalesce_pass(table), coalesce_pass(table)
+    assert first.shape == (0, 2) and first.dtype == np.float64 and first is not second
 
 
 def test_worst_case_pointset_shape():

@@ -2,13 +2,12 @@
 against the per-point and per-key loops they replaced, on generated point
 sets."""
 
-import copy
 import math
 
 import numpy as np
 import pytest
 
-from reference import grid_disk_center, worst_case_pointset
+from reference import disk_table_dict, grid_disk_center, worst_case_pointset
 from udcover.fastcover import (
     build_disk_table,
     coalesce_pass,
@@ -218,7 +217,15 @@ def _bits(cover):
 
 
 def _table_bits(table):
+    """A ``{(i, j): box}`` dict's items in its order, boxes as float.hex."""
     return [(key, tuple(float(v).hex() for v in box)) for key, box in table.items()]
+
+
+def _array_bits(table):
+    """Every array a DiskTable holds, as raw bytes."""
+    cells = [] if table.cells is None else vars(table.cells).values()
+    return [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+            for a in (table.disks, table.box, *cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +311,17 @@ def _examples(test):
 @given(pts=_points())
 @_examples
 def test_build_disk_table_matches_loop(pts):
-    assert _table_bits(build_disk_table(pts)) == _table_bits(reference_build_disk_table(pts))
+    # every key and box, in (i, j) order; the loop's placement order is
+    # pinned by test_fast_cover_plus_places_the_disk_table
+    in_ij_order = dict(sorted(reference_build_disk_table(pts).items()))
+    assert _table_bits(disk_table_dict(build_disk_table(pts))) == _table_bits(in_ij_order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_points())
+@_examples
+def test_disk_table_len_is_fast_cover_plus_size(pts):
+    assert len(build_disk_table(pts)) == len(fast_cover_plus(pts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,15 +336,16 @@ def test_fast_cover_pp_matches_loop(pts):
 @_examples
 def test_coalesce_pass_of_table_is_fast_cover_pp_and_keeps_table(pts):
     table = build_disk_table(pts)
-    before = copy.deepcopy(table)
+    before = _array_bits(table)
     assert _bits(coalesce_pass(table)) == _bits(fast_cover_pp(pts))
-    assert _table_bits(table) == _table_bits(before)
+    assert _array_bits(table) == before
 
 
 @settings(max_examples=300, deadline=None)
 @given(pts=_points())
 @_examples
 def test_fast_cover_plus_places_the_disk_table(pts):
+    # the loop's table keys are in placement order
     placed = [grid_disk_center(k) for k in reference_build_disk_table(pts)]
     assert _bits(fast_cover_plus(pts)) == _bits(placed)
 
