@@ -7,34 +7,36 @@
   candidate centers; an uncovered point promotes the nearest candidate
   within distance 1, or becomes a center itself.
 * ``dgt2018``  -- online: a point becomes a center iff no existing
-  center is within distance 1.
+  center is within distance 1: ccfm1997 with no candidates.
 
-Both online solvers probe a RadiusGrid (cell side 1, 3x3 probe), so a
-center counts as within 1 of a point where dx*dx + dy*dy <= 1 and their
-floor(x), floor(y) cells are at most 1 apart in each axis: the probe never
-sees a center two cells away, even at a rounded distance of exactly 1.
+Both run one engine (``_online``), given the pattern of candidate offsets:
+``HEX_OFFSETS`` for ccfm1997, none for dgt2018. It probes a RadiusGrid
+(cell side 1, 3x3 probe), so a center counts as within 1 of a point where
+dx*dx + dy*dy <= 1 and their floor(x), floor(y) cells are at most 1 apart
+in each axis: the probe never sees a center two cells away, even at a
+rounded distance of exactly 1.
 
-Where a random sample puts the mean degree low, both compute their cover
-in numpy dependency rounds over one cKDTree pair list (``_rounds``). A
-point's decision depends only on the earlier points within a reach: 1
-for dgt2018, whose cover is the first maximal independent set, in input
-order, of the graph that joins two points on that test; 1 + sqrt(3) for
-ccfm1997, whose candidates lie sqrt(3) from the point that placed them.
-Each round decides every undecided point with no undecided earlier point
-within the reach. Both settle the tree's pair list, unfiltered, by one
-rule: a center that was made settles the later points its probe hits; a
-pair that fails the probe only delays its later point. A ready ccfm1997
-point promotes its nearest live candidate, ties going to the lower
-(owner, k), or activates. Rounds that stall, as on chains in sorted
-input, hand the points still undecided to the grid loop, which replays
-the decided points in between (``_handoff``). The first round runs on a
-prefix where the input looks sorted, so that a stall shows before the
-whole pair list is built.
+Where a random sample puts the mean degree low, the engine computes the
+cover in numpy dependency rounds over one cKDTree pair list
+(``_rounds``). A point's decision depends only on the earlier points
+within a reach: 1 + the pattern's radius, since a center or candidate
+lies that far at most from the point that placed it. With no pattern the
+cover is the first maximal independent set, in input order, of the graph
+that joins two points on the probe test. Each round decides every
+undecided point with no undecided earlier point within the reach. A center
+that was made settles the later points its probe hits; a pair that fails
+the probe only delays its later point. A ready point promotes its nearest
+live candidate, ties going to the lower (owner, k), or activates. Rounds
+that stall, as on chains in sorted input, hand the points still undecided
+to the grid loop, which replays the decided points in between
+(``_handoff``). The first round runs on a prefix where the input looks
+sorted, so that a stall shows before the whole pair list is built.
 
-Elsewhere the solvers take the points in blocks that keep the input order.
-Where earlier centers covered enough of the previous block, one cKDTree
-query over the centers placed so far drops the points they already cover;
-the rest go through the RadiusGrid one by one.
+Where the sample puts the mean degree high, every point goes to the grid
+loop, in blocks that keep the input order. Where earlier centers covered
+enough of the previous block, one cKDTree query over the centers placed so
+far drops the points they already cover; the rest go through
+``CcfmState.take`` one by one.
 """
 
 from __future__ import annotations
@@ -242,29 +244,35 @@ def _ordered(xy: np.ndarray, m: int) -> bool:
     return 2 * wm * hm < w * h or 2 * (wm + hm) < w + h
 
 
-def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
+def _rounds(xy: np.ndarray, reach: float, degree: float, decide, settle) -> np.ndarray | None:
     """Decide the rows of xy in dependency rounds, as Blelloch, Fineman and
     Shun do for the greedy maximal independent set (SPAA 2012), over the
-    pairs of rows within r: r must be such that a row's decision depends
-    only on those of earlier rows within r. Each round passes every
-    undecided row with no undecided earlier row within r to
+    pairs of rows within r = ``_tree_radius(xy, reach)``: a row's decision
+    must depend only on those of earlier rows within ``reach``. Each round
+    passes every undecided row with no undecided earlier row within r to
     ``decide(ready, undecided)``; ``settle(a, b, undecided)`` then applies
     the decisions of the rows a to the later rows b of their pairs, and
     clears ``undecided`` for any row that it decides. A row b may already
     be decided, and ``settle`` must leave it so.
 
-    Rounds on sorted input can decide only a few rows each. Where the
-    rounds left at the rate of the last one would cost more than the grid
-    loop on the rows still undecided and the replay of the others (see
-    ``_handoff``), the rounds stop and return the mask of the undecided
-    rows. The first round runs on a prefix of at most n/32 rows, where it
-    lies in a small part of the bounding box, so that such a stall shows
-    before the pair list of all rows is built. The next round, over all
-    rows, settles the prefix's decisions with its own; until then a decided
-    row only blocks its later rows. Returns None where every row is
-    decided."""
+    Where ``_dense`` puts the mean degree within r at ``degree`` or more,
+    no round runs and every row is returned undecided. Rounds on sorted
+    input can decide only a few rows each. Where the rounds left at the
+    rate of the last one would cost more than the grid loop on the rows
+    still undecided and the replay of the others (see ``_handoff``), the
+    rounds stop and return the mask of the undecided rows. The first round
+    runs on a prefix of at most n/32 rows, where it lies in a small part of
+    the bounding box, so that such a stall shows before the pair list of
+    all rows is built. The next round, over all rows, settles the prefix's
+    decisions with its own; until then a decided row only blocks its later
+    rows. Returns None where every row is decided."""
     n = len(xy)
     undecided = np.ones(n, bool)
+    # the pair list holds the pairs within r, whose margin grows with the
+    # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
+    r = _tree_radius(xy, reach)
+    if _dense(xy, r, degree):
+        return undecided
 
     def settled(a, b):
         # settle the pairs of the rows decided since the last call, then
@@ -299,13 +307,14 @@ def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
     return None
 
 
-def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, loop) -> None:
-    """Finish a cover that the rounds stopped short of: ``loop(rows)``, the
-    grid loop, takes the rows of xy that ``left`` marks, in runs of
-    consecutive ones, and ``replay(rows)`` applies, in between and each in
-    its place, the decision of every row that ``made`` marks as having made
-    a center. Each probe then sees the state of the sequential loop: the
-    rows before it, decided by either."""
+def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, state: CcfmState) -> None:
+    """Finish a cover that the rounds stopped short of, or never started:
+    the rows of xy that ``left`` marks go, in runs of consecutive ones and
+    less those that ``_uncovered_blocks`` drops, through ``state.take``,
+    and ``replay(rows)`` applies, in between and each in its place, the
+    decision of every row that ``made`` marks as having made a center.
+    Each probe then sees the state of the sequential loop: the rows before
+    it, decided by either."""
     todo = np.flatnonzero(left)
     rows = np.flatnonzero(made)
     cut = np.searchsorted(rows, todo)  # the made rows before each row left
@@ -316,7 +325,9 @@ def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, loop) -
         done = cut[i]
         first, last = int(todo[i]), int(todo[j - 1])
         # a view, not a copy, where the run's rows are consecutive
-        loop(xy[first:last + 1] if last - first == j - 1 - i else xy[todo[i:j]])
+        run = xy[first:last + 1] if last - first == j - 1 - i else xy[todo[i:j]]
+        for block in _uncovered_blocks(run, state.active_order):
+            state.take(block)
     replay(rows[done:])
 
 
@@ -340,23 +351,13 @@ def g1991(points) -> Cover:
     return np.column_stack((x[heads] + HALF_SQRT2, (strip[heads] + 0.5) * SQRT2))
 
 
-def ccfm_spawn_inactive(p: Point) -> list[Point]:
-    """The six hexagonal candidate centers spawned around a new disk,
-    each at distance sqrt(3) from it, in HEX_OFFSETS order."""
-    x, y = p
-    # a loop, not a comprehension, which costs twice as much a call on
-    # Python 3.11, where ccfm1997's grid path spawns about n/5 times
-    spawned = []
-    for dx, dy in HEX_OFFSETS:
-        spawned.append((x + dx, y + dy))
-    return spawned
-
-
 class CcfmState:
-    """Active (placed) and inactive (candidate) center indexes; the two
-    sets stay disjoint, and the final cover is the active set."""
+    """The grid loop's state: active (placed) and inactive (candidate)
+    center indexes, kept disjoint; the cover, as the active centers in the
+    order placed; and the ``offsets`` at which activating spawns candidates."""
 
-    def __init__(self):
+    def __init__(self, offsets=HEX_OFFSETS):
+        self.offsets = offsets
         self.active = RadiusGrid(1.0)
         self.inactive = RadiusGrid(1.0)
         self.active_order: list[Point] = []
@@ -364,8 +365,11 @@ class CcfmState:
     def activate(self, p: Point) -> None:
         self.active.insert(p)
         self.active_order.append(p)
-        for q in ccfm_spawn_inactive(p):
-            self.inactive.insert(q)
+        x, y = p
+        # a loop, not a comprehension, which costs twice as much a call on
+        # Python 3.11, where ccfm1997's grid path spawns about n/5 times
+        for dx, dy in self.offsets:
+            self.inactive.insert((x + dx, y + dy))
 
     def promote(self, q: Point) -> None:
         if not self.inactive.remove(q):
@@ -373,40 +377,46 @@ class CcfmState:
         self.active.insert(q)
         self.active_order.append(q)
 
-
-def _ccfm_loop(xy: np.ndarray, state: CcfmState) -> None:
-    for block in _uncovered_blocks(xy, state.active_order):
-        for row in block:
+    def take(self, rows) -> None:
+        """Take the points [x, y] of rows in order: skip one where an
+        active center covers it, else promote the nearest candidate within
+        1, else activate the point. It takes a block, not a point: a call
+        per point made dgt2018 about 5% slower on a sorted line."""
+        covered, candidate = self.active.nearest_within, self.inactive.nearest_within
+        offsets = self.offsets
+        for row in rows:
             p = (row[0], row[1])
-            if state.active.nearest_within(p, 1.0) is not None:
+            if covered(p, 1.0) is not None:
                 continue
-            hit = state.inactive.nearest_within(p, 1.0)
-            if hit is not None:
-                state.promote(hit[0])
+            # with no pattern there are no candidates to probe
+            hit = offsets and candidate(p, 1.0)
+            if hit:
+                self.promote(hit[0])
             else:
-                state.activate(p)
+                self.activate(p)
 
 
-def _ccfm_rounds(xy: np.ndarray, r: float) -> Cover:
-    """ccfm1997's cover by ``_rounds`` over the pairs within
-    r = ``_tree_radius(xy, 1 + sqrt(3))``: every center that can cover a
-    row, and every candidate that it can promote, comes from a row within
-    1 + sqrt(3) of it. A row that an earlier row's center covers is skipped
-    at once; a ready row promotes its nearest candidate by the key
-    (d, owner row, k), which is the grid loop's insertion order, or else
-    activates. A promoted candidate covers every row that could take it
-    again, so no row does. An activated row's candidates are probed only
-    against the later rows of its pairs, so a row with none spawns nothing.
-    Where the rounds stall, ``_handoff`` finishes the cover with the grid
-    loop."""
+def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
+    """The online cover of xy in row order, each activated center spawning
+    candidates at ``offsets``, by ``_rounds`` at ``reach`` and ``degree``
+    and, where they stall or never start, ``_handoff``. A row that an
+    earlier row's center covers is skipped at once; a ready row promotes
+    its nearest candidate by the key (d, owner row, k), which is the grid
+    loop's insertion order, or else activates. A promoted candidate covers
+    every row that could take it again, so no row does. An activated row's
+    candidates are probed only against the later rows of its pairs, so a
+    row with none spawns nothing. With no pattern, settle and decide stop
+    after their first steps."""
     n = len(xy)
+    k = len(offsets)
     # gathers from a column copy are faster than from xy[:, 0]
     x, y = xy[:, 0].copy(), xy[:, 1].copy()
-    offsets = np.array(HEX_OFFSETS)
-    cx, cy = np.empty(n), np.empty(n)  # the center each row made, if any
+    # the center each made row placed: itself, unless it promoted a candidate
+    cx, cy = x.copy(), y.copy()
     made = np.zeros(n, bool)
     spawned = np.zeros(n, bool)        # made by activating: the row itself
-    # candidate edges (6 * owner + k, row, d) not yet used
+    pattern = np.array(offsets)
+    # candidate edges (k * owner + j, row, d) not yet used, j the offset
     found = [(np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros(0))]
 
     def settle(a, b, undecided):
@@ -414,14 +424,20 @@ def _ccfm_rounds(xy: np.ndarray, r: float) -> Cover:
         a, b = a[s], b[s]
         _, hit = _probe(cx[a], cy[a], x[b], y[b])
         undecided[b[hit]] = False
+        if not k:
+            return
         s = spawned[a] & undecided[b]
         a, b = a[s], b[s]
-        # (pairs, 6): the later row against the six candidates of the earlier
-        d, hit = _probe(x[a, None] + offsets[:, 0], y[a, None] + offsets[:, 1], x[b, None], y[b, None])
-        i, k = np.nonzero(hit)
-        found.append((6 * a[i] + k, b[i], d[i, k]))
+        # (pairs, k): the later row against the candidates of the earlier
+        d, hit = _probe(x[a, None] + pattern[:, 0], y[a, None] + pattern[:, 1], x[b, None], y[b, None])
+        i, j = np.nonzero(hit)
+        found.append((k * a[i] + j, b[i], d[i, j]))
 
     def decide(ready, undecided):
+        # each ready row activates, except those that promote a candidate
+        made[ready] = spawned[ready] = True
+        if not k:
+            return
         cid, row, d = (np.concatenate(part) for part in zip(*found))
         isready = np.zeros(n, bool)
         isready[ready] = True
@@ -434,86 +450,29 @@ def _ccfm_rounds(xy: np.ndarray, r: float) -> Cover:
         first = np.ones(len(row), bool)
         first[1:] = row[1:] != row[:-1]
         cid, row = cid[first], row[first]
-        # each ready row activates, except those that promote a candidate
-        made[ready] = spawned[ready] = True
-        cx[ready], cy[ready] = x[ready], y[ready]
         spawned[row] = False
-        owner, k = np.divmod(cid, 6)
-        cx[row] = x[owner] + offsets[k, 0]
-        cy[row] = y[owner] + offsets[k, 1]
+        owner, j = np.divmod(cid, k)
+        cx[row] = x[owner] + pattern[j, 0]
+        cy[row] = y[owner] + pattern[j, 1]
 
-    left = _rounds(xy, r, decide, settle)
+    left = _rounds(xy, reach, degree, decide, settle)
     if left is None:
         return np.column_stack((cx[made], cy[made]))
-    state = CcfmState()
+    state = CcfmState(offsets)
 
     def replay(rows):
         for p, fresh in zip(zip(cx[rows].tolist(), cy[rows].tolist()), spawned[rows].tolist()):
             (state.activate if fresh else state.promote)(p)
 
-    _handoff(xy, left, made, replay, lambda rows: _ccfm_loop(rows, state))
+    _handoff(xy, left, made, replay, state)
     return centers_array(state.active_order)
 
 
 def ccfm1997(points) -> Cover:
     xy = as_points(points)
-    # as in dgt2018, the sample counts at the pair list's own radius
-    r = _tree_radius(xy, 1.0 + SQRT3)
-    if not _dense(xy, r, _CCFM_DEGREE * min(1.0, len(xy) / _CCFM_ROWS)):
-        return _ccfm_rounds(xy, r)
-    state = CcfmState()
-    _ccfm_loop(xy, state)
-    return centers_array(state.active_order)
-
-
-def _dgt_loop(xy: np.ndarray, centers: RadiusGrid, out: list[Point]) -> None:
-    for block in _uncovered_blocks(xy, out):
-        for row in block:
-            p = (row[0], row[1])
-            if centers.nearest_within(p, 1.0) is None:
-                centers.insert(p)
-                out.append(p)
+    return _online(xy, HEX_OFFSETS, 1.0 + SQRT3,
+                   _CCFM_DEGREE * min(1.0, len(xy) / _CCFM_ROWS))
 
 
 def dgt2018(points) -> Cover:
-    """dgt2018's cover is the first maximal independent set, in row order,
-    of the graph that joins two rows where the RadiusGrid probe of either
-    would find the other (see the module docstring). Where the sampled
-    degree is low, ``_rounds`` computes it over the pairs within
-    r = ``_tree_radius(xy, 1)``, a superset of the graph's edges: a ready
-    row joins the set, since every earlier neighbour of it is out, and
-    drops out the later rows of its pairs that pass the probe test. Where
-    the rounds stall, ``_handoff`` finishes the cover with the probe
-    loop."""
-    xy = as_points(points)
-    centers = RadiusGrid(1.0)
-    out: list[Point] = []
-    # the pair list holds the pairs within r, whose margin grows with the
-    # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
-    r = _tree_radius(xy, 1.0)
-    if _dense(xy, r, _MIS_DEGREE):
-        _dgt_loop(xy, centers, out)
-        return centers_array(out)
-    # gathers from a column copy are faster than from xy[:, 0]
-    x, y = xy[:, 0].copy(), xy[:, 1].copy()
-    chosen = np.zeros(len(xy), bool)
-
-    def decide(ready, undecided):
-        chosen[ready] = True
-
-    def settle(a, b, undecided):
-        s = chosen[a]
-        a, b = a[s], b[s]
-        undecided[b[_probe(x[a], y[a], x[b], y[b])[1]]] = False
-
-    left = _rounds(xy, r, decide, settle)
-    if left is None:
-        return xy[chosen]
-
-    def replay(rows):
-        for p in zip(x[rows].tolist(), y[rows].tolist()):
-            centers.insert(p)
-            out.append(p)
-
-    _handoff(xy, left, chosen, replay, lambda rows: _dgt_loop(rows, centers, out))
-    return centers_array(out)
+    return _online(as_points(points), (), 1.0, _MIS_DEGREE)

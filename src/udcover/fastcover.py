@@ -17,6 +17,7 @@ through a Python loop.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -252,8 +253,9 @@ def build_disk_table(points) -> DiskTable:
 
 def coalesce_pass(table: DiskTable) -> Cover:
     """fastcover++'s second stage: merge adjacent grid-disks whose
-    combined point bounding box has diagonal <= 2 into a single disk at
-    the box center.
+    combined point bounding box has diagonal <= 2 (2 - 2 ulp of the
+    largest |coordinate| where that is 2^22 or more) into a single disk
+    at the box center.
 
     Disks are visited in (i, j) order; the 8 neighbors of a disk are
     scanned in row-major order and the first eligible partner wins.
@@ -279,7 +281,11 @@ def coalesce_pass(table: DiskTable) -> Cover:
     lo = np.where(a[:2] < b[:2], a[:2], b[:2])
     hi = np.where(a[2:] > b[2:], a[2:], b[2:])
     d = hi - lo
-    eligible = (d[0] * d[0] + d[1] * d[1] <= 4.0).nonzero()[0]
+    # the box center (lo + hi) / 2 rounds by up to ulp / 2 per axis, so
+    # from a largest |coordinate| of 2^22 on the diagonal leaves 2 ulp for it
+    top = max(-float(box.min()), float(box.max()))
+    limit = 2.0 if top < 2.0**22 else 2.0 - 2 * math.ulp(top)
+    eligible = (d[0] * d[0] + d[1] * d[1] <= limit * limit).nonzero()[0]
     alive = [True] * m
     merges = []
     for pair, r, q in zip(eligible.tolist(), rows[eligible].tolist(),

@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import count
 
 import numpy as np
@@ -31,8 +32,11 @@ def ll2014(points, passes: int = 6) -> Cover:
     o = min x + i*sqrt(3)/6. Per strip, the points' midline segments are
     taken by bottom, highest first, and each one the last stab misses is
     stabbed at its bottom: the fewest stabs. Strips run left to right,
-    stabs top down. Raises ValueError where rounding leaves a point more
-    than 1 from its strip's midline (|x| from about 2^51 to 2^52).
+    stabs top down. Where max |y| is 2^22 or more, each segment shrinks
+    inward by 2 ulp(max |y|), so that rounding cannot put a stab outside
+    it. Raises ValueError at |y| >= 2^50, and where rounding leaves a
+    point more than 1 from its strip's midline (|x| from about 2^51 to
+    2^52).
     """
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
@@ -41,6 +45,14 @@ def ll2014(points, passes: int = 6) -> Cover:
         return np.empty((0, 2))
     x, y = xy.T
     x_min = x.min()
+    # y - half and y + half round outward by up to ulp(y) / 2, so from
+    # top_y = 2^22 on each segment shrinks inward by 2 ulp(top_y), and
+    # every stab then lies within 1 of the points it covers; from 2^50 the
+    # margin would exceed a quarter
+    top_y = max(-float(y.min()), float(y.max()))
+    margin = 0.0 if top_y < 2.0**22 else 2 * math.ulp(top_y)
+    if margin > 0.25:
+        raise ValueError("|y| is 2^50 or more: coordinates too large")
     best = None
     for i in range(passes):
         origin = x_min + i * SQRT3_OVER_6
@@ -48,10 +60,11 @@ def ll2014(points, passes: int = 6) -> Cover:
         x_rl = origin + (strip + 0.5) * SQRT3
         d = x - x_rl
         half_sq = 1.0 - d * d
-        if not half_sq.min() >= 0.0:
+        # sqrt(half_sq) >= margin, so no segment shrinks past its middle
+        if not half_sq.min() >= margin * margin:
             raise ValueError("a point lies more than 1 from its strip's "
                              "midline: coordinates too large")
-        half = np.sqrt(half_sq)
+        half = np.sqrt(half_sq) - margin
         bottom = y - half
         # order by (strip, -bottom): equal bottoms give equal stabs, so
         # an unstable sort by -bottom and a stable one by strip do, at

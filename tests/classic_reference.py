@@ -5,19 +5,20 @@ each strip's points and steps through all of them; ``g1991`` sorts once in
 numpy and does Python work only for the points that start a disk.
 
 ``reference_ccfm1997`` and ``reference_dgt2018`` send every point, in
-input order, through a ``RadiusGrid`` probe. The online solvers compute
-their covers, where the sampled degree is low, in numpy dependency rounds
-over a pair list (dgt2018's as the first maximal independent set of the
-graph that the probe defines: within 1 and cells at most 1 apart in each
-axis), handing stalled rounds to the grid loop; elsewhere they skip in
-numpy the points an earlier center already covers.
+input order, through a ``RadiusGrid`` probe, with their own grids and
+candidate spawn: nothing here comes from ``udcover.classic``. The online
+solvers share one engine, which computes a cover, where the sampled degree
+is low, in numpy dependency rounds over a pair list (dgt2018's as the
+first maximal independent set of the graph that the probe defines: within
+1 and cells at most 1 apart in each axis), handing stalled rounds to the
+grid loop; elsewhere it skips in numpy the points an earlier center
+already covers.
 
 Each solver must give the same cover as its reference, bit for bit."""
 
 import math
 
-from udcover.classic import CcfmState
-from udcover.geom import HALF_SQRT2, Point, SQRT2, as_points
+from udcover.geom import HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points
 from udcover.gridindex import RadiusGrid
 
 
@@ -43,20 +44,25 @@ def reference_g1991(points) -> list[Point]:
 
 
 def reference_ccfm1997(points) -> list[Point]:
-    state = CcfmState()
+    active = RadiusGrid(1.0)
+    inactive = RadiusGrid(1.0)  # the candidates not yet promoted
+    out: list[Point] = []
+    hexagon = [(SQRT3, -0.0), (HALF_SQRT3, 1.5), (HALF_SQRT3, -1.5),
+               (-HALF_SQRT3, 1.5), (-SQRT3, -0.0), (-HALF_SQRT3, -1.5)]
     for xy in as_points(points).tolist():
         p = (xy[0], xy[1])
-        if state.active.nearest_within(p, 1.0) is not None:
+        if active.nearest_within(p, 1.0) is not None:
             continue
-        if len(state.inactive) == 0:
-            state.activate(p)
-            continue
-        hit = state.inactive.nearest_within(p, 1.0)
+        hit = inactive.nearest_within(p, 1.0)
         if hit is not None:
-            state.promote(hit[0])
+            p = hit[0]
+            inactive.remove(p)
         else:
-            state.activate(p)
-    return state.active_order
+            for dx, dy in hexagon:
+                inactive.insert((p[0] + dx, p[1] + dy))
+        active.insert(p)
+        out.append(p)
+    return out
 
 
 def reference_dgt2018(points) -> list[Point]:

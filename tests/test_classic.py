@@ -1,7 +1,7 @@
 import math
 import random
 
-from udcover.classic import HEX_OFFSETS, ccfm1997, ccfm_spawn_inactive, dgt2018, g1991
+from udcover.classic import HEX_OFFSETS, CcfmState, ccfm1997, dgt2018, g1991
 from udcover.geom import HALF_SQRT2, HALF_SQRT3, SQRT2, SQRT3
 from udcover.oracle import verify_cover
 
@@ -37,8 +37,23 @@ def test_g1991_strips_independent():
     assert len(g1991(pts)) == 2
 
 
+class _Inserted(list):
+    """Stands in for the candidate grid: records each insert in order."""
+
+    def insert(self, p):
+        self.append(p)
+
+
+def _spawned(p):
+    """The candidates that activating p spawns, in insertion order."""
+    state = CcfmState()
+    state.inactive = _Inserted()
+    state.activate(p)
+    return list(state.inactive)
+
+
 def test_ccfm_spawn_geometry():
-    spawns = ccfm_spawn_inactive((0.0, 0.0))
+    spawns = _spawned((0.0, 0.0))
     assert len(spawns) == 6
     for sx, sy in spawns:
         assert abs(math.hypot(sx, sy) - SQRT3) < 1e-12
@@ -52,10 +67,19 @@ def test_ccfm_spawn_order_is_the_tie_order():
     assert HEX_OFFSETS == ((SQRT3, -0.0), (HALF_SQRT3, 1.5), (HALF_SQRT3, -1.5),
                            (-HALF_SQRT3, 1.5), (-SQRT3, -0.0), (-HALF_SQRT3, -1.5))
     p = (2.5, -0.0)
-    spawns = ccfm_spawn_inactive(p)
+    spawns = _spawned(p)
     assert spawns == [(p[0] + dx, p[1] + dy) for dx, dy in HEX_OFFSETS]
     # y + -0.0 keeps the sign of y = -0.0, as (x + sqrt(3), y) did
     assert math.copysign(1.0, spawns[0][1]) == math.copysign(1.0, spawns[4][1]) == -1.0
+
+
+def test_empty_pattern_spawns_no_candidates():
+    # dgt2018's pattern: activating a point only places it
+    state = CcfmState(())
+    state.activate((0.5, 0.5))
+    assert len(state.inactive) == 0 and state.active_order == [(0.5, 0.5)]
+    state.take([[1.5, 0.5], [2.75, 0.5]])
+    assert state.active_order == [(0.5, 0.5), (2.75, 0.5)]
 
 
 def test_ccfm_first_point_opens_disk_at_itself():

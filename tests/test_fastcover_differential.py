@@ -177,9 +177,12 @@ def reference_build_disk_table(points):
 
 
 def reference_coalesce_pass(table):
-    """Mutates ``table``, as the loop did."""
+    """Mutates ``table``, as the loop did. From a largest |coordinate| of
+    2^22 on, a merge needs a diagonal of at most 2 - 2 ulp of it."""
     merged = []
     get = table.get
+    top = max((max(-b.xmin, -b.ymin, b.xmax, b.ymax) for b in table.values()), default=0.0)
+    limit = 2.0 if top < 2.0**22 else 2.0 - 2 * math.ulp(top)
     for key in sorted(table):
         box = get(key)
         if box is None:
@@ -200,7 +203,7 @@ def reference_coalesce_pass(table):
             uy1 = ymax if ymax > other.ymax else other.ymax
             dx = ux1 - ux0
             dy = uy1 - uy0
-            if dx * dx + dy * dy <= 4.0:
+            if dx * dx + dy * dy <= limit * limit:
                 del table[key]
                 del table[other_key]
                 merged.append(((ux0 + ux1) / 2.0, (uy0 + uy1) / 2.0))
