@@ -34,9 +34,11 @@ sorted, so that a stall shows before the whole pair list is built.
 
 Where the sample puts the mean degree high, every point goes to the grid
 loop, in blocks that keep the input order. Where earlier centers covered
-enough of the previous block, one cKDTree query over the centers placed so
-far drops the points they already cover; the rest go through
-``CcfmState.take`` one by one.
+enough of the previous block, the numpy cell grid that ``verify_cover``
+uses too (``gridindex.open_rows``) drops the points that the centers
+placed so far cover by a margin, and a cKDTree query does so from the
+first block the grid declines on; the rest go through ``CcfmState.take``
+one by one.
 """
 
 from __future__ import annotations
@@ -49,19 +51,26 @@ from scipy.spatial import cKDTree
 
 from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
                    centers_array, stable_order)
-from .gridindex import RadiusGrid
+from .gridindex import RadiusGrid, open_rows
 
-# Blocks double in size from _FIRST_BLOCK on, so a run builds O(log n)
-# trees and each tree sees the centers of every earlier block. A tree is
-# built for a block only if at least 1/_GATE of the previous block was
-# covered on arrival: a tree query costs about a seventh of a RadiusGrid
-# probe per point plus the build, so it pays only where many points are
-# dropped, and sparse input (about one center per point) never builds one.
+# Blocks double in size from _FIRST_BLOCK on, so a run filters O(log n)
+# blocks, each against the centers of every earlier block. A block is
+# filtered only if at least 1/_GATE of the previous block was covered on
+# arrival, so sparse input (about one center per point) never builds a
+# cell table. Timed against the filter on for every block with a covered
+# predecessor (31 alternating pairs, 2-core KVM guest): on 4 000 points at
+# density 1 000 then 28 000 at density 0.02, dgt2018 took 5.6% longer
+# without the gate (the gate faster in 25 of 31), ccfm1997 1.7% (20 of
+# 31); on gen_disk(500, 500, s), s = 1..40, the two were even. A first
+# block of 32, 64 or 128 made ccfm1997 on those 40 instances 5-17%
+# slower (11 pairs).
 _FIRST_BLOCK = 256
 _GATE = 4
-# A center the tree finds nearer than this is within 1 in the solvers'
-# own dx*dx + dy*dy <= 1 too, whatever the rounding of either, so the
-# probe the dropped point skips would have found a center.
+# A center the fallback tree finds nearer than this is within 1 in the
+# solvers' own dx*dx + dy*dy <= 1 too, whatever the rounding of either,
+# so the probe the dropped point skips would have found a center. The
+# cell grid tests that d itself, in the probe's arithmetic, against
+# 1 - 1e-12, which also keeps the two floor cells at most 1 apart.
 _INSIDE = 1.0 - 1e-9
 # A pair count over a random sample of the points picks each input's path
 # (see _dense). Timed on a 2-core KVM guest for n = 500 to 16 000: 128
@@ -195,20 +204,29 @@ def _uncovered_blocks(xy: np.ndarray, centers: list[Point]):
     """Yield the rows of xy, in order and as lists of [x, y], in runs,
     leaving out those that ``centers`` already covers. ``centers`` is the
     caller's list of placed centers, which it grows by exactly one per
-    yielded point that no center covers, before asking for the next run."""
+    yielded point that no center covers, before asking for the next run.
+    The rows are dropped by ``open_rows`` at limit 1, or, from the first
+    block it declines on, since later blocks and center lists only grow,
+    by a cKDTree query."""
     start, size = 0, _FIRST_BLOCK
-    use_tree = False
+    use_filter, grid = False, True
     while start < len(xy):
         block = xy[start:start + size]
         placed = len(centers)
         rows = block
-        if use_tree:
-            tree = cKDTree(centers_array(centers), balanced_tree=False, compact_nodes=False)
-            dist, _ = tree.query(block, distance_upper_bound=_INSIDE)
-            rows = block[dist >= _INSIDE]
+        if use_filter:
+            ctr = centers_array(centers)
+            open_ = open_rows(block, ctr, 1.0) if grid else None
+            if open_ is not None:
+                rows = block[open_]
+            else:
+                grid = False
+                tree = cKDTree(ctr, balanced_tree=False, compact_nodes=False)
+                dist, _ = tree.query(block, distance_upper_bound=_INSIDE)
+                rows = block[dist >= _INSIDE]
         yield rows.tolist()
         uncovered = len(centers) - placed
-        use_tree = (len(block) - uncovered) * _GATE >= len(block)
+        use_filter = (len(block) - uncovered) * _GATE >= len(block)
         start += size
         size *= 2
 
@@ -244,7 +262,7 @@ def _ordered(xy: np.ndarray, m: int) -> bool:
     return 2 * wm * hm < w * h or 2 * (wm + hm) < w + h
 
 
-def _rounds(xy: np.ndarray, reach: float, degree: float, decide, settle) -> np.ndarray | None:
+def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
     """Decide the rows of xy in dependency rounds, as Blelloch, Fineman and
     Shun do for the greedy maximal independent set (SPAA 2012), over the
     pairs of rows within r = ``_tree_radius(xy, reach)``: a row's decision
@@ -255,24 +273,17 @@ def _rounds(xy: np.ndarray, reach: float, degree: float, decide, settle) -> np.n
     clears ``undecided`` for any row that it decides. A row b may already
     be decided, and ``settle`` must leave it so.
 
-    Where ``_dense`` puts the mean degree within r at ``degree`` or more,
-    no round runs and every row is returned undecided. Rounds on sorted
-    input can decide only a few rows each. Where the rounds left at the
-    rate of the last one would cost more than the grid loop on the rows
-    still undecided and the replay of the others (see ``_handoff``), the
-    rounds stop and return the mask of the undecided rows. The first round
-    runs on a prefix of at most n/32 rows, where it lies in a small part of
-    the bounding box, so that such a stall shows before the pair list of
-    all rows is built. The next round, over all rows, settles the prefix's
-    decisions with its own; until then a decided row only blocks its later
-    rows. Returns None where every row is decided."""
+    Rounds on sorted input can decide only a few rows each. Where the
+    rounds left at the rate of the last one would cost more than the grid
+    loop on the rows still undecided and the replay of the others (see
+    ``_handoff``), the rounds stop and return the mask of the undecided
+    rows. The first round runs on a prefix of at most n/32 rows, where it
+    lies in a small part of the bounding box, so that such a stall shows
+    before the pair list of all rows is built. The next round, over all
+    rows, settles the prefix's decisions with its own; until then a decided
+    row only blocks its later rows. Returns None where every row is decided."""
     n = len(xy)
     undecided = np.ones(n, bool)
-    # the pair list holds the pairs within r, whose margin grows with the
-    # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
-    r = _tree_radius(xy, reach)
-    if _dense(xy, r, degree):
-        return undecided
 
     def settled(a, b):
         # settle the pairs of the rows decided since the last call, then
@@ -308,13 +319,12 @@ def _rounds(xy: np.ndarray, reach: float, degree: float, decide, settle) -> np.n
 
 
 def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, state: CcfmState) -> None:
-    """Finish a cover that the rounds stopped short of, or never started:
-    the rows of xy that ``left`` marks go, in runs of consecutive ones and
-    less those that ``_uncovered_blocks`` drops, through ``state.take``,
-    and ``replay(rows)`` applies, in between and each in its place, the
-    decision of every row that ``made`` marks as having made a center.
-    Each probe then sees the state of the sequential loop: the rows before
-    it, decided by either."""
+    """Finish a cover that the rounds stopped short of: the rows of xy
+    that ``left`` marks go, in runs of consecutive ones, through
+    ``state.take_run``, and ``replay(rows)`` applies, in between and each
+    in its place, the decision of every row that ``made`` marks as having
+    made a center. Each probe then sees the state of the sequential loop:
+    the rows before it, decided by either."""
     todo = np.flatnonzero(left)
     rows = np.flatnonzero(made)
     cut = np.searchsorted(rows, todo)  # the made rows before each row left
@@ -326,8 +336,7 @@ def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, state: 
         first, last = int(todo[i]), int(todo[j - 1])
         # a view, not a copy, where the run's rows are consecutive
         run = xy[first:last + 1] if last - first == j - 1 - i else xy[todo[i:j]]
-        for block in _uncovered_blocks(run, state.active_order):
-            state.take(block)
+        state.take_run(run)
     replay(rows[done:])
 
 
@@ -395,18 +404,33 @@ class CcfmState:
             else:
                 self.activate(p)
 
+    def take_run(self, xy: np.ndarray) -> None:
+        """Take the rows of xy in order, less those that
+        ``_uncovered_blocks`` drops as covered already."""
+        for block in _uncovered_blocks(xy, self.active_order):
+            self.take(block)
+
 
 def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
     """The online cover of xy in row order, each activated center spawning
-    candidates at ``offsets``, by ``_rounds`` at ``reach`` and ``degree``
-    and, where they stall or never start, ``_handoff``. A row that an
-    earlier row's center covers is skipped at once; a ready row promotes
-    its nearest candidate by the key (d, owner row, k), which is the grid
+    candidates at ``offsets``. Where ``_dense`` puts the mean degree within
+    ``reach`` at ``degree`` or more, every row goes through the grid loop;
+    elsewhere ``_rounds`` decide the rows and, where they stall,
+    ``_handoff`` finishes the cover. In the rounds, a row that an earlier
+    row's center covers is skipped at once; a ready row promotes its
+    nearest candidate by the key (d, owner row, k), which is the grid
     loop's insertion order, or else activates. A promoted candidate covers
     every row that could take it again, so no row does. An activated row's
     candidates are probed only against the later rows of its pairs, so a
     row with none spawns nothing. With no pattern, settle and decide stop
     after their first steps."""
+    # the pair list holds the pairs within r, whose margin grows with the
+    # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
+    r = _tree_radius(xy, reach)
+    if _dense(xy, r, degree):
+        state = CcfmState(offsets)
+        state.take_run(xy)
+        return centers_array(state.active_order)
     n = len(xy)
     k = len(offsets)
     # gathers from a column copy are faster than from xy[:, 0]
@@ -455,7 +479,7 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
         cx[row] = x[owner] + pattern[j, 0]
         cy[row] = y[owner] + pattern[j, 1]
 
-    left = _rounds(xy, reach, degree, decide, settle)
+    left = _rounds(xy, r, decide, settle)
     if left is None:
         return np.column_stack((cx[made], cy[made]))
     state = CcfmState(offsets)

@@ -1,15 +1,33 @@
-"""Uniform-grid point index for "nearest neighbor within radius r" queries.
+"""Uniform-grid point indexes for "is there a point within radius r" queries.
 
-Buckets points by a square grid whose cell side equals the query radius,
-so a 3x3 block of cells around the query is guaranteed to contain every
-stored point within that radius.
+``RadiusGrid`` buckets points by a square grid whose cell side equals the
+query radius, so a 3x3 block of cells around the query is guaranteed to
+contain every stored point within that radius; it answers one query at a
+time, in Python. ``open_rows`` asks the same question of many rows at
+once, in numpy, over a cell table it builds for the call.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .geom import Point
+
+# open_rows settles a row only where dx*dx + dy*dy is below limit**2 by
+# more than this share, so an exact test of the distance, in any rounding,
+# finds a center within the limit
+_BAND = 1e-12
+# a few ulps above 1: cells this much wider than the limit keep every
+# center within the limit of a row in the row's 3x3 block, whatever the
+# rounding of the cell index
+_CELL_MARGIN = 1.0 + 4 * np.finfo(np.float64).eps
+# open_rows declines where the rows' candidates in their own columns would
+# exceed this many per row and center, and it tests at most this many
+# candidates a row in each step
+_MAX_PAIRS = 4
+_MAX_SLOTS = 16
 
 
 class RadiusGrid:
@@ -87,3 +105,81 @@ class RadiusGrid:
         if best is None:
             return None
         return best, best_d
+
+
+def open_rows(points: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray | None:
+    """The rows of ``points`` that a cell grid over ``centers`` (at least
+    one) leaves open, in index order, or None where the grid declines.
+
+    A row is settled, as covered, once some center has ``dx*dx + dy*dy``
+    below ``limit**2`` by more than ``_BAND``: so a tree, or a RadiusGrid
+    probe at radius ``limit`` (whose floor cells two apart hold no center
+    that near), finds a center within the limit whatever the rounding of
+    its own distance. With cells of side ``limit``, every center within
+    the limit of a row lies in the 3x3 cells around the row's cell: its
+    own column is tried first, then, for the rows still open, the columns
+    to either side. Where the centers' bounding box would need more than
+    about 4(n + m) cells, the cells widen. It declines for a non-finite
+    extent or ``limit**2``, or where the rows would have more than
+    ``_MAX_PAIRS * (n + m)`` candidates in their own columns, as with one
+    far outlier center; that count is made before the centers are sorted.
+    A center the grid misses only leaves its row open."""
+    lo = limit * limit * (1.0 - _BAND)
+    ctx, cty = centers[:, 0], centers[:, 1]
+    x0, y0 = float(ctx.min()), float(cty.min())
+    w, h = float(ctx.max()) - x0, float(cty.max()) - y0
+    if not (math.isfinite(lo) and math.isfinite(w) and math.isfinite(h)):
+        return None
+    n, m = points.shape[0], centers.shape[0]
+    room = 4 * (n + m)
+    side = max(limit * _CELL_MARGIN, 12.0 * w / room, 12.0 * h / room,
+               math.sqrt(2.0 * w / room) * math.sqrt(h))
+    # one spare column and row on each side, so a row's 3x3 block stays
+    # in the table; a point outside the box is clipped into its border
+    nx, ny = int(w / side) + 3, int(h / side) + 3
+    ckey = (((ctx - x0) / side).astype(np.int64) * ny
+            + ((cty - y0) / side).astype(np.int64) + (ny + 1))
+    start = np.zeros(nx * ny + 1, np.int64)
+    np.cumsum(np.bincount(ckey, minlength=nx * ny), out=start[1:])
+    px, py = points[:, 0], points[:, 1]
+    qx = (px - x0) / side
+    qy = (py - y0) / side
+    qx.clip(0.0, nx - 3, out=qx)
+    qy.clip(0.0, ny - 3, out=qy)
+    key = qx.astype(np.int64) * ny + qy.astype(np.int64) + (ny + 1)
+    # own column: the cells of rows r - 1 .. r + 1 are one slice of the table
+    a = start[key - 1]
+    cnt = start[key + 2] - a
+    if int(cnt.sum()) > _MAX_PAIRS * (n + m):
+        return None
+    order = np.argsort(ckey)
+    cx, cy = ctx[order], cty[order]
+    open_ = np.flatnonzero(~_any_within(px, py, a, cnt, cx, cy, lo))
+    if not len(open_):
+        return open_
+    # the columns to the left and right, for the rows still open
+    key = key[open_]
+    a = np.concatenate((start[key - ny - 1], start[key + ny - 1]))
+    cnt = np.concatenate((start[key - ny + 2], start[key + ny + 2])) - a
+    px, py = px[open_], py[open_]
+    hit = _any_within(np.concatenate((px, px)), np.concatenate((py, py)), a, cnt, cx, cy, lo)
+    return open_[~(hit[:len(open_)] | hit[len(open_):])]
+
+
+def _any_within(px, py, a, cnt, cx, cy, lo) -> np.ndarray:
+    """Per row i, whether one of the centers ``a[i] .. a[i] + cnt[i] - 1``
+    of ``cx``/``cy`` has ``dx*dx + dy*dy <= lo``. Slot j tests the j-th
+    center of every row not yet settled; a row none of its first
+    ``_MAX_SLOTS`` centers settles stays unsettled."""
+    hit = np.zeros(len(a), bool)
+    rows = np.flatnonzero(cnt)
+    for j in range(_MAX_SLOTS):
+        if not len(rows):
+            break
+        k = a[rows] + j
+        dx = px[rows] - cx[k]
+        dy = py[rows] - cy[k]
+        near = dx * dx + dy * dy <= lo
+        hit[rows[near]] = True
+        rows = rows[~near & (cnt[rows] > j + 1)]
+    return hit

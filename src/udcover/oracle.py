@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import Cover, Point, as_points, centers_array
+from .gridindex import open_rows
 
 MAX_EXACT_POINTS = 12
 
@@ -25,16 +26,6 @@ _COVER_TOL = 1e-12
 
 # a few ulps above 1: verify_cover's bounded query reaches past its limit
 _BOUND_MARGIN = 1.0 + 4 * np.finfo(np.float64).eps
-
-# verify_cover's grid settles a point only where dx*dx + dy*dy is below
-# limit**2 by more than this share: nearer calls go to the tree
-_BAND = 1e-12
-
-# the grid is skipped where the points' candidates in their own columns
-# would exceed this many per point and center, and it tests at most this
-# many candidates a point in each step
-_MAX_PAIRS = 4
-_MAX_SLOTS = 16
 
 
 @dataclass
@@ -65,7 +56,7 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
         uncovered = [(i, math.inf) for i in range(pts.shape[0])]
         return VerifyReport(False, uncovered, 0)
     limit = 1.0 + eps
-    open_ = _grid_open(pts, ctr, limit)
+    open_ = open_rows(pts, ctr, limit)
     if open_ is not None:
         if not len(open_):
             return VerifyReport(True, [], ctr.shape[0])
@@ -84,80 +75,6 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     index = bad if open_ is None else open_[bad]
     uncovered = [(int(i), float(d) ** 2) for i, d in zip(index, dist[bad])]
     return VerifyReport(len(uncovered) == 0, uncovered, ctr.shape[0])
-
-
-def _grid_open(pts: np.ndarray, ctr: np.ndarray, limit: float) -> np.ndarray | None:
-    """The rows of ``pts`` that a cell grid over ``ctr`` leaves open, in
-    index order, or None where the grid is skipped.
-
-    A row is settled, as covered, once some center has ``dx*dx + dy*dy``
-    below ``limit**2`` by more than ``_BAND``, so the tree would find a
-    center within the limit whatever the rounding of its own distance.
-    With cells of side ``limit``, every center within the limit of a row
-    lies in the 3x3 cells around the row's cell: its own column is tried
-    first, then, for the rows still open, the columns to either side.
-    Where the centers' bounding box would need more than about 4(n + m)
-    cells, the cells widen. A center the grid misses only leaves its row
-    open."""
-    lo = limit * limit * (1.0 - _BAND)
-    ctx, cty = ctr[:, 0], ctr[:, 1]
-    x0, y0 = float(ctx.min()), float(cty.min())
-    w, h = float(ctx.max()) - x0, float(cty.max()) - y0
-    if not (math.isfinite(lo) and math.isfinite(w) and math.isfinite(h)):
-        return None
-    n, m = pts.shape[0], ctr.shape[0]
-    room = 4 * (n + m)
-    side = max(limit * _BOUND_MARGIN, 12.0 * w / room, 12.0 * h / room,
-               math.sqrt(2.0 * w / room) * math.sqrt(h))
-    # one spare column and row on each side, so a row's 3x3 block stays
-    # in the table; a point outside the box is clipped into its border
-    nx, ny = int(w / side) + 3, int(h / side) + 3
-    ckey = (((ctx - x0) / side).astype(np.int64) * ny
-            + ((cty - y0) / side).astype(np.int64) + (ny + 1))
-    start = np.zeros(nx * ny + 1, np.int64)
-    np.cumsum(np.bincount(ckey, minlength=nx * ny), out=start[1:])
-    order = np.argsort(ckey)
-    cx, cy = ctx[order], cty[order]
-    px, py = pts[:, 0], pts[:, 1]
-    qx = (px - x0) / side
-    qy = (py - y0) / side
-    qx.clip(0.0, nx - 3, out=qx)
-    qy.clip(0.0, ny - 3, out=qy)
-    key = qx.astype(np.int64) * ny + qy.astype(np.int64) + (ny + 1)
-    # own column: the cells of rows r - 1 .. r + 1 are one slice of the table
-    a = start[key - 1]
-    cnt = start[key + 2] - a
-    if int(cnt.sum()) > _MAX_PAIRS * (n + m):
-        return None
-    open_ = np.flatnonzero(~_any_within(px, py, a, cnt, cx, cy, lo))
-    if not len(open_):
-        return open_
-    # the columns to the left and right, for the rows still open
-    key = key[open_]
-    a = np.concatenate((start[key - ny - 1], start[key + ny - 1]))
-    cnt = np.concatenate((start[key - ny + 2], start[key + ny + 2])) - a
-    px, py = px[open_], py[open_]
-    hit = _any_within(np.concatenate((px, px)), np.concatenate((py, py)), a, cnt, cx, cy, lo)
-    return open_[~(hit[:len(open_)] | hit[len(open_):])]
-
-
-def _any_within(px, py, a, cnt, cx, cy, lo) -> np.ndarray:
-    """Per row i, whether one of the centers ``a[i] .. a[i] + cnt[i] - 1``
-    of ``cx``/``cy`` has ``dx*dx + dy*dy <= lo``. Slot j tests the j-th
-    center of every row not yet settled; a row none of its first
-    ``_MAX_SLOTS`` centers settles stays unsettled."""
-    hit = np.zeros(len(a), bool)
-    rows = np.flatnonzero(cnt)
-    for j in range(_MAX_SLOTS):
-        if not len(rows):
-            break
-        k = a[rows] + j
-        dx = px[rows] - cx[k]
-        dy = py[rows] - cy[k]
-        near = dx * dx + dy * dy <= lo
-        hit[rows[near]] = True
-        rows = rows[~near & (cnt[rows] > j + 1)]
-    return hit
 
 
 def candidate_centers(points) -> list[Point]:

@@ -2,15 +2,18 @@
 
 Where the sampled degree is low, both solvers compute their covers in
 numpy dependency rounds over one cKDTree pair list, and hand a stalled
-run to the grid loop; elsewhere they drop, with one cKDTree query per
-block, the points an earlier center already covers. The covers must stay
-bit-equal to the plain loops on either path, with the rounds run on a
-prefix first and with a stall after the first round, on lattices with
+run to the grid loop; elsewhere they drop, with the numpy cell grid of
+``gridindex.open_rows`` per block (a cKDTree query once the grid
+declines), the points an earlier center already covers. The covers must
+stay bit-equal to the plain loops on either path, with the rounds run on
+a prefix first and with a stall after the first round, on lattices with
 points at exactly distance 1, duplicates, sorted input and lines that
 stall the rounds, candidates tied at equal distance, sizes at the block
-edges and of 0-2 points, sparse/dense mixes that switch the trees on and
-off, sets just either side of the path thresholds, pairs at exactly the
-reach give or take an ulp, and offsets up to 2^30 (2^52 for the pairs).
+edges and of 0-2 points, sparse/dense mixes that switch the block filter
+on and off, clustered and sorted input with the tree fallback forced,
+sets just either side of the path thresholds, pairs at exactly the reach
+give or take an ulp, and offsets up to 2^30 (2^52 for the pairs). Every
+row the grid drops is one the RadiusGrid probe finds covered.
 """
 
 import math
@@ -24,6 +27,7 @@ from classic_reference import reference_ccfm1997, reference_dgt2018
 from udcover.classic import ccfm1997, dgt2018
 from udcover.generators import gen_disk, gen_square
 from udcover.geom import HALF_SQRT3, SQRT3
+from udcover.gridindex import RadiusGrid, open_rows
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -169,9 +173,16 @@ def _count_trees(monkeypatch):
     """Record each cKDTree the solvers build as (rows, names of the methods
     called on it), so a test can tell the sample's trees (query_pairs on a
     few rows), the rounds' pair lists (query_pairs on all rows, or on a
-    prefix) and the block trees (query on the centers)."""
+    prefix) and the block trees (query on the centers); and each call of
+    the block filter's cell grid as (centers, ["open_rows"]), with
+    "declined" added where it returned None."""
     built = []
     real = classic.cKDTree
+
+    def grid(points, centers, limit):
+        open_ = open_rows(points, centers, limit)
+        built.append((len(centers), ["open_rows"] + (["declined"] if open_ is None else [])))
+        return open_
 
     class Spy:
         def __init__(self, data, **kwargs):
@@ -184,13 +195,16 @@ def _count_trees(monkeypatch):
             return getattr(self.tree, name)
 
     monkeypatch.setattr(classic, "cKDTree", Spy)
+    monkeypatch.setattr(classic, "open_rows", grid)
     return built
 
 
-def _queried(built):
-    """The rows of the trees asked for nearest neighbours: the block
-    trees, in the order they were built."""
-    return [rows for rows, calls in built if "query" in calls]
+def _queried(built, names=("open_rows", "query")):
+    """The centers of each block filter, in order: the cell grid's calls
+    and the trees asked for nearest neighbours, or only those ``names``
+    names. A block the grid declines shows twice, as a grid call and then
+    as a tree."""
+    return [rows for rows, calls in built if any(name in calls for name in names)]
 
 
 def _pair_lists(built):
@@ -214,33 +228,36 @@ def _count_probes(monkeypatch):
 
 def _pair_path(built, probes, n):
     """Whether the solver took the rounds and they ran to the end: one pair
-    list over all n rows, no tree asked for nearest neighbours and no
-    RadiusGrid probe, which the grid loop makes after a handoff."""
+    list over all n rows, no block filter and no RadiusGrid probe, which
+    the grid loop makes after a handoff."""
     return _pair_lists(built) == [n] and not _queried(built) and not probes
 
 
-def test_tree_only_after_a_block_with_enough_covered_points(monkeypatch):
+def test_block_filter_only_after_a_block_with_enough_covered_points(monkeypatch):
     built = _count_trees(monkeypatch)
     probes = _count_probes(monkeypatch)
     sparse = gen_disk(4000, 4000 / 0.02, 5)
     dense = gen_square(4000, 4000 / 50.0, 6)
     mixed = np.concatenate([dense[:256], sparse[:512], dense[:1024] + 1e4])
-    # sparse input takes the rounds: one pair list, no block tree
+    # sparse input takes the rounds: one pair list, no block filter
     built.clear()
     ccfm1997(sparse)
     assert _pair_path(built, probes, len(sparse))
     # on the grid loop, every block of sparse input has about one center
-    # per point, so no block gets a tree
+    # per point, so no block is filtered
     monkeypatch.setattr(classic, "_CCFM_DEGREE", 0.0)
     built.clear()
     ccfm1997(sparse)
     assert _queried(built) == [] and _pair_lists(built) == []
     # blocks of 256, 512, 1024, 2048 and 160 points: every block after the
-    # first gets a tree over the centers
+    # first is filtered by the cell grid over the centers, with no tree,
+    # and most points are dropped before their probe
     built.clear()
+    probes.clear()
     ccfm1997(dense)
     assert len(_queried(built)) == 4 and max(_queried(built)) < len(dense)
-    # a dense first block switches the block tree on for the second; the
+    assert _queried(built, ("query",)) == [] and len(probes) < len(dense) // 4
+    # a dense first block switches the block filter on for the second; the
     # sparse second block switches it off for the third
     built.clear()
     ccfm1997(mixed)
@@ -454,3 +471,102 @@ def test_pairs_at_the_reach_match_the_plain_loops_with_either_gate(offset):
                 pts = np.ascontiguousarray(pts)
                 _assert_same(pts)
                 _assert_same(pts, first_block=7)
+
+
+# Rows at distance 1 from a center, in the axis, diagonal and hexagonal
+# directions, before they are nudged by an ulp either way
+_UNIT = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (-0.8, -0.6),
+         (HALF_SQRT3, 0.5), (-0.5, HALF_SQRT3)]
+_FAR = st.integers(20, 44).flatmap(lambda k: st.sampled_from([2.0**k, -(2.0**k)]))
+_SHIFT = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 0.5]), _FAR, _FAR.map(lambda v: v + 0.5))
+# whole numbers are floor-cell corners of the RadiusGrid probe
+_NEAR = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.5, -0.5]),
+                  st.floats(-3.0, 3.0))
+
+
+@st.composite
+def filter_cases(draw):
+    """Centers at an offset of 0, -0.0 or +-2^20 to +-2^44, on cell
+    corners or anywhere in a few cells; rows at distance 1 from them give
+    or take an ulp, and anywhere near."""
+    ox, oy = draw(_SHIFT), draw(_SHIFT)
+    centers = [(ox + draw(_NEAR), oy + draw(_NEAR)) for _ in range(draw(st.integers(1, 8)))]
+    rows = [(ox + draw(_NEAR), oy + draw(_NEAR)) for _ in range(draw(st.integers(0, 8)))]
+    for cx, cy in centers:
+        for dx, dy in draw(st.lists(st.sampled_from(_UNIT), max_size=8)):
+            x, y = cx + dx, cy + dy
+            ulps = draw(st.sampled_from([-1, 0, 1]))
+            if draw(st.booleans()):
+                x = _nudged(x, ulps)
+            else:
+                y = _nudged(y, ulps)
+            rows.append((x, y))
+    return np.array(rows or centers[:1]), np.array(centers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+# 1 + 9.7e-147 apart, which rounds to exactly 1, but two floor cells apart,
+# where the probe does not look
+@example((np.array([(1.0, 0.0)]), np.array([(-9.7050727e-147, 0.0)])))
+@example((np.array([(0.0, -0.0), (1.0, -0.0), (0.5, 0.5)]), np.array([(-0.0, 0.0)])))
+def test_every_row_the_block_filter_drops_is_one_the_probe_finds_covered(case):
+    rows, centers = case
+    probe = RadiusGrid(1.0)
+    for c in centers.tolist():
+        probe.insert(tuple(c))
+    open_ = open_rows(rows, centers, 1.0)
+    if open_ is None:
+        return
+    assert np.all(np.diff(open_) > 0) and (not len(open_) or 0 <= open_[0] <= open_[-1] < len(rows))
+    dropped = np.setdiff1d(np.arange(len(rows)), open_)
+    for p in rows[dropped].tolist():
+        assert probe.nearest_within(tuple(p), 1.0) is not None, p
+
+
+def test_the_block_filter_drops_rows_within_one_and_keeps_the_rest():
+    centers = np.array([(0.5, 0.5), (2.0**40 + 0.5, -3.0)])
+    rows = np.array([(0.5, 0.5), (1.4, 0.5), (1.5, 0.5), (0.5, -0.5), (0.5, 1.0 + 1e-13),
+                     (2.0**40 + 1.0, -3.0), (2.0**40 + 1.5, -3.0), (7.0, 7.0)])
+    assert open_rows(rows, centers, 1.0).tolist() == [2, 3, 6, 7]
+
+
+# A grid that always declines, so that every filtered block is a tree query
+_NO_GRID = {"open_rows": lambda points, centers, limit: None}
+
+
+def _sorted(pts):
+    return np.ascontiguousarray(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+
+
+@pytest.mark.parametrize("pts", [
+    _clusters(20000, 50, 8), _sorted(_clusters(20000, 50, 8)),
+    _clusters(20000, 200, 8), _sorted(_clusters(20000, 200, 8)),
+    _sorted(gen_square(4000, 4000 / 50.0, 6)), gen_square(4000, 4000 / 50.0, 6) - 2.0**30,
+], ids=["clusters", "clusters sorted", "finer clusters", "finer clusters sorted",
+        "dense sorted", "dense at -2^30"])
+def test_tree_fallback_matches_the_plain_loops(monkeypatch, pts):
+    monkeypatch.setattr(classic, "_CCFM_DEGREE", 0.0)
+    monkeypatch.setattr(classic, "_MIS_DEGREE", 0.0)
+    built = _count_trees(monkeypatch)
+    with mock.patch.multiple(classic, **_NO_GRID):
+        for solver, reference in PAIRS:
+            built.clear()
+            assert _bits(solver(pts)) == _bits(reference(pts)), solver.__name__
+            assert _queried(built, ("query",)), solver.__name__
+        _assert_same(pts, first_block=7)
+
+
+@pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
+def test_the_tree_takes_over_from_the_first_block_the_grid_declines(monkeypatch, solver):
+    # 50 clusters in a 10^5 square: the cells widen to keep the centers'
+    # bounding box to about 4(n + m) cells, so a cluster's centers share a
+    # cell and the rows' candidates pass the grid's cap. Blocks and center
+    # lists only grow, so every later block goes straight to the tree.
+    pts = _clusters(20000, 50, 8)
+    built = _count_trees(monkeypatch)
+    assert _bits(solver(pts)) == _bits(dict(PAIRS)[solver](pts))
+    filters = [calls for rows, calls in built if "open_rows" in calls or "query" in calls]
+    cut = filters.index(["open_rows", "declined"])
+    assert all(calls == ["open_rows"] for calls in filters[:cut])
+    assert filters[cut + 1:] and all("open_rows" not in calls for calls in filters[cut + 1:])

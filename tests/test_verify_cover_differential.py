@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import udcover.gridindex
 import udcover.oracle
 from udcover import fast_cover, fast_cover_pp, gen_square
 from udcover.oracle import VerifyReport, verify_cover
@@ -160,5 +161,5 @@ def test_far_outlier_center_skips_the_grid(monkeypatch):
     # so the candidate pairs pass their cap and the tree checks every point
     pts = gen_square(2000, 2000.0, 1)
     cover = np.vstack([fast_cover(pts), [(1e9, 1e9)]])
-    assert udcover.oracle._grid_open(pts, cover, 1.0 + 1e-9) is None
+    assert udcover.gridindex.open_rows(pts, cover, 1.0 + 1e-9) is None
     assert _tree_builds(monkeypatch, pts, cover) == 1
