@@ -4,7 +4,9 @@
   induces a vertical segment on the strip midline (the locus of midline
   centers covering it), and the fewest stabs of those segments are the
   disk centers. Six pass offsets of sqrt(3)/6 are tried and the smallest
-  cover kept; ``passes=1`` is the one-pass variant.
+  cover kept; ``passes=1`` is the one-pass variant. On dense input the
+  stab loop visits only the segments whose top is a new low of their
+  strip, the only ones that can open a stab.
 * ``blms2017`` -- left-to-right sweep; a point farther than 2 from every
   anchor becomes an anchor and places four disks covering the right half
   of its radius-2 neighborhood. Disks that end up covering no point are
@@ -24,6 +26,20 @@ import numpy as np
 
 from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, stable_order
 
+# Points per unit of bounding-box area from which ll2014's stab loop visits
+# only the segments whose top is a new low of their strip. On squares, that
+# loop against the one over every segment (ll2014 alone, medians of 25
+# runs, 2-core KVM guest) breaks even near density 1.2 at n = 1e4, 1.7 at
+# 1e5 and 2.2 at 1e3, is 6-9% faster at density 1.5-2 and 1e4 points, and
+# takes half the time at density 50.
+_DENSE = 2.0
+
+
+def _dense(n: int, width: float, height: float) -> bool:
+    """Whether n points in a width x height bounding box are dense enough
+    for ll2014 to filter its segments before the stab loop."""
+    return n >= _DENSE * width * height
+
 
 def ll2014(points, passes: int = 6) -> Cover:
     """Strip-and-stab cover; ``passes`` must be 1 or 6.
@@ -37,6 +53,11 @@ def ll2014(points, passes: int = 6) -> Cover:
     it. Raises ValueError at |y| >= 2^50, and where rounding leaves a
     point more than 1 from its strip's midline (|x| from about 2^51 to
     2^52).
+
+    On dense input (``_dense``) the stab loop visits only the segments
+    whose top is a new low of their strip: the last stab lies at or below
+    every earlier top of the strip, so no other segment can open a stab.
+    The stabs are the same.
     """
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
@@ -49,10 +70,16 @@ def ll2014(points, passes: int = 6) -> Cover:
     # top_y = 2^22 on each segment shrinks inward by 2 ulp(top_y), and
     # every stab then lies within 1 of the points it covers; from 2^50 the
     # margin would exceed a quarter
-    top_y = max(-float(y.min()), float(y.max()))
+    y_min, y_max = float(y.min()), float(y.max())
+    top_y = max(-y_min, y_max)
     margin = 0.0 if top_y < 2.0**22 else 2 * math.ulp(top_y)
     if margin > 0.25:
         raise ValueError("|y| is 2^50 or more: coordinates too large")
+    dense = _dense(len(xy), float(x.max()) - float(x_min), y_max - y_min)
+    # the tops lie in [y_min, y_max + 1] up to rounding, so a power of two
+    # over twice that range, times the strip rank, puts each strip's tops
+    # below every earlier strip's, exactly before rounding
+    span = math.ldexp(1.0, math.frexp(2.0 * (y_max - y_min) + 4.0)[1])
     best = None
     for i in range(passes):
         origin = x_min + i * SQRT3_OVER_6
@@ -74,8 +101,19 @@ def ll2014(points, passes: int = 6) -> Cover:
         bottom = bottom[order]
         strip = strip[order]
         top = (y + half)[order]
+        first = np.r_[True, strip[1:] != strip[:-1]]
+        if dense:
+            # a segment opens a stab only if its top is below every earlier
+            # top of its strip: tops are at least their own bottoms, and
+            # bottoms fall along the strip. One running minimum over the
+            # offset tops finds these new lows; rounding is monotone, so
+            # with <= a tie only keeps one more segment, and a strip's
+            # first segment is always kept
+            key = top - np.cumsum(first) * span
+            keep = np.flatnonzero(key <= np.minimum.accumulate(key))
+            order, bottom, top, first = order[keep], bottom[keep], top[keep], first[keep]
         # a strip's first segment always opens a stab
-        top[np.r_[True, strip[1:] != strip[:-1]]] = -np.inf
+        top[first] = -np.inf
         stabs = []
         last = 0.0
         for s, t, b in zip(count(), top.tolist(), bottom.tolist()):

@@ -23,9 +23,13 @@ from udcover.gridindex import RadiusGrid
 
 
 def reference_g1991(points) -> list[Point]:
+    pts = as_points(points).tolist()
+    # from max |x| = 2^22 on, squares 8 ulp narrower, centers 4 ulp left
+    top_x = max((abs(x) for x, _ in pts), default=0.0)
+    margin = 4 * math.ulp(top_x) if top_x >= 2.0**22 else 0.0
     strips: dict[int, list] = {}
     floor = math.floor
-    for p in as_points(points).tolist():
+    for p in pts:
         strips.setdefault(floor(p[1] / SQRT2), []).append(p)
     centers: list[Point] = []
     for iy in sorted(strips):
@@ -35,8 +39,8 @@ def reference_g1991(points) -> list[Point]:
         idx = 0
         while idx < n:
             qx = pts[idx][0]
-            centers.append((qx + HALF_SQRT2, cy))
-            limit = qx + SQRT2
+            centers.append((qx + (HALF_SQRT2 - margin), cy))
+            limit = qx + (SQRT2 - 2 * margin)
             idx += 1
             while idx < n and pts[idx][0] <= limit:
                 idx += 1

@@ -1,8 +1,8 @@
 """Plain-Python references for ``udcover.sweep``: the textbook stabbing
 greedy, ll2014 built from it point by point and strip by strip (with the
-same closed-form strips as the numpy solver), blms2017 as the per-point
-sweep over a sorted anchor index, and the linear scan that index is
-checked against."""
+same closed-form strips and segment margin as the numpy solver, and the
+greedy run over every segment), blms2017 as the per-point sweep over a
+sorted anchor index, and the linear scan that index is checked against."""
 
 import math
 from bisect import bisect_left, insort
@@ -36,6 +36,9 @@ def reference_ll2014(points, passes=6):
     if not pts:
         return []
     x_min = min(x for x, _ in pts)
+    # from max |y| = 2^22 on, each segment shrinks inward by 2 ulp(max |y|)
+    top_y = max(abs(y) for _, y in pts)
+    margin = 2 * math.ulp(top_y) if top_y >= 2.0**22 else 0.0
     best = None
     for i in range(passes):
         origin = x_min + i * SQRT3_OVER_6
@@ -44,7 +47,7 @@ def reference_ll2014(points, passes=6):
             k = math.floor((x - origin) / SQRT3)
             x_rl = origin + (k + 0.5) * SQRT3
             d = x - x_rl
-            half = math.sqrt(1.0 - d * d)
+            half = math.sqrt(1.0 - d * d) - margin
             strips.setdefault(k, (x_rl, []))[1].append((y + half, y - half))
         cover = []
         for k in sorted(strips):

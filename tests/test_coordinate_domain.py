@@ -18,15 +18,10 @@ POINT_SETS = {
     # points exactly 1 apart, on strip and cell edges
     "lattice 1/2": np.array([(0.5 * i, 0.5 * j) for i in range(12) for j in range(12)]),
 }
-# g1991 puts a point at the lower left corner of its square, exactly 1 from
-# the square's center, and rounding the center's x from |x| = 2^25 on
-# moves it further: g1991 has no margin or domain bound yet
-KNOWN_INVALID = {("g1991", "lattice 1/2")}
 
 
 @pytest.mark.parametrize("name, points", [
-    pytest.param(name, points, id=f"{name}, {points}",
-                 marks=[pytest.mark.xfail(strict=True)] if (name, points) in KNOWN_INVALID else [])
+    pytest.param(name, points, id=f"{name}, {points}")
     for name in ALGORITHMS for points in POINT_SETS])
 def test_a_valid_cover_or_a_value_error_at_large_offsets(name, points):
     solver, pts = ALGORITHMS[name], POINT_SETS[points]

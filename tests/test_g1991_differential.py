@@ -7,8 +7,9 @@ point under its strip and steps through all of them. The covers must stay
 bit-equal: on 0 and 1 points, duplicates, equal x values mixing -0.0 and
 0.0, y exactly on strip edges k * sqrt(2) and y = -0.0, points exactly
 sqrt(2) apart in x (the closed bound), one point per strip (sorted and
-shuffled), strips just either side of 2^16 apart, and shifts of +-2^k up
-to 2^52, where the cover itself may be invalid.
+shuffled), strips just either side of 2^16 apart, max |x| either side of
+2^22, where both narrow the squares and shift the centers by a margin,
+and shifts of +-2^k up to 2^52, where the cover itself may be invalid.
 """
 
 import math
@@ -64,6 +65,10 @@ FIXED = {
                               (0.1, 0.2), (0.4, (2**16 - 1 + 0.5) * SQRT2)],
     "strips 2^16 apart": [(0.3, 0.1), (0.2, (2**16 + 0.5) * SQRT2),
                           (0.1, 0.2), (0.4, (2**16 + 0.5) * SQRT2)],
+    # the margin starts at max |x| = 2^22, read at either end of the x order
+    "max |x| just below 2^22": [(x, 0.5) for x in _chain(2.0**22 - 40 * SQRT2, 38)],
+    "max |x| at 2^22": [(x, 0.5) for x in _chain(2.0**22 - 40 * SQRT2, 40)],
+    "min x at -2^22": [(x, 0.5) for x in _chain(-(2.0**22), 40)] + [(0.0, 2.0)],
     "strips 2^16 apart at 2^52": [(0.3, 2.0**52), (0.2, 2.0**52 + 2**16 * SQRT2),
                                   (0.1, 2.0**52 + 2.0), (0.4, 2.0**52 + 2**16 * SQRT2)],
 }

@@ -1,15 +1,21 @@
 """ll2014 against the plain-Python reference built from the same
 closed-form strips and the textbook stabbing greedy, and that greedy
-against a brute-force minimum."""
+against a brute-force minimum.
+
+ll2014 has two stab loops: one over every segment, and one over only the
+segments whose top is a new low of their strip, which it runs on dense
+input. Each differential test forces each loop in turn."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from reference import worst_case_pointset
 from sweep_reference import reference_ll2014, stab_segments
+from udcover import gen_disk, gen_square, sweep
 from udcover.geom import HALF_SQRT3, SQRT3, SQRT3_OVER_6
 from udcover.oracle import verify_cover
 from udcover.sweep import ll2014
@@ -61,11 +67,93 @@ def point_sets(draw):
 @example(worst_case_pointset(3))
 def test_ll2014_matches_reference(pts):
     for passes in (1, 6):
-        cover = ll2014(pts, passes=passes)
-        assert _bits(cover) == _bits(reference_ll2014(pts, passes=passes))
+        cover = _both_loops(pts, passes)
         assert _bits(ll2014(pts[::-1], passes=passes)) == _bits(cover)
         assert verify_cover(pts, cover).valid
     assert len(ll2014(pts)) <= len(ll2014(pts, passes=1))
+
+
+def _both_loops(pts, passes):
+    """ll2014's cover, checked bit for bit against the reference with the
+    loop ll2014 picks, with the filtered loop forced and with the plain
+    loop forced."""
+    expected = _bits(reference_ll2014(pts, passes=passes))
+    cover = ll2014(pts, passes=passes)
+    assert _bits(cover) == expected
+    for density in (0.0, math.inf):
+        with mock.patch.object(sweep, "_DENSE", density):
+            assert _bits(ll2014(pts, passes=passes)) == expected
+    return cover
+
+
+_X_SHIFT = st.one_of(st.just(0.0), st.builds(lambda sign, k: sign * 2.0**k,
+                                              st.sampled_from([1.0, -1.0]), st.integers(0, 40)))
+# from |y| = 2^22 on, every segment shrinks by a margin
+_Y_SHIFT = st.one_of(st.just(0.0), st.builds(lambda sign, k: sign * 2.0**k,
+                                              st.sampled_from([1.0, -1.0]), st.integers(22, 49)))
+
+
+@st.composite
+def dense_point_sets(draw):
+    """A cluster of 20-300 points in a box of side 0.5-4, with points on
+    strip edges and midlines nudged by up to 2 ulps, equal-y runs and
+    duplicates, then shifted."""
+    side = draw(st.one_of(st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.5, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.random((draw(st.integers(20, 300)), 2)) * side
+    # with the smallest x at 0, _ON_STRIP_LINE is on each pass's lines
+    pts[0, 0] = 0.0
+    on_lines = draw(st.lists(st.tuples(_ON_STRIP_LINE, st.integers(-2, 2)), max_size=20))
+    rows = rng.choice(len(pts), len(on_lines), replace=False)
+    pts[rows, 0] = [_nudge(x, ulps) for x, ulps in on_lines]
+    for _ in range(draw(st.integers(0, 3))):
+        run = rng.choice(len(pts), draw(st.integers(2, 20)))
+        pts[run, 1] = draw(st.sampled_from([0.0, side / 2, side]))
+    pts = np.concatenate((pts, pts[rng.choice(len(pts), draw(st.integers(0, 30)))]))
+    return pts + (draw(_X_SHIFT), draw(_Y_SHIFT))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_point_sets())
+@example(gen_square(300, 1.0, 1))
+def test_both_loops_match_reference_on_dense_sets(pts):
+    for passes in (1, 6):
+        assert verify_cover(pts, _both_loops(pts, passes)).valid
+
+
+# the benchmark's workloads on either side of the choice, and the corner
+# cases of the bounding box
+_CHOICE = {
+    "uniform": ([gen_square(10000, 10000.0, seed) for seed in range(3)], False),
+    "sparse": ([gen_disk(8000, 400000.0, seed) for seed in range(3)], False),
+    "small-batch": ([gen_disk(500, 500.0, seed) for seed in range(3)], False),
+    "dense": ([gen_square(16000, 320.0, seed) for seed in range(3)], True),
+    "one point": ([[(3.0, 4.0)]], True),
+    "zero width": ([[(3.0, 0.5 * k) for k in range(100)]], True),
+    "zero height": ([[(0.5 * k, 4.0) for k in range(100)]], True),
+}
+
+
+@pytest.mark.parametrize("name", _CHOICE)
+def test_ll2014_picks_its_loop_by_density(name, monkeypatch):
+    picked = []
+    dense = sweep._dense
+
+    def spy(*box):
+        picked.append(dense(*box))
+        return picked[-1]
+
+    monkeypatch.setattr(sweep, "_dense", spy)
+    point_sets, filtered = _CHOICE[name]
+    for pts in point_sets:
+        ll2014(pts)
+    assert picked == [filtered] * len(point_sets)
+
+
+def test_ll2014_on_no_points_picks_no_loop(monkeypatch):
+    # a call would raise TypeError
+    monkeypatch.setattr(sweep, "_dense", None)
+    assert ll2014([]).shape == (0, 2)
 
 
 def _fewest_stabs(segments):
