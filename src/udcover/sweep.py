@@ -4,9 +4,13 @@
   induces a vertical segment on the strip midline (the locus of midline
   centers covering it), and the fewest stabs of those segments are the
   disk centers. Six pass offsets of sqrt(3)/6 are tried and the smallest
-  cover kept; ``passes=1`` is the one-pass variant. On dense input the
-  stab loop visits only the segments whose top is a new low of their
-  strip, the only ones that can open a stab.
+  cover kept; ``passes=1`` is the one-pass variant. The stab loop runs
+  three ways, chosen by bounding-box density with the same stabs: from
+  2 points per unit area it visits only the segments whose top is a new
+  low of their strip, the only ones that can open a stab; below 0.3 the
+  segments whose top lies below the previous bottom are stabbed in numpy
+  and the loop visits only the segments whose stab depends on it; in
+  between it visits every segment.
 * ``blms2017`` -- left-to-right sweep; a point farther than 2 from every
   anchor becomes an anchor and places four disks covering the right half
   of its radius-2 neighborhood. Disks that end up covering no point are
@@ -26,19 +30,47 @@ import numpy as np
 
 from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, stable_order
 
-# Points per unit of bounding-box area from which ll2014's stab loop visits
-# only the segments whose top is a new low of their strip. On squares, that
-# loop against the one over every segment (ll2014 alone, medians of 25
-# runs, 2-core KVM guest) breaks even near density 1.2 at n = 1e4, 1.7 at
-# 1e5 and 2.2 at 1e3, is 6-9% faster at density 1.5-2 and 1e4 points, and
-# takes half the time at density 50.
+# ll2014's three stab loops, chosen once per call by the points per unit
+# of bounding-box area, the box's width floored at one strip (sqrt(3)) so
+# that a line or a thin band does not read as dense:
+# * from _DENSE up, the loop visits only the segments whose top is a new
+#   low of their strip. On squares, against the plain loop (ll2014 alone,
+#   medians of 25 runs, 2-core KVM guest), it breaks even near density 1.2
+#   at n = 1e4, 1.7 at 1e5 and 2.2 at 1e3, is 6-9% faster at density
+#   1.5-2 and 1e4 points, and takes half the time at density 50;
+# * below _SPARSE, the forced stabs are set in numpy and the loop visits
+#   only the segments whose stab depends on it. Against the plain loop
+#   (medians of 21 interleaved pairs, same guest) it takes 62% less time
+#   at density 0.02 and 37% less at 0.1 on 1e4-point squares, breaks even
+#   near density 0.33 from n = 2e3 to 1e5 and near 0.2 at n = 500, and is
+#   3-8% slower at n = 100;
+# * in between, the plain loop visits every segment.
 _DENSE = 2.0
+_SPARSE = 0.3
 
 
-def _dense(n: int, width: float, height: float) -> bool:
-    """Whether n points in a width x height bounding box are dense enough
-    for ll2014 to filter its segments before the stab loop."""
-    return n >= _DENSE * width * height
+def _stab_loop(n: int, width: float, height: float) -> str:
+    """The stab loop ll2014 runs on n points in a width x height bounding
+    box: "new lows", "forced" or "plain"."""
+    area = max(width, SQRT3) * height
+    if n >= _DENSE * area:
+        return "new lows"
+    if n >= _SPARSE * area:
+        return "plain"
+    return "forced"
+
+
+def _stab(top: np.ndarray, bottom: np.ndarray) -> list[int]:
+    """The greedy over segments sorted by (strip, -bottom), each strip's
+    first top at -inf: the positions of the segments the last stab
+    misses, each stabbed at its bottom."""
+    stabs = []
+    last = 0.0
+    for s, t, b in zip(count(), top.tolist(), bottom.tolist()):
+        if last > t:
+            last = b
+            stabs.append(s)
+    return stabs
 
 
 def ll2014(points, passes: int = 6) -> Cover:
@@ -54,10 +86,15 @@ def ll2014(points, passes: int = 6) -> Cover:
     point more than 1 from its strip's midline (|x| from about 2^51 to
     2^52).
 
-    On dense input (``_dense``) the stab loop visits only the segments
-    whose top is a new low of their strip: the last stab lies at or below
-    every earlier top of the strip, so no other segment can open a stab.
-    The stabs are the same.
+    The loop that stabs runs in one of three ways (``_stab_loop``), with
+    the same stabs. On dense input it visits only the segments whose top
+    is a new low of their strip: the last stab lies at or below every
+    earlier top of the strip, so no other segment can open a stab. On
+    sparse input a strip's first segment, and a segment whose top is
+    below the previous segment's bottom, open a stab whatever the loop's
+    state; these forced stabs are set in numpy, and the loop visits the
+    other segments and the forced ones just before them, whose stab they
+    read. Otherwise the loop visits every segment.
     """
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
@@ -75,7 +112,7 @@ def ll2014(points, passes: int = 6) -> Cover:
     margin = 0.0 if top_y < 2.0**22 else 2 * math.ulp(top_y)
     if margin > 0.25:
         raise ValueError("|y| is 2^50 or more: coordinates too large")
-    dense = _dense(len(xy), float(x.max()) - float(x_min), y_max - y_min)
+    loop = _stab_loop(len(xy), float(x.max()) - float(x_min), y_max - y_min)
     # the tops lie in [y_min, y_max + 1] up to rounding, so a power of two
     # over twice that range, times the strip rank, puts each strip's tops
     # below every earlier strip's, exactly before rounding
@@ -101,8 +138,12 @@ def ll2014(points, passes: int = 6) -> Cover:
         bottom = bottom[order]
         strip = strip[order]
         top = (y + half)[order]
-        first = np.r_[True, strip[1:] != strip[:-1]]
-        if dense:
+        first = np.concatenate(([True], strip[1:] != strip[:-1]))
+        if loop == "plain":
+            # a strip's first segment always opens a stab
+            top[first] = -np.inf
+            stabs = _stab(top, bottom)
+        elif loop == "new lows":
             # a segment opens a stab only if its top is below every earlier
             # top of its strip: tops are at least their own bottoms, and
             # bottoms fall along the strip. One running minimum over the
@@ -111,15 +152,22 @@ def ll2014(points, passes: int = 6) -> Cover:
             # first segment is always kept
             key = top - np.cumsum(first) * span
             keep = np.flatnonzero(key <= np.minimum.accumulate(key))
-            order, bottom, top, first = order[keep], bottom[keep], top[keep], first[keep]
-        # a strip's first segment always opens a stab
-        top[first] = -np.inf
-        stabs = []
-        last = 0.0
-        for s, t, b in zip(count(), top.tolist(), bottom.tolist()):
-            if last > t:
-                last = b
-                stabs.append(s)
+            top[first] = -np.inf
+            stabs = keep[_stab(top[keep], bottom[keep])]
+        else:
+            # the last stab lies at or above the previous segment's bottom,
+            # so a segment whose top is below it opens a stab, as does a
+            # strip's first. Such a forced segment sets a last stab that
+            # only an unforced next segment reads: the loop visits those
+            # forced segments and the unforced ones
+            forced = first.copy()
+            forced[1:] |= top[1:] < bottom[:-1]
+            top[forced] = -np.inf
+            visit = ~forced
+            visit[:-1] |= visit[1:]
+            keep = np.flatnonzero(visit)
+            forced[keep[_stab(top[keep], bottom[keep])]] = True
+            stabs = np.flatnonzero(forced)
         if best is None or len(stabs) < len(best[0]):
             best = (x_rl[order[stabs]], bottom[stabs])
     return np.column_stack(best)
