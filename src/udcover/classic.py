@@ -50,7 +50,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
-                   centers_array, stable_order)
+                   bounded_points, centers_array, stable_order)
 from .gridindex import RadiusGrid, open_rows
 
 # Blocks double in size from _FIRST_BLOCK on, so a run filters O(log n)
@@ -344,15 +344,9 @@ def g1991(points) -> Cover:
     """Strips are processed in increasing strip index, squares left to
     right; a square with left edge at the leftmost uncovered point
     covers every strip point within sqrt(2) of it in x (closed bound).
-    Sorted by (strip, x), the next square's point is found by bisection.
-    Where max |x| is 2^22 or more, each square is 8 ulp(max |x|) narrower
-    and its center 4 ulp further left, so that rounding cannot put a
-    point's x more than sqrt(2)/2 from its square's center."""
-    xy = as_points(points)
+    Sorted by (strip, x), the next square's point is found by bisection."""
+    xy = bounded_points(points)
     order = np.argsort(xy[:, 0])
-    top_x = max(-xy[order[0], 0], xy[order[-1], 0]) if len(order) else 0.0
-    margin = 0.0 if top_x < 2.0**22 else 4 * math.ulp(top_x)
-    width, shift = SQRT2 - 2 * margin, HALF_SQRT2 - margin
     strip = np.floor(xy[order, 1] / SQRT2)
     by_strip = stable_order(strip)  # each strip stays in x order
     strip, x = strip[by_strip], xy[order[by_strip], 0]
@@ -362,8 +356,8 @@ def g1991(points) -> Cover:
     for i, end in zip(cuts, cuts[1:]):
         while i < end:
             heads.append(i)
-            i = bisect_right(xs, xs[i] + width, i + 1, end)
-    return np.column_stack((x[heads] + shift, (strip[heads] + 0.5) * SQRT2))
+            i = bisect_right(xs, xs[i] + SQRT2, i + 1, end)
+    return np.column_stack((x[heads] + HALF_SQRT2, (strip[heads] + 0.5) * SQRT2))
 
 
 class CcfmState:

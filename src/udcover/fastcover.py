@@ -17,12 +17,11 @@ through a Python loop.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Cover, INV_SQRT2, SQRT2, as_points
+from .geom import Cover, INV_SQRT2, SQRT2, bounded_points
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
@@ -48,29 +47,23 @@ def _runs(sorted_values: np.ndarray) -> np.ndarray:
 
 def _floor_cells(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor(xy / sqrt(2)) of n >= 1 points, as floats and as int64 cell
-    indices. Raises ValueError where a cell index leaves the int64 range."""
+    indices."""
     floor = np.floor(xy / SQRT2)
-    if not (floor.min() >= -2.0**63 and floor.max() < 2.0**63):
-        raise ValueError("coordinates too large: cell index out of int64 range")
     return floor, floor.astype(np.int64)
 
 
 class _Cells:
     """The distinct cells among n (i, j) pairs, numbered in (i, j) order.
 
-    A cell's key is rank(i) * s + rank(j), ranks taken among the s
-    distinct values that occur as i or as j. Keys keep (i, j) order and
-    never collide, however far apart the cells lie.
+    A cell's key is i * span + j, span the number of j values in the
+    cells' bounding box. Keys keep (i, j) order and never collide; below
+    ``COORD_BOUND`` their magnitude stays under 2^45.
     """
 
     def __init__(self, ij: np.ndarray):
-        flat = ij.ravel()
-        by_value = flat.argsort()
-        new = _runs(flat[by_value])
-        rank = np.empty(len(flat), dtype=np.intp)
-        rank[by_value] = new.cumsum() - 1
-        self.span = int(new.sum())
-        key = rank[0::2] * self.span + rank[1::2]
+        j = ij[:, 1]
+        self.span = int(j.max()) - int(j.min()) + 1
+        key = ij[:, 0] * self.span + j
         order = key.argsort()
         sorted_key = key[order]
         new = _runs(sorted_key)
@@ -221,7 +214,7 @@ class DiskTable:
 def fast_cover(points) -> Cover:
     """One grid-disk per distinct nonempty cell, in first-occurrence
     order of the input. O(n log n) time: the cells are numbered by sorting."""
-    xy = as_points(points)
+    xy = bounded_points(points)
     if len(xy) == 0:
         return np.empty((0, 2))
     cells = _Cells(_floor_cells(xy)[1])
@@ -232,7 +225,7 @@ def fast_cover_plus(points) -> Cover:
     """Single pass; a point whose own cell-disk is absent is first tested
     against the E, W, N, S neighbor disks (in that order) before a new
     grid-disk is placed. Disks are listed in placement order."""
-    xy = as_points(points)
+    xy = bounded_points(points)
     if len(xy) == 0:
         return np.empty((0, 2))
     p = _place(xy)
@@ -244,7 +237,7 @@ def build_disk_table(points) -> DiskTable:
     """fastcover++'s first stage: the fast_cover_plus pass, keeping per
     placed grid-disk the bounding box of the points assigned to it (a
     neighbor-cover hit extends that neighbor's box), in (i, j) order."""
-    xy = as_points(points)
+    xy = bounded_points(points)
     if len(xy) == 0:
         return DiskTable(None, np.empty(0, dtype=np.intp), np.empty((4, 0)))
     p = _place(xy)
@@ -253,9 +246,8 @@ def build_disk_table(points) -> DiskTable:
 
 def coalesce_pass(table: DiskTable) -> Cover:
     """fastcover++'s second stage: merge adjacent grid-disks whose
-    combined point bounding box has diagonal <= 2 (2 - 2 ulp of the
-    largest |coordinate| where that is 2^22 or more) into a single disk
-    at the box center.
+    combined point bounding box has diagonal <= 2 into a single disk at
+    the box center.
 
     Disks are visited in (i, j) order; the 8 neighbors of a disk are
     scanned in row-major order and the first eligible partner wins.
@@ -281,11 +273,7 @@ def coalesce_pass(table: DiskTable) -> Cover:
     lo = np.where(a[:2] < b[:2], a[:2], b[:2])
     hi = np.where(a[2:] > b[2:], a[2:], b[2:])
     d = hi - lo
-    # the box center (lo + hi) / 2 rounds by up to ulp / 2 per axis, so
-    # from a largest |coordinate| of 2^22 on the diagonal leaves 2 ulp for it
-    top = max(-float(box.min()), float(box.max()))
-    limit = 2.0 if top < 2.0**22 else 2.0 - 2 * math.ulp(top)
-    eligible = (d[0] * d[0] + d[1] * d[1] <= limit * limit).nonzero()[0]
+    eligible = (d[0] * d[0] + d[1] * d[1] <= 4.0).nonzero()[0]
     alive = [True] * m
     merges = []
     for pair, r, q in zip(eligible.tolist(), rows[eligible].tolist(),

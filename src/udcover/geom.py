@@ -26,6 +26,8 @@ SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
 SQRT3_OVER_6 = SQRT3 / 6.0
 
+COORD_BOUND = 2.0**22
+
 
 def as_points(points) -> np.ndarray:
     """``points`` as an ``(n, 2)`` C-contiguous float64 array: an array
@@ -42,6 +44,18 @@ def as_points(points) -> np.ndarray:
         raise ValueError(f"points must have shape (n, 2), got {xy.shape}")
     if not np.isfinite(xy).all():
         raise ValueError("point coordinates must be finite")
+    return xy
+
+
+def bounded_points(points) -> np.ndarray:
+    """``as_points(points)``, raising ValueError also where a |coordinate|
+    is COORD_BOUND or more. ``g1991`` and the fastcover solvers put a point
+    exactly 1 from a center, on a corner of its sqrt(2) square; from 2^22
+    on, rounding can move the center past ``verify_cover``'s tolerance."""
+    xy = as_points(points)
+    if not (xy.min(initial=0.0) > -COORD_BOUND and xy.max(initial=0.0) < COORD_BOUND):
+        top = max(-float(xy.min()), float(xy.max()))
+        raise ValueError(f"max |coordinate| must be below 2^22, got {top!r}")
     return xy
 
 

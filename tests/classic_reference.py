@@ -2,7 +2,8 @@
 
 ``reference_g1991`` files every point under its strip in a dict, sorts
 each strip's points and steps through all of them; ``g1991`` sorts once in
-numpy and does Python work only for the points that start a disk.
+numpy and does Python work only for the points that start a disk. Both
+raise ValueError from max |coordinate| = 2^22 on.
 
 ``reference_ccfm1997`` and ``reference_dgt2018`` send every point, in
 input order, through a ``RadiusGrid`` probe, with their own grids and
@@ -24,9 +25,8 @@ from udcover.gridindex import RadiusGrid
 
 def reference_g1991(points) -> list[Point]:
     pts = as_points(points).tolist()
-    # from max |x| = 2^22 on, squares 8 ulp narrower, centers 4 ulp left
-    top_x = max((abs(x) for x, _ in pts), default=0.0)
-    margin = 4 * math.ulp(top_x) if top_x >= 2.0**22 else 0.0
+    if any(abs(v) >= 2.0**22 for p in pts for v in p):
+        raise ValueError("max |coordinate| must be below 2^22")
     strips: dict[int, list] = {}
     floor = math.floor
     for p in pts:
@@ -39,8 +39,8 @@ def reference_g1991(points) -> list[Point]:
         idx = 0
         while idx < n:
             qx = pts[idx][0]
-            centers.append((qx + (HALF_SQRT2 - margin), cy))
-            limit = qx + (SQRT2 - 2 * margin)
+            centers.append((qx + HALF_SQRT2, cy))
+            limit = qx + SQRT2
             idx += 1
             while idx < n and pts[idx][0] <= limit:
                 idx += 1

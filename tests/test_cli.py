@@ -306,6 +306,13 @@ def _far_points(tmp_path):
     return ["cover", "--input", str(f), "--algorithm", "fastcover"]
 
 
+def _past_the_bound(tmp_path):
+    # fastcover's cover of this point is 1.3e-9 too far from it to verify
+    f = tmp_path / "far.xy"
+    f.write_text("10871393.408362702 10871393.408362702\n")
+    return ["cover", "--input", str(f), "--algorithm", "fastcover", "--verify"]
+
+
 def _missing_cover(tmp_path):
     f = tmp_path / "p.xy"
     f.write_text("0 0\n")
@@ -334,12 +341,13 @@ def _thirteen_points(tmp_path):
     lambda _: ["generate", "--shape", "annulus", "--n", "10",
                "--rinner", "2", "--router", "1"],
     _far_points,
+    _past_the_bound,
     _missing_cover,
     _thirteen_points,
     _verify_eps("nan"),
     _verify_eps("-1"),
     _verify_eps("nan", "cover"),
-], ids=["area-0", "n-negative", "annulus-radii", "cell-range",
+], ids=["area-0", "n-negative", "annulus-radii", "cell-range", "coord-bound",
         "missing-cover", "optimal-13", "verify-eps-nan", "verify-eps-minus-1",
         "cover-eps-nan"])
 def test_argument_and_range_errors_exit_usage_with_one_line(argv, tmp_path, capsys):

@@ -15,7 +15,7 @@ from udcover.fastcover import (
     fast_cover_plus,
     fast_cover_pp,
 )
-from udcover.geom import INV_SQRT2, SQRT2
+from udcover.geom import COORD_BOUND, INV_SQRT2, SQRT2
 from udcover.oracle import verify_cover
 
 
@@ -50,11 +50,13 @@ def test_fast_cover_cells_are_half_open_with_floor():
 
 
 def test_fast_cover_cells_far_apart_do_not_collide():
-    # 2^32 rows apart: these cells once shared a packed 64-bit key
-    y = 3.1e9
-    pts = [(0.5, y), (0.5, y - 2**32 * SQRT2)]
+    # cells at the corners of the domain, and next to each other across the
+    # top and bottom of the cells' bounding box: every key is distinct
+    top = math.nextafter(COORD_BOUND, 0.0)
+    pts = [(x, y) for x in (-top, top) for y in (-top, top)]
+    pts += [(0.5, top), (0.5 + SQRT2, -top), (0.5 - SQRT2, top)]
     cover = fast_cover(pts)
-    assert len(cover) == 2
+    assert len(cover) == 7
     assert verify_cover(pts, cover).valid
 
 
@@ -190,13 +192,15 @@ def test_plus_and_pp_reject_non_finite_points():
 
 
 def test_cells_past_int64_raise():
-    # floor(x / sqrt(2)) past 2^63 once wrapped to a disk at x = -1.3e19
+    # floor(x / sqrt(2)) past 2^63 would wrap to a disk at x = -1.3e19;
+    # the coordinate bound raises from 2^22 on
     edge = math.ldexp(1.0, 63) * SQRT2
-    for solver in (fast_cover, fast_cover_plus, fast_cover_pp):
+    for solver in (fast_cover, fast_cover_plus, fast_cover_pp, build_disk_table):
         for pts in ([(1e20, 0.0), (3e20, 0.0)], [(0.5, -1e20)],
-                    [(edge, 0.0)], [(0.0, -math.nextafter(edge, math.inf))]):
-            with pytest.raises(ValueError):
+                    [(edge, 0.0)], [(0.0, -math.nextafter(edge, math.inf))],
+                    [(COORD_BOUND, 0.0)], [(0.0, -COORD_BOUND)]):
+            with pytest.raises(ValueError, match="2\\^22"):
                 solver(pts)
-        # the largest cell index below 2^63 still works
-        pts = [(math.nextafter(edge, 0.0), 0.0)]
-        assert len(solver(pts)) == 1
+        # the largest coordinates below the bound still work
+        top = math.nextafter(COORD_BOUND, 0.0)
+        assert len(solver([(top, -top)])) == 1

@@ -177,12 +177,9 @@ def reference_build_disk_table(points):
 
 
 def reference_coalesce_pass(table):
-    """Mutates ``table``, as the loop did. From a largest |coordinate| of
-    2^22 on, a merge needs a diagonal of at most 2 - 2 ulp of it."""
+    """Mutates ``table``, as the loop did."""
     merged = []
     get = table.get
-    top = max((max(-b.xmin, -b.ymin, b.xmax, b.ymax) for b in table.values()), default=0.0)
-    limit = 2.0 if top < 2.0**22 else 2.0 - 2 * math.ulp(top)
     for key in sorted(table):
         box = get(key)
         if box is None:
@@ -203,7 +200,7 @@ def reference_coalesce_pass(table):
             uy1 = ymax if ymax > other.ymax else other.ymax
             dx = ux1 - ux0
             dy = uy1 - uy0
-            if dx * dx + dy * dy <= limit * limit:
+            if dx * dx + dy * dy <= 4.0:
                 del table[key]
                 del table[other_key]
                 merged.append(((ux0 + ux1) / 2.0, (uy0 + uy1) / 2.0))
@@ -234,8 +231,12 @@ def _array_bits(table):
 # ---------------------------------------------------------------------------
 # Point sets: coordinates near a few cells, on cell edges, gate lines, disk
 # centers, a quarter grid and signed zeros, nudged by up to 2 ulps; with
-# duplicates, and optionally shifted to |y| ~ 3.1e9 (where fast_cover's
-# packed key collides) or spread over an x-span of 1e12.
+# duplicates, and optionally shifted by a few cells less than 2^22 up or down
+# in y, or split between those two shifts in x, the widest span of cells
+# below the coordinate bound.
+
+# a multiple of sqrt(2) that keeps every point below 2^22 in magnitude
+_FAR = (math.floor(2.0**22 / SQRT2) - 8) * SQRT2
 
 _KINDS = ("free", "edge", "gate", "old_gate", "center", "quarter", "zero")
 
@@ -275,12 +276,12 @@ def _points(draw, kinds=_KINDS):
     arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
     placement = draw(st.sampled_from(["near", "high", "low", "wide"]))
     if placement == "high":
-        arr[:, 1] += 3.1e9
+        arr[:, 1] += _FAR
     elif placement == "low":
-        arr[:, 1] -= 3.1e9
+        arr[:, 1] -= _FAR
     elif placement == "wide" and len(arr):
-        far = draw(st.lists(st.booleans(), min_size=len(arr), max_size=len(arr)))
-        arr[np.array(far), 0] += 1e12
+        far = np.array(draw(st.lists(st.booleans(), min_size=len(arr), max_size=len(arr))))
+        arr[:, 0] += np.where(far, _FAR, -_FAR)
     return arr
 
 

@@ -7,9 +7,11 @@ point under its strip and steps through all of them. The covers must stay
 bit-equal: on 0 and 1 points, duplicates, equal x values mixing -0.0 and
 0.0, y exactly on strip edges k * sqrt(2) and y = -0.0, points exactly
 sqrt(2) apart in x (the closed bound), one point per strip (sorted and
-shuffled), strips just either side of 2^16 apart, max |x| either side of
-2^22, where both narrow the squares and shift the centers by a margin,
-and shifts of +-2^k up to 2^52, where the cover itself may be invalid.
+shuffled), strips just either side of 2^16 apart, and coordinates up to
+just below 2^22. From max |coordinate| = 2^22 on, where rounding could
+move a center more than ``verify_cover``'s tolerance from a point exactly
+1 from it, both must raise ValueError: at 2^22 and -2^22 in x and in y,
+at 1e300 and at shifts of +-2^k, k = 22 ... 52.
 """
 
 import math
@@ -27,7 +29,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def _assert_same(pts):
-    got, expected = g1991(pts), centers_array(reference_g1991(pts))
+    try:
+        expected = centers_array(reference_g1991(pts))
+    except ValueError:
+        with pytest.raises(ValueError, match="2\\^22"):
+            g1991(pts)
+        return
+    got = g1991(pts)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -41,6 +49,8 @@ def _chain(x0: float, steps: int) -> list[float]:
     return xs
 
 
+_BELOW_MAX = math.nextafter(2.0**22, 0.0)
+_ABOVE_MIN = -_BELOW_MAX
 _LINE = np.column_stack((np.zeros(2000), 2.0 * np.arange(2000)))
 
 FIXED = {
@@ -65,10 +75,17 @@ FIXED = {
                               (0.1, 0.2), (0.4, (2**16 - 1 + 0.5) * SQRT2)],
     "strips 2^16 apart": [(0.3, 0.1), (0.2, (2**16 + 0.5) * SQRT2),
                           (0.1, 0.2), (0.4, (2**16 + 0.5) * SQRT2)],
-    # the margin starts at max |x| = 2^22, read at either end of the x order
+    # the bound is max |coordinate| = 2^22, read at either end of the x
+    # order and in y; below it g1991 covers, from it on both raise
     "max |x| just below 2^22": [(x, 0.5) for x in _chain(2.0**22 - 40 * SQRT2, 38)],
     "max |x| at 2^22": [(x, 0.5) for x in _chain(2.0**22 - 40 * SQRT2, 40)],
+    "min x just above -2^22": [(x, 0.5) for x in _chain(_ABOVE_MIN, 40)] + [(0.0, 2.0)],
     "min x at -2^22": [(x, 0.5) for x in _chain(-(2.0**22), 40)] + [(0.0, 2.0)],
+    "max |y| just below 2^22": [(0.5, _BELOW_MAX), (0.7, -_BELOW_MAX), (0.1, 2.0)],
+    "y at 2^22": [(0.5, 2.0**22), (0.7, 0.1)],
+    "y at -2^22": [(0.5, -(2.0**22)), (0.7, 0.1)],
+    "strips 2^16 apart near 2^21": [(0.3, 2.0**21), (0.2, 2.0**21 + 2**16 * SQRT2),
+                                    (0.1, 2.0**21 + 2.0), (0.4, 2.0**21 + 2**16 * SQRT2)],
     "strips 2^16 apart at 2^52": [(0.3, 2.0**52), (0.2, 2.0**52 + 2**16 * SQRT2),
                                   (0.1, 2.0**52 + 2.0), (0.4, 2.0**52 + 2**16 * SQRT2)],
 }
@@ -81,8 +98,8 @@ def test_fixed_cases_match_the_loop(name):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_shifts_match_the_loop(sign):
-    # ROADMAP item 1: g1991's cover is invalid at some of these shifts; the
-    # rewrite must still give the loop's cover there, bit for bit
+    # the loop's cover, bit for bit, up to 2^21 + 2000; ValueError from
+    # 2^22 on
     pts = gen_square(2000, 2000.0, 5)
     for k in range(53):
         _assert_same(pts + sign * 2.0**k)
@@ -93,7 +110,7 @@ _COORD = st.one_of(
     st.sampled_from([0.0, -0.0, HALF_SQRT2, -HALF_SQRT2, 0.5, -0.5]),
     st.integers(-12, 12).map(float),
     st.floats(-12.0, 12.0),
-    st.floats(-1e300, 1e300),
+    st.floats(-(2.0**21), 2.0**21),
 )
 
 
@@ -106,7 +123,7 @@ def point_sets(draw):
     if pts and draw(st.booleans()):
         pts += draw(st.lists(st.sampled_from(pts), max_size=10))
     arr = np.asarray(pts, np.float64).reshape(-1, 2)
-    k = draw(st.integers(0, 52))
+    k = draw(st.integers(0, 20))
     arr = arr + draw(st.sampled_from([0.0, 2.0**k, -(2.0**k)]))
     if draw(st.booleans()):
         arr = arr[np.random.default_rng(draw(st.integers(0, 2**16))).permutation(len(arr))]

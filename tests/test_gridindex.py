@@ -90,15 +90,18 @@ def test_matches_linear_scan():
 
 
 def test_contract_checks_survive_python_O():
-    # -O strips assert statements; these checks must still raise. The last
-    # is ccfm1997's promotion of a point that is not a candidate, which the
-    # handoff's replay of the rounds' promotions relies on.
+    # -O strips assert statements; these checks must still raise. The
+    # third is ccfm1997's promotion of a point that is not a candidate,
+    # which the handoff's replay of the rounds' promotions relies on; the
+    # last the coordinate bound of g1991 and the fastcover solvers.
     code = """
 from udcover.classic import CcfmState
+from udcover.geom import bounded_points
 from udcover.gridindex import RadiusGrid
 for check in (lambda: RadiusGrid(0.0),
               lambda: RadiusGrid(1.0).nearest_within((0.0, 0.0), 2.0),
-              lambda: CcfmState().promote((0.0, 0.0))):
+              lambda: CcfmState().promote((0.0, 0.0)),
+              lambda: bounded_points([(0.0, 2.0**22)])):
     try:
         check()
     except (ValueError, RuntimeError) as exc:
@@ -110,4 +113,4 @@ for check in (lambda: RadiusGrid(0.0),
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     raised = [line.split(":")[0] for line in out.splitlines()]
-    assert raised == ["ValueError", "ValueError", "RuntimeError"], out
+    assert raised == ["ValueError", "ValueError", "RuntimeError", "ValueError"], out
