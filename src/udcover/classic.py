@@ -36,8 +36,8 @@ Where the sample puts the mean degree high, every point goes to the grid
 loop, in blocks that keep the input order. Where earlier centers covered
 enough of the previous block, the numpy cell grid that ``verify_cover``
 uses too (``gridindex.open_rows``) drops the points that the centers
-placed so far cover by a margin, and a cKDTree query does so from the
-first block the grid declines on; the rest go through ``CcfmState.take``
+placed so far cover by a margin, or, for a block whose cell table would
+overflow, its cKDTree query does; the rest go through ``CcfmState.take``
 one by one.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
-                   bounded_points, centers_array, stable_order)
+                   bounded_points, centers_array, run_starts, stable_order)
 from .gridindex import RadiusGrid, open_rows
 
 # Blocks double in size from _FIRST_BLOCK on, so a run filters O(log n)
@@ -66,12 +66,6 @@ from .gridindex import RadiusGrid, open_rows
 # slower (11 pairs).
 _FIRST_BLOCK = 256
 _GATE = 4
-# A center the fallback tree finds nearer than this is within 1 in the
-# solvers' own dx*dx + dy*dy <= 1 too, whatever the rounding of either,
-# so the probe the dropped point skips would have found a center. The
-# cell grid tests that d itself, in the probe's arithmetic, against
-# 1 - 1e-12, which also keeps the two floor cells at most 1 apart.
-_INSIDE = 1.0 - 1e-9
 # A pair count over a random sample of the points picks each input's path
 # (see _dense). Timed on a 2-core KVM guest for n = 500 to 16 000: 128
 # rows cost 0.10-0.18 ms a call, 256 rows 0.19-0.30 ms, next to 0.7 ms for
@@ -205,25 +199,14 @@ def _uncovered_blocks(xy: np.ndarray, centers: list[Point]):
     leaving out those that ``centers`` already covers. ``centers`` is the
     caller's list of placed centers, which it grows by exactly one per
     yielded point that no center covers, before asking for the next run.
-    The rows are dropped by ``open_rows`` at limit 1, or, from the first
-    block it declines on, since later blocks and center lists only grow,
-    by a cKDTree query."""
+    The rows are dropped by ``open_rows`` at limit 1: by its cell grid or,
+    for a block whose cell table would overflow, by its cKDTree query."""
     start, size = 0, _FIRST_BLOCK
-    use_filter, grid = False, True
+    use_filter = False
     while start < len(xy):
         block = xy[start:start + size]
         placed = len(centers)
-        rows = block
-        if use_filter:
-            ctr = centers_array(centers)
-            open_ = open_rows(block, ctr, 1.0) if grid else None
-            if open_ is not None:
-                rows = block[open_]
-            else:
-                grid = False
-                tree = cKDTree(ctr, balanced_tree=False, compact_nodes=False)
-                dist, _ = tree.query(block, distance_upper_bound=_INSIDE)
-                rows = block[dist >= _INSIDE]
+        rows = block[open_rows(block, centers_array(centers), 1.0)] if use_filter else block
         yield rows.tolist()
         uncovered = len(centers) - placed
         use_filter = (len(block) - uncovered) * _GATE >= len(block)
@@ -328,7 +311,7 @@ def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, state: 
     todo = np.flatnonzero(left)
     rows = np.flatnonzero(made)
     cut = np.searchsorted(rows, todo)  # the made rows before each row left
-    runs = [0, *(np.flatnonzero(cut[1:] != cut[:-1]) + 1).tolist(), len(todo)]
+    runs = [*np.flatnonzero(run_starts(cut)).tolist(), len(todo)]
     done = 0
     for i, j in zip(runs, runs[1:]):
         replay(rows[done:cut[i]])
@@ -352,7 +335,7 @@ def g1991(points) -> Cover:
     strip, x = strip[by_strip], xy[order[by_strip], 0]
     xs = x.tolist()
     heads = []
-    cuts = [0, *(np.flatnonzero(strip[1:] != strip[:-1]) + 1).tolist(), len(xs)]
+    cuts = [*np.flatnonzero(run_starts(strip)).tolist(), len(xs)]
     for i, end in zip(cuts, cuts[1:]):
         while i < end:
             heads.append(i)
@@ -471,8 +454,7 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
         cid, row, d = cid[at], row[at], d[at]
         order = np.lexsort((cid, d, row))
         cid, row = cid[order], row[order]
-        first = np.ones(len(row), bool)
-        first[1:] = row[1:] != row[:-1]
+        first = run_starts(row)
         cid, row = cid[first], row[first]
         spawned[row] = False
         owner, j = np.divmod(cid, k)

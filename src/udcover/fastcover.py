@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Cover, INV_SQRT2, SQRT2, bounded_points
+from .geom import Cover, INV_SQRT2, SQRT2, bounded_points, run_starts
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
@@ -34,15 +34,6 @@ _PLACE_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # the neighbors that come after a cell in (i, j) order, in row-major
 # order; the earlier four can never be coalesce partners (see coalesce_pass)
 _LATER_NEIGHBORS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
-def _runs(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one
-    before them."""
-    new = np.empty(len(sorted_values), dtype=bool)
-    new[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
-    return new
 
 
 def _floor_cells(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +57,7 @@ class _Cells:
         key = ij[:, 0] * self.span + j
         order = key.argsort()
         sorted_key = key[order]
-        new = _runs(sorted_key)
+        new = run_starts(sorted_key)
         start = new.nonzero()[0]
         self.key = sorted_key[start]
         self.id = np.empty(len(key), dtype=np.intp)  # cell of each item
@@ -177,7 +168,7 @@ def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray]:
     owner = p.cells.id.copy()  # cell of the disk each point joined
     owner[p.dep] = p.dep_owner
     by_owner = owner.argsort()
-    start = _runs(owner[by_owner]).nonzero()[0]
+    start = run_starts(owner[by_owner]).nonzero()[0]
     disks = owner[by_owner[start]]
     x = p.xy[:, 0].take(by_owner)
     y = p.xy[:, 1].take(by_owner)

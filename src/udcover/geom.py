@@ -67,6 +67,15 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
+def run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before them: the first of each run of equal values."""
+    new = np.empty(len(sorted_values), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
+    return new
+
+
 def centers_array(centers: list[Point]) -> Cover:
     """A list of (x, y) pairs as a cover: a new ``(m, 2)`` float64 array.
     Three times faster than ``np.array`` on a list of tuples."""

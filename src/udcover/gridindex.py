@@ -4,7 +4,8 @@
 query radius, so a 3x3 block of cells around the query is guaranteed to
 contain every stored point within that radius; it answers one query at a
 time, in Python. ``open_rows`` asks the same question of many rows at
-once, in numpy, over a cell table it builds for the call.
+once, in numpy, over a cell table it builds for the call, or, where that
+table would overflow, with a cKDTree over the centers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geom import Point
 
@@ -23,11 +25,16 @@ _BAND = 1e-12
 # center within the limit of a row in the row's 3x3 block, whatever the
 # rounding of the cell index
 _CELL_MARGIN = 1.0 + 4 * np.finfo(np.float64).eps
-# open_rows declines where the rows' candidates in their own columns would
-# exceed this many per row and center, and it tests at most this many
-# candidates a row in each step
+# open_rows leaves the cell table for a tree where the rows' candidates in
+# their own columns would exceed this many per row and center, and it
+# tests at most this many candidates a row in each step
 _MAX_PAIRS = 4
 _MAX_SLOTS = 16
+# The tree settles a row whose nearest center is nearer than this share of
+# the limit: a center within the limit in any rounding of dx*dx + dy*dy,
+# and, at limit 1, one whose floor cells are at most 1 apart from the
+# row's, so the RadiusGrid probe would find it too.
+_INSIDE = 1.0 - 1e-9
 
 
 class RadiusGrid:
@@ -45,11 +52,7 @@ class RadiusGrid:
         self.cell_side = cell_side
         self._inv = 1.0 / cell_side
         self._cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-        self._count = 0
         self._seq = 0
-
-    def __len__(self) -> int:
-        return self._count
 
     def _key(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x * self._inv), math.floor(y * self._inv))
@@ -58,7 +61,6 @@ class RadiusGrid:
         x, y = p
         self._cells.setdefault(self._key(x, y), []).append((x, y, self._seq))
         self._seq += 1
-        self._count += 1
 
     def remove(self, p: Point) -> bool:
         """Remove one stored copy whose coordinates equal p exactly."""
@@ -72,7 +74,6 @@ class RadiusGrid:
                 del bucket[idx]
                 if not bucket:
                     del self._cells[key]
-                self._count -= 1
                 return True
         return False
 
@@ -107,11 +108,11 @@ class RadiusGrid:
         return best, best_d
 
 
-def open_rows(points: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray | None:
-    """The rows of ``points`` that a cell grid over ``centers`` (at least
-    one) leaves open, in index order, or None where the grid declines.
+def open_rows(points: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarray:
+    """The rows of ``points`` that no center of ``centers`` (at least one)
+    settles as covered, in index order.
 
-    A row is settled, as covered, once some center has ``dx*dx + dy*dy``
+    A cell grid settles a row once some center has ``dx*dx + dy*dy``
     below ``limit**2`` by more than ``_BAND``: so a tree, or a RadiusGrid
     probe at radius ``limit`` (whose floor cells two apart hold no center
     that near), finds a center within the limit whatever the rounding of
@@ -119,17 +120,18 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarr
     the limit of a row lies in the 3x3 cells around the row's cell: its
     own column is tried first, then, for the rows still open, the columns
     to either side. Where the centers' bounding box would need more than
-    about 4(n + m) cells, the cells widen. It declines for a non-finite
-    extent or ``limit**2``, or where the rows would have more than
-    ``_MAX_PAIRS * (n + m)`` candidates in their own columns, as with one
-    far outlier center; that count is made before the centers are sorted.
-    A center the grid misses only leaves its row open."""
+    about 4(n + m) cells, the cells widen. A center the grid misses only
+    leaves its row open. For a non-finite extent or ``limit**2``, or where
+    the rows would have more than ``_MAX_PAIRS * (n + m)`` candidates in
+    their own columns (counted before the centers are sorted), as with one
+    far outlier center, a cKDTree over the centers settles the rows with a
+    center nearer than ``limit * _INSIDE`` instead."""
     lo = limit * limit * (1.0 - _BAND)
     ctx, cty = centers[:, 0], centers[:, 1]
     x0, y0 = float(ctx.min()), float(cty.min())
     w, h = float(ctx.max()) - x0, float(cty.max()) - y0
     if not (math.isfinite(lo) and math.isfinite(w) and math.isfinite(h)):
-        return None
+        return _tree_open_rows(points, centers, limit)
     n, m = points.shape[0], centers.shape[0]
     room = 4 * (n + m)
     side = max(limit * _CELL_MARGIN, 12.0 * w / room, 12.0 * h / room,
@@ -151,7 +153,7 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarr
     a = start[key - 1]
     cnt = start[key + 2] - a
     if int(cnt.sum()) > _MAX_PAIRS * (n + m):
-        return None
+        return _tree_open_rows(points, centers, limit)
     order = np.argsort(ckey)
     cx, cy = ctx[order], cty[order]
     open_ = np.flatnonzero(~_any_within(px, py, a, cnt, cx, cy, lo))
@@ -164,6 +166,15 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float) -> np.ndarr
     px, py = px[open_], py[open_]
     hit = _any_within(np.concatenate((px, px)), np.concatenate((py, py)), a, cnt, cx, cy, lo)
     return open_[~(hit[:len(open_)] | hit[len(open_):])]
+
+
+def _tree_open_rows(points, centers, limit) -> np.ndarray:
+    """``open_rows`` by a cKDTree query: the rows with no center nearer
+    than ``limit * _INSIDE``."""
+    inside = limit * _INSIDE
+    tree = cKDTree(centers, balanced_tree=False, compact_nodes=False)
+    dist, _ = tree.query(points, distance_upper_bound=inside)
+    return np.flatnonzero(dist >= inside)
 
 
 def _any_within(px, py, a, cnt, cx, cy, lo) -> np.ndarray:

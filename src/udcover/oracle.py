@@ -57,10 +57,9 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
         return VerifyReport(False, uncovered, 0)
     limit = 1.0 + eps
     open_ = open_rows(pts, ctr, limit)
-    if open_ is not None:
-        if not len(open_):
-            return VerifyReport(True, [], ctr.shape[0])
-        pts = pts[open_]
+    if not len(open_):
+        return VerifyReport(True, [], ctr.shape[0])
+    pts = pts[open_]
     # a sliding-midpoint tree without node shrinking builds faster and
     # answers the same nearest distances
     tree = cKDTree(ctr, balanced_tree=False, compact_nodes=False)
@@ -72,8 +71,7 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     bad = np.flatnonzero(dist > limit)
     if len(bad):
         dist[bad] = tree.query(pts[bad], k=1)[0]
-    index = bad if open_ is None else open_[bad]
-    uncovered = [(int(i), float(d) ** 2) for i, d in zip(index, dist[bad])]
+    uncovered = [(int(i), float(d) ** 2) for i, d in zip(open_[bad], dist[bad])]
     return VerifyReport(len(uncovered) == 0, uncovered, ctr.shape[0])
 
 

@@ -28,7 +28,7 @@ from itertools import count
 
 import numpy as np
 
-from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, stable_order
+from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, run_starts, stable_order
 
 # ll2014's three stab loops, chosen once per call by the points per unit
 # of bounding-box area, the box's width floored at one strip (sqrt(3)) so
@@ -138,7 +138,7 @@ def ll2014(points, passes: int = 6) -> Cover:
         bottom = bottom[order]
         strip = strip[order]
         top = (y + half)[order]
-        first = np.concatenate(([True], strip[1:] != strip[:-1]))
+        first = run_starts(strip)
         if loop == "plain":
             # a strip's first segment always opens a stab
             top[first] = -np.inf

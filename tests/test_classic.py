@@ -77,7 +77,9 @@ def test_empty_pattern_spawns_no_candidates():
     # dgt2018's pattern: activating a point only places it
     state = CcfmState(())
     state.activate((0.5, 0.5))
-    assert len(state.inactive) == 0 and state.active_order == [(0.5, 0.5)]
+    assert state.active_order == [(0.5, 0.5)]
+    assert all(state.inactive.nearest_within((0.5 + dx, 0.5 + dy), 1.0) is None
+               for dx, dy in HEX_OFFSETS)
     state.take([[1.5, 0.5], [2.75, 0.5]])
     assert state.active_order == [(0.5, 0.5), (2.75, 0.5)]
 

@@ -7,7 +7,7 @@ center) must leave room for it.
 ``g1991`` and the three fastcover solvers put a point at distance exactly
 1 from a center and leave no room: they raise ValueError from max
 |coordinate| = ``COORD_BOUND`` = 2^22 on, and below it they cover. The
-first test shifts fixed sets by +-2^k, k = 20 ... 44; the hypothesis test
+first test shifts fixed sets by +-2^k, k = 20 ... 62; the hypothesis test
 shifts by offsets that are not powers of two and puts points a few ulps
 either side of cell corners and strip edges at those offsets."""
 
@@ -22,7 +22,7 @@ from udcover.geom import COORD_BOUND, SQRT2, SQRT3
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-OFFSETS = [sign * 2.0**k for k in range(20, 45) for sign in (1.0, -1.0)]
+OFFSETS = [sign * 2.0**k for k in range(20, 63) for sign in (1.0, -1.0)]
 AXES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 POINT_SETS = {
     "square density 1": gen_square(300, 300.0, 5),
@@ -80,9 +80,9 @@ def _coord(draw, origin: float):
 @st.composite
 def shifted_sets(draw):
     """Up to 40 points around an origin at an offset in x, in y or in
-    both, of 2^16 to 2^44 times a mantissa in [1, 2), with duplicates."""
+    both, of 2^16 to 2^62 times a mantissa in [1, 2), with duplicates."""
     mantissa = draw(st.floats(1.0, 2.0, exclude_max=True))
-    offset = math.ldexp(mantissa, draw(st.integers(16, 44)))
+    offset = math.ldexp(mantissa, draw(st.integers(16, 62)))
     offset *= draw(st.sampled_from([1.0, -1.0]))
     ox, oy = (offset * a for a in draw(st.sampled_from(AXES)))
     pts = draw(st.lists(st.tuples(_coord(ox), _coord(oy)), min_size=1, max_size=40))

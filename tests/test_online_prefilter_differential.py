@@ -2,9 +2,9 @@
 
 Where the sampled degree is low, both solvers compute their covers in
 numpy dependency rounds over one cKDTree pair list, and hand a stalled
-run to the grid loop; elsewhere they drop, with the numpy cell grid of
-``gridindex.open_rows`` per block (a cKDTree query once the grid
-declines), the points an earlier center already covers. The covers must
+run to the grid loop; elsewhere they drop, with ``gridindex.open_rows``
+per block (its numpy cell grid, or its cKDTree query where the cell table
+would overflow), the points an earlier center already covers. The covers must
 stay bit-equal to the plain loops on either path, with the rounds run on
 a prefix first and with a stall after the first round, on lattices with
 points at exactly distance 1, duplicates, sorted input and lines that
@@ -13,7 +13,7 @@ edges and of 0-2 points, sparse/dense mixes that switch the block filter
 on and off, clustered and sorted input with the tree fallback forced,
 sets just either side of the path thresholds, pairs at exactly the reach
 give or take an ulp, and offsets up to 2^30 (2^52 for the pairs). Every
-row the grid drops is one the RadiusGrid probe finds covered.
+row the grid or the tree drops is one the RadiusGrid probe finds covered.
 """
 
 import math
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import udcover.classic as classic
+import udcover.gridindex as gridindex
 from classic_reference import reference_ccfm1997, reference_dgt2018
 from udcover.classic import ccfm1997, dgt2018
 from udcover.generators import gen_disk, gen_square
@@ -173,16 +174,16 @@ def _count_trees(monkeypatch):
     """Record each cKDTree the solvers build as (rows, names of the methods
     called on it), so a test can tell the sample's trees (query_pairs on a
     few rows), the rounds' pair lists (query_pairs on all rows, or on a
-    prefix) and the block trees (query on the centers); and each call of
-    the block filter's cell grid as (centers, ["open_rows"]), with
-    "declined" added where it returned None."""
+    prefix) and the block filter's trees (query on the centers, which
+    ``open_rows`` builds where its cell table would overflow); and each
+    call of the block filter as (centers, ["open_rows"]), before the tree
+    that call builds, if any."""
     built = []
     real = classic.cKDTree
 
     def grid(points, centers, limit):
-        open_ = open_rows(points, centers, limit)
-        built.append((len(centers), ["open_rows"] + (["declined"] if open_ is None else [])))
-        return open_
+        built.append((len(centers), ["open_rows"]))
+        return open_rows(points, centers, limit)
 
     class Spy:
         def __init__(self, data, **kwargs):
@@ -195,15 +196,16 @@ def _count_trees(monkeypatch):
             return getattr(self.tree, name)
 
     monkeypatch.setattr(classic, "cKDTree", Spy)
+    monkeypatch.setattr(gridindex, "cKDTree", Spy)
     monkeypatch.setattr(classic, "open_rows", grid)
     return built
 
 
 def _queried(built, names=("open_rows", "query")):
-    """The centers of each block filter, in order: the cell grid's calls
-    and the trees asked for nearest neighbours, or only those ``names``
-    names. A block the grid declines shows twice, as a grid call and then
-    as a tree."""
+    """The centers of each block filter, in order: the calls of
+    ``open_rows`` and the trees asked for nearest neighbours, or only those
+    ``names`` names. A block whose cell table would overflow shows twice,
+    as a call and then as its tree."""
     return [rows for rows, calls in built if any(name in calls for name in names)]
 
 
@@ -504,35 +506,35 @@ def filter_cases(draw):
     return np.array(rows or centers[:1]), np.array(centers)
 
 
+@pytest.mark.parametrize("max_pairs", [gridindex._MAX_PAIRS, 0], ids=["grid", "tree"])
 @settings(max_examples=300, deadline=None)
 @given(filter_cases())
 # 1 + 9.7e-147 apart, which rounds to exactly 1, but two floor cells apart,
 # where the probe does not look
 @example((np.array([(1.0, 0.0)]), np.array([(-9.7050727e-147, 0.0)])))
 @example((np.array([(0.0, -0.0), (1.0, -0.0), (0.5, 0.5)]), np.array([(-0.0, 0.0)])))
-def test_every_row_the_block_filter_drops_is_one_the_probe_finds_covered(case):
+def test_every_row_the_block_filter_drops_is_one_the_probe_finds_covered(max_pairs, case):
+    # with no candidate allowed, any row with a center in its own column
+    # sends the call to the tree
     rows, centers = case
     probe = RadiusGrid(1.0)
     for c in centers.tolist():
         probe.insert(tuple(c))
-    open_ = open_rows(rows, centers, 1.0)
-    if open_ is None:
-        return
+    with mock.patch.object(gridindex, "_MAX_PAIRS", max_pairs):
+        open_ = open_rows(rows, centers, 1.0)
     assert np.all(np.diff(open_) > 0) and (not len(open_) or 0 <= open_[0] <= open_[-1] < len(rows))
     dropped = np.setdiff1d(np.arange(len(rows)), open_)
     for p in rows[dropped].tolist():
         assert probe.nearest_within(tuple(p), 1.0) is not None, p
 
 
-def test_the_block_filter_drops_rows_within_one_and_keeps_the_rest():
+@pytest.mark.parametrize("max_pairs", [gridindex._MAX_PAIRS, 0], ids=["grid", "tree"])
+def test_the_block_filter_drops_rows_within_one_and_keeps_the_rest(monkeypatch, max_pairs):
+    monkeypatch.setattr(gridindex, "_MAX_PAIRS", max_pairs)
     centers = np.array([(0.5, 0.5), (2.0**40 + 0.5, -3.0)])
     rows = np.array([(0.5, 0.5), (1.4, 0.5), (1.5, 0.5), (0.5, -0.5), (0.5, 1.0 + 1e-13),
                      (2.0**40 + 1.0, -3.0), (2.0**40 + 1.5, -3.0), (7.0, 7.0)])
     assert open_rows(rows, centers, 1.0).tolist() == [2, 3, 6, 7]
-
-
-# A grid that always declines, so that every filtered block is a tree query
-_NO_GRID = {"open_rows": lambda points, centers, limit: None}
 
 
 def _sorted(pts):
@@ -548,25 +550,31 @@ def _sorted(pts):
 def test_tree_fallback_matches_the_plain_loops(monkeypatch, pts):
     monkeypatch.setattr(classic, "_CCFM_DEGREE", 0.0)
     monkeypatch.setattr(classic, "_MIS_DEGREE", 0.0)
+    # no candidate fits the cap, so open_rows queries its tree for every
+    # filtered block with a center in some row's own column
+    monkeypatch.setattr(gridindex, "_MAX_PAIRS", 0)
     built = _count_trees(monkeypatch)
-    with mock.patch.multiple(classic, **_NO_GRID):
-        for solver, reference in PAIRS:
-            built.clear()
-            assert _bits(solver(pts)) == _bits(reference(pts)), solver.__name__
-            assert _queried(built, ("query",)), solver.__name__
-        _assert_same(pts, first_block=7)
+    for solver, reference in PAIRS:
+        built.clear()
+        assert _bits(solver(pts)) == _bits(reference(pts)), solver.__name__
+        assert _queried(built, ("query",)), solver.__name__
+    _assert_same(pts, first_block=7)
 
 
 @pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
-def test_the_tree_takes_over_from_the_first_block_the_grid_declines(monkeypatch, solver):
+def test_each_filtered_block_tries_the_grid_before_the_tree(monkeypatch, solver):
     # 50 clusters in a 10^5 square: the cells widen to keep the centers'
     # bounding box to about 4(n + m) cells, so a cluster's centers share a
-    # cell and the rows' candidates pass the grid's cap. Blocks and center
-    # lists only grow, so every later block goes straight to the tree.
+    # cell and the rows' candidates pass the grid's cap. open_rows settles
+    # such a block with its tree, and the next block tries the grid again.
     pts = _clusters(20000, 50, 8)
     built = _count_trees(monkeypatch)
     assert _bits(solver(pts)) == _bits(dict(PAIRS)[solver](pts))
     filters = [calls for rows, calls in built if "open_rows" in calls or "query" in calls]
-    cut = filters.index(["open_rows", "declined"])
-    assert all(calls == ["open_rows"] for calls in filters[:cut])
-    assert filters[cut + 1:] and all("open_rows" not in calls for calls in filters[cut + 1:])
+    trees = [i for i, calls in enumerate(filters) if calls == ["query"]]
+    assert filters[0] == ["open_rows"] and trees
+    assert filters.count(["open_rows"]) + len(trees) == len(filters)
+    # each tree answers the call just before it, and the blocks after the
+    # first tree call open_rows again
+    assert all(filters[i - 1] == ["open_rows"] for i in trees)
+    assert ["open_rows"] in filters[trees[0] + 1:]

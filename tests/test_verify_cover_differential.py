@@ -1,9 +1,11 @@
 """verify_cover against the unbounded query it replaced, on generated
 points and covers: near the limit, where the cell grid hands points to
 the tree, and at the grid's edges (many cells, points far outside the
-centers' box, a far outlier center, coordinates up to 1e20)."""
+centers' box, a far outlier center, coordinates up to 1e20), with the
+grid's tree fallback forced there too."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,42 +126,46 @@ def _grid_instance(draw, eps):
     return draw(st.permutations(pts)), np.array(centers, dtype=np.float64)
 
 
+@pytest.mark.parametrize("max_pairs", [udcover.gridindex._MAX_PAIRS, 0], ids=["grid", "tree"])
 @pytest.mark.parametrize("eps", _ALLOWED_EPS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_grid_edges_match_unbounded_query(eps, data):
+def test_grid_edges_match_unbounded_query(eps, max_pairs, data):
+    # with no candidate allowed, any point with a center in its own column
+    # sends open_rows to its tree
     pts, cover = data.draw(_grid_instance(eps))
-    assert _exact(verify_cover(pts, cover, eps)) == _exact(
-        reference_verify_cover(pts, cover, eps))
-
-
-class _CountingTree:
-    built = 0
-
-    def __new__(cls, *args, **kwargs):
-        cls.built += 1
-        return cKDTree(*args, **kwargs)
+    with mock.patch.object(udcover.gridindex, "_MAX_PAIRS", max_pairs):
+        report = verify_cover(pts, cover, eps)
+    assert _exact(report) == _exact(reference_verify_cover(pts, cover, eps))
 
 
 def _tree_builds(monkeypatch, pts, cover):
-    monkeypatch.setattr(_CountingTree, "built", 0)
-    monkeypatch.setattr(udcover.oracle, "cKDTree", _CountingTree)
+    """The cKDTrees that verify_cover builds: (in open_rows, in oracle)."""
+    built = []
+    for module in (udcover.gridindex, udcover.oracle):
+        def counting(*args, module=module, **kwargs):
+            built.append(module)
+            return cKDTree(*args, **kwargs)
+        monkeypatch.setattr(module, "cKDTree", counting)
     assert _exact(verify_cover(pts, cover)) == _exact(reference_verify_cover(pts, cover))
-    return _CountingTree.built
+    return built.count(udcover.gridindex), built.count(udcover.oracle)
 
 
 def test_grid_settles_a_valid_cover_without_a_tree(monkeypatch):
     pts = gen_square(2000, 2000.0, 1)
     cover = fast_cover(pts)
-    assert _tree_builds(monkeypatch, pts, cover) == 0
+    assert _tree_builds(monkeypatch, pts, cover) == (0, 0)
     # an uncovered point needs the tree's exact nearest distance
-    assert _tree_builds(monkeypatch, pts, cover[1:]) == 1
+    assert _tree_builds(monkeypatch, pts, cover[1:]) == (0, 1)
 
 
-def test_far_outlier_center_skips_the_grid(monkeypatch):
+def test_far_outlier_center_sends_open_rows_to_its_tree(monkeypatch):
     # the cells widen until every other center shares one column slice,
-    # so the candidate pairs pass their cap and the tree checks every point
+    # so the candidate pairs pass their cap: open_rows' tree settles every
+    # point, and verify_cover builds no tree of its own
     pts = gen_square(2000, 2000.0, 1)
     cover = np.vstack([fast_cover(pts), [(1e9, 1e9)]])
-    assert udcover.gridindex.open_rows(pts, cover, 1.0 + 1e-9) is None
-    assert _tree_builds(monkeypatch, pts, cover) == 1
+    assert _tree_builds(monkeypatch, pts, cover) == (1, 0)
+    assert udcover.gridindex.open_rows(pts, cover, 1.0 + 1e-9).tolist() == []
+    # an uncovered point is left open by that tree and queried by verify's
+    assert _tree_builds(monkeypatch, pts, cover[1:]) == (1, 1)
