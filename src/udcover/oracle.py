@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import Cover, Point, as_points, centers_array
-from .gridindex import open_rows
+from .gridindex import center_tree, open_rows
 
 MAX_EXACT_POINTS = 12
 
@@ -56,13 +55,19 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
         uncovered = [(i, math.inf) for i in range(pts.shape[0])]
         return VerifyReport(False, uncovered, 0)
     limit = 1.0 + eps
-    open_ = open_rows(pts, ctr, limit)
+    built = []
+
+    def tree():
+        """The centers' tree, built on first use, by open_rows or below."""
+        if not built:
+            built.append(center_tree(ctr))
+        return built[0]
+
+    open_ = open_rows(pts, ctr, limit, tree)
     if not len(open_):
         return VerifyReport(True, [], ctr.shape[0])
     pts = pts[open_]
-    # a sliding-midpoint tree without node shrinking builds faster and
-    # answers the same nearest distances
-    tree = cKDTree(ctr, balanced_tree=False, compact_nodes=False)
+    tree = tree()
     # The bounded query gives the exact nearest distance of every point
     # with a center within the limit (the margin absorbs the rounding of
     # the tree's squared-distance test) and inf for most others; only the

@@ -17,22 +17,29 @@
   dropped from the result. The sweep runs anchor by anchor: each new
   anchor marks, in bulk, the later points it dominates, found in a static
   grid of width-2 columns sorted by y, and the next anchor is the first
-  unmarked point. A point that rounding leaves outside its anchor's quad
+  unmarked point. From 2 points per unit of bounding-box area, where few
+  points become anchors, each anchor's slices of that grid are bisected
+  when the sweep reaches it; below, every point's slices are searched up
+  front in numpy. A point that rounding leaves outside its anchor's quad
   gets a disk of its own.
+
+Both sweeps read the density the same way (``_box_area``), with the box's
+sides floored so that a line or a thin band does not read as dense.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import count
 
 import numpy as np
 
 from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, run_starts, stable_order
 
-# ll2014's three stab loops, chosen once per call by the points per unit
-# of bounding-box area, the box's width floored at one strip (sqrt(3)) so
-# that a line or a thin band does not read as dense:
+# Both sweeps choose their path once per call by the points per unit of
+# bounding-box area. ll2014 floors the box's width at one strip (sqrt(3))
+# and picks one of three stab loops:
 # * from _DENSE up, the loop visits only the segments whose top is a new
 #   low of their strip. On squares, against the plain loop (ll2014 alone,
 #   medians of 25 runs, 2-core KVM guest), it breaks even near density 1.2
@@ -45,14 +52,27 @@ from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, run_starts,
 #   near density 0.33 from n = 2e3 to 1e5 and near 0.2 at n = 500, and is
 #   3-8% slower at n = 100;
 # * in between, the plain loop visits every segment.
+# blms2017 floors both sides at one column (2) and, from _DENSE up,
+# searches each anchor's slices when the sweep reaches it rather than
+# every point's up front. Against the per-point searches (blms2017 alone,
+# medians of 21 interleaved runs, same guest) it is 3-6% slower at
+# density 1 on squares of 1e4 and 1e5 points, even at 1.5, 5-6% faster at
+# 2, 16% at 5 and 35% at 50; 2.8 times as slow at density 0.02; and 6-28%
+# faster on lines 0.1 apart and a 0.01 x 100 band.
 _DENSE = 2.0
 _SPARSE = 0.3
+
+
+def _box_area(width: float, height: float, min_width: float, min_height: float) -> float:
+    """The bounding box's area, each side floored, so that a line or a
+    thin band of points does not read as dense."""
+    return max(width, min_width) * max(height, min_height)
 
 
 def _stab_loop(n: int, width: float, height: float) -> str:
     """The stab loop ll2014 runs on n points in a width x height bounding
     box: "new lows", "forced" or "plain"."""
-    area = max(width, SQRT3) * height
+    area = _box_area(width, height, SQRT3, 0.0)
     if n >= _DENSE * area:
         return "new lows"
     if n >= _SPARSE * area:
@@ -177,16 +197,27 @@ def ll2014_1p(points) -> Cover:
     return ll2014(points, passes=1)
 
 
-# Above this many candidates, an anchor marks a column's window in numpy;
-# at or below it, in a plain loop. The two break even near 100: in numpy
-# alone the sweep takes 4-5 times as long on density-1 squares (windows
-# of about 8 points), in the plain loop alone 1.7 times as long on
-# density-50 ones (about 400).
+# Above this many candidates, an anchor marks them in numpy; at or below
+# it, in a plain loop. The two break even near 100: in numpy alone the
+# sweep takes 4-5 times as long on density-1 squares (windows of about 8
+# points), in the plain loop alone 1.7 times as long on density-50 ones
+# (about 400). Per-anchor windows count both slices together and mark
+# them in one numpy call, 10% less time on the dense instance than a call
+# per slice. Per-point windows count each slice on its own: the joint
+# test cost their loop 1-3% at density 0.02-1.
 _NUMPY_CUTOFF = 96
 # The sweep's bounds test dx ** 2 + dy ** 2, and the C pow behind ** is
 # not always the rounded v * v: the two sums differ by a few ulps at
 # most, so only a sum this close to a bound is tested with **.
 _BAND = 1e-12
+
+
+def _window_search(n: int, width: float, height: float) -> str:
+    """Where blms2017's sweep finds the windows of n points in a width x
+    height bounding box: "per anchor" or "per point"."""
+    if n >= _DENSE * _box_area(width, height, 2.0, 2.0):
+        return "per anchor"
+    return "per point"
 
 
 def _blms_sweep(points):
@@ -201,7 +232,9 @@ def _blms_sweep(points):
     (dx*dx + dy*dy, creation order); the point becomes an anchor itself
     when there is none or ``dx ** 2 + dy ** 2 > 4.0``. Each new anchor
     marks the later points whose window it lies in, so the next anchor
-    is the first point left unmarked.
+    is the first point left unmarked. Where the points are dense
+    (``_window_search``), an anchor's slices are searched when the sweep
+    reaches it; elsewhere every point's slices are searched up front.
     """
     x, y = as_points(points).T
     # a quicksort by x gives the stable (x, y) order when no two x are
@@ -220,54 +253,66 @@ def _blms_sweep(points):
     # further than the next column
     col = np.floor(xs / 2.0)
     new_col = col[1:] != col[:-1]
-    rank = np.r_[0.0, np.cumsum(new_col)]
-    col_end = np.r_[np.flatnonzero(new_col) + 1, n]
+    rank = np.zeros(n, np.int64)
+    np.cumsum(new_col, out=rank[1:])
+    # column r is sorted positions bounds[r] to bounds[r + 1] - 1, and
+    # the same cell positions
+    bounds = np.concatenate(([0], np.flatnonzero(new_col) + 1, [n]))
     # the points by (column, y) -- the cells -- so that an anchor's
     # window in a column is the slice between two exact searches
     key = np.empty(n, np.complex128)
     key.real = rank
     key.imag = ys
     cell = np.argsort(key)
-    key = key[cell]
-    lo = np.searchsorted(key + 2j, key, "left")
-    hi = np.searchsorted(key - 2j, key, "right")
-    lo_next = np.searchsorted(key + 2j, key + 1.0, "left")
-    hi_next = np.searchsorted(key - 2j, key + 1.0, "right")
-    # skip the next column when no point of it is within 2 in x
-    x_end = np.searchsorted(xs - 2.0, xs, "right")[cell]
-    hi_next = np.where(x_end > col_end[key.real.astype(np.int64)],
-                       hi_next, lo_next)
-    cell_of = np.empty(n, np.int64)
-    cell_of[cell] = np.arange(n)
     xc = xs[cell]
     yc = ys[cell]
+    per_anchor = _window_search(n, float(xs[-1] - xs[0]),
+                                float(ys.max() - ys.min())) == "per anchor"
+    if per_anchor:
+        # an anchor's slices are bisected when the sweep reaches it, within
+        # a column, over the same rounded y + 2.0, y - 2.0 and x - 2.0 that
+        # the per-point searches compare: the same slices
+        m_up, m_down, m_x_end, m_bounds = map(
+            memoryview, (yc + 2.0, yc - 2.0, xs - 2.0, bounds))
+    else:
+        key = key[cell]
+        lo = np.searchsorted(key + 2j, key, "left")
+        hi = np.searchsorted(key - 2j, key, "right")
+        lo_next = np.searchsorted(key + 2j, key + 1.0, "left")
+        hi_next = np.searchsorted(key - 2j, key + 1.0, "right")
+        # skip the next column when no point of it is within 2 in x
+        x_end = np.searchsorted(xs - 2.0, xs, "right")[cell]
+        hi_next = np.where(x_end > bounds[1:][rank[cell]], hi_next, lo_next)
+        cell_of = np.empty(n, np.int64)
+        cell_of[cell] = np.arange(n)
+        # whether a point's windows hold any point but itself
+        busy = ((hi - lo > 1) | (hi_next > lo_next)).view(np.uint8)
+        (m_cell_of, m_busy, m_lo, m_hi, m_lo_next, m_hi_next, m_end) = map(
+            memoryview, (cell_of, busy, lo, hi, lo_next, hi_next, x_end))
 
     live = bytearray(b"\x01") * n
     live_np = np.frombuffer(live, np.uint8)
     best_d = np.full(n, np.inf)
     anchor = np.full(n, -1, np.int64)
-    # whether a point's windows hold any point but itself
-    busy = ((hi - lo > 1) | (hi_next > lo_next)).view(np.uint8)
     # memoryviews give Python scalars without converting whole arrays
-    (m_cell_of, m_pos, m_x, m_y, m_d, m_a, m_busy,
-     m_lo, m_hi, m_lo_next, m_hi_next, m_end) = map(
-        memoryview, (cell_of, cell, xc, yc, best_d, anchor, busy,
-                     lo, hi, lo_next, hi_next, x_end))
+    m_xs, m_ys, m_pos, m_x, m_y, m_d, m_a = map(
+        memoryview, (xs, ys, cell, xc, yc, best_d, anchor))
 
-    def mark(k, end, a, ax, ay, s, e):
-        """The plain loop below, in numpy, over cells[s:e]."""
-        dx = ax - xc[s:e]
-        dy = ay - yc[s:e]
+    def mark(k, end, a, ax, ay, t):
+        """The plain loop below, in numpy, over the cells t."""
+        dx = ax - xc[t]
+        dy = ay - yc[t]
         d = dx * dx + dy * dy
-        pos = cell[s:e]
-        upd = (d < best_d[s:e]) & (pos > k) & (pos < end)
-        np.putmask(best_d[s:e], upd, d)
-        np.putmask(anchor[s:e], upd, a)
+        pos = cell[t]
+        upd = (d < best_d[t]) & (pos > k) & (pos < end)
+        t = t[upd]
         d = d[upd]
         pos = pos[upd]
+        best_d[t] = d
+        anchor[t] = a
         live_np[pos] = d > 4.0
-        for t in np.flatnonzero(np.abs(d - 4.0) <= _BAND).tolist():
-            j = int(pos[t])
+        for u in np.flatnonzero(np.abs(d - 4.0) <= _BAND).tolist():
+            j = int(pos[u])
             live[j] = (ax - xs.item(j)) ** 2 + (ay - ys.item(j)) ** 2 > 4.0
 
     near = 4.0 - _BAND
@@ -276,17 +321,34 @@ def _blms_sweep(points):
     k = 0
     while k >= 0:
         anchors.append(k)
-        i = m_cell_of[k]
-        if m_busy[i]:
-            ax = m_x[i]
-            ay = m_y[i]
+        if per_anchor or m_busy[i := m_cell_of[k]]:
+            ax = m_xs[k]
+            ay = m_ys[k]
             # the later points of the window, in the own column and in the
             # next one, that lie within 2 in x: sorted positions k + 1 to
             # end - 1
-            end = m_end[i]
-            for s, e in ((m_lo[i], m_hi[i]), (m_lo_next[i], m_hi_next[i])):
+            if per_anchor:
+                end = bisect_right(m_x_end, ax, k + 1)
+                c = bisect_right(m_bounds, k)
+                s, e = m_bounds[c - 1], m_bounds[c]
+                lo, hi = bisect_left(m_up, ay, s, e), bisect_right(m_down, ay, s, e)
+                lo_next = hi_next = e
+                # the next column, when a point of it is within 2 in x
+                if end > e:
+                    s, e = e, m_bounds[c + 1]
+                    lo_next, hi_next = bisect_left(m_up, ay, s, e), bisect_right(m_down, ay, s, e)
+                if hi - lo + hi_next - lo_next > _NUMPY_CUTOFF:
+                    mark(k, end, a, ax, ay,
+                         np.concatenate((np.arange(lo, hi), np.arange(lo_next, hi_next))))
+                    windows = ()
+                else:
+                    windows = ((lo, hi), (lo_next, hi_next))
+            else:
+                end = m_end[i]
+                windows = ((m_lo[i], m_hi[i]), (m_lo_next[i], m_hi_next[i]))
+            for s, e in windows:
                 if e - s > _NUMPY_CUTOFF:
-                    mark(k, end, a, ax, ay, s, e)
+                    mark(k, end, a, ax, ay, np.arange(s, e))
                     continue
                 for t in range(s, e):
                     j = m_pos[t]

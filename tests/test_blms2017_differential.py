@@ -8,9 +8,11 @@ sweep's boundaries: exactly 2 apart and a few ulps either side, on the
 width-2 column edges, equidistant from two anchors, with duplicates and
 signed zeros, at offsets up to 2^30. Each set runs with the numpy
 cut-off at its value, at 0 (every window marked in numpy) and above any
-window (every window marked in the plain loop).
+window (every window marked in the plain loop), and each of these with
+the windows found per anchor, as on dense input, and per point.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from sweep_reference import reference_blms2017, reference_blms2017_raw
-from udcover import sweep
+from udcover import gen_disk, gen_square, sweep
 from udcover.geom import SQRT3
 from udcover.oracle import verify_cover
 from udcover.sweep import blms2017, blms2017_raw
@@ -27,6 +29,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 CUTOFFS = (sweep._NUMPY_CUTOFF, 0, 10**9)
+# the _DENSE that forces each window search on any bounding box, whose
+# sides count as at least 2
+_FORCE = {"per anchor": 0.0, "per point": math.inf}
 
 
 def _bits(cover):
@@ -126,8 +131,8 @@ def check(pts):
         want = None
     if want is not None:
         want_raw = reference_blms2017_raw(pts)
-    for cutoff in CUTOFFS:
-        with mock.patch.object(sweep, "_NUMPY_CUTOFF", cutoff):
+    for cutoff, dense in itertools.product(CUTOFFS, _FORCE.values()):
+        with mock.patch.multiple(sweep, _NUMPY_CUTOFF=cutoff, _DENSE=dense):
             got = blms2017(pts)
             raw = blms2017_raw(pts)
         if want is None:
@@ -151,6 +156,13 @@ def check(pts):
 # anchor and ax - x still rounds to -2, while another point of that
 # column lies within 2 in x
 @example([(1.0 + 2.0**-52, 0.0), (3.0 + 2.0**-51, 0.0), (2.0, 10.0)])
+# a later point exactly 2 below or above the anchor, a hair to its right
+# (dx * dx + dy * dy rounds to 4), in its column and in the next one: on
+# the edge of both windows, and covered
+@example([(0.0, 0.0), (1e-9, -2.0)])
+@example([(0.0, 0.0), (1e-9, 2.0)])
+@example([(-(2.0**-53), 0.0), (2.0**-53, -2.0)])
+@example([(-(2.0**-53), 0.0), (2.0**-53, 2.0)])
 # a point equidistant from two anchors, in their column and in the next
 # one: the first anchor created wins
 @example([(0.0, -1.25), (0.0, 1.25), (1.0, 0.0)])
@@ -175,3 +187,74 @@ def test_blms2017_matches_reference_on_offset_lattices():
             pts = [(offset + spacing * i, offset + spacing * j)
                    for i in range(8) for j in range(8)]
             check(pts)
+
+
+def test_blms2017_matches_reference_on_dense_squares():
+    # density 2 and 50: windows of about 16 and 400 points, marked in the
+    # plain loop and in numpy
+    for n, side in ((400, 14.0), (2000, 6.4)):
+        check(gen_square(n, side, 1))
+
+
+@pytest.mark.parametrize("search", _FORCE)
+@pytest.mark.parametrize("box", [(0.0, 0.0), (0.0, 5.0), (5.0, 0.0), (1e6, 1e6)])
+def test_dense_forces_each_window_search(search, box):
+    with mock.patch.object(sweep, "_DENSE", _FORCE[search]):
+        assert sweep._window_search(1, *box) == search
+
+
+# the benchmark's workloads on each side of the choice, and lines and a
+# band, whose sides count as at least 2 (one column)
+_CHOICE = {
+    "uniform": (gen_square(10000, 10000.0, 1), "per point"),
+    "sparse": (gen_disk(8000, 400000.0, 1), "per point"),
+    "small-batch": (gen_disk(500, 500.0, 1), "per point"),
+    "dense": (gen_square(16000, 320.0, 1), "per anchor"),
+    "one point": ([(3.0, 4.0)], "per point"),
+    "horizontal line, step 0.1": ([(0.1 * k, 4.0) for k in range(1000)], "per anchor"),
+    "horizontal line, step 0.5": ([(0.5 * k, 4.0) for k in range(1000)], "per point"),
+    "vertical line, step 0.1": ([(3.0, 0.1 * k) for k in range(1000)], "per anchor"),
+    "vertical line, step 0.5": ([(3.0, 0.5 * k) for k in range(1000)], "per point"),
+    "band 0.01 x 100": (np.column_stack((np.random.default_rng(1).random(1000) * 0.01,
+                                         np.linspace(0.0, 100.0, 1000))), "per anchor"),
+}
+
+
+@pytest.mark.parametrize("name", _CHOICE)
+def test_blms2017_picks_its_window_search_by_density(name, monkeypatch):
+    picked = []
+    window_search = sweep._window_search
+
+    def spy(*box):
+        picked.append(window_search(*box))
+        return picked[-1]
+
+    monkeypatch.setattr(sweep, "_window_search", spy)
+    pts, search = _CHOICE[name]
+    blms2017(pts)
+    assert picked == [search]
+
+
+def test_blms2017_on_no_points_picks_no_window_search(monkeypatch):
+    # a call would raise TypeError
+    monkeypatch.setattr(sweep, "_window_search", None)
+    assert blms2017([]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("search", _FORCE)
+def test_per_anchor_search_makes_no_per_point_search(search, monkeypatch):
+    # per anchor: a bisection of x - 2.0, and two of y + 2.0 and y - 2.0
+    # per column searched, and no searchsorted over the points
+    searchsorted = mock.Mock(wraps=np.searchsorted)
+    left = mock.Mock(wraps=sweep.bisect_left)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    monkeypatch.setattr(sweep, "bisect_left", left)
+    monkeypatch.setattr(sweep, "_DENSE", _FORCE[search])
+    pts = gen_square(16000, 320.0, 1)
+    anchors = len(blms2017_raw(pts)) // 4
+    if search == "per anchor":
+        assert searchsorted.call_count == 0
+        assert anchors <= left.call_count <= 2 * anchors
+    else:
+        assert searchsorted.call_count == 5
+        assert left.call_count == 0

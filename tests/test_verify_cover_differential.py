@@ -140,23 +140,27 @@ def test_grid_edges_match_unbounded_query(eps, max_pairs, data):
 
 
 def _tree_builds(monkeypatch, pts, cover):
-    """The cKDTrees that verify_cover builds: (in open_rows, in oracle)."""
+    """The cKDTrees that verify_cover builds, in open_rows or for its own
+    query."""
     built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return cKDTree(*args, **kwargs)
+
+    # oracle builds none of its own; raising=False still counts one there
     for module in (udcover.gridindex, udcover.oracle):
-        def counting(*args, module=module, **kwargs):
-            built.append(module)
-            return cKDTree(*args, **kwargs)
-        monkeypatch.setattr(module, "cKDTree", counting)
+        monkeypatch.setattr(module, "cKDTree", counting, raising=False)
     assert _exact(verify_cover(pts, cover)) == _exact(reference_verify_cover(pts, cover))
-    return built.count(udcover.gridindex), built.count(udcover.oracle)
+    return len(built)
 
 
 def test_grid_settles_a_valid_cover_without_a_tree(monkeypatch):
     pts = gen_square(2000, 2000.0, 1)
     cover = fast_cover(pts)
-    assert _tree_builds(monkeypatch, pts, cover) == (0, 0)
+    assert _tree_builds(monkeypatch, pts, cover) == 0
     # an uncovered point needs the tree's exact nearest distance
-    assert _tree_builds(monkeypatch, pts, cover[1:]) == (0, 1)
+    assert _tree_builds(monkeypatch, pts, cover[1:]) == 1
 
 
 def test_far_outlier_center_sends_open_rows_to_its_tree(monkeypatch):
@@ -165,7 +169,26 @@ def test_far_outlier_center_sends_open_rows_to_its_tree(monkeypatch):
     # point, and verify_cover builds no tree of its own
     pts = gen_square(2000, 2000.0, 1)
     cover = np.vstack([fast_cover(pts), [(1e9, 1e9)]])
-    assert _tree_builds(monkeypatch, pts, cover) == (1, 0)
+    assert _tree_builds(monkeypatch, pts, cover) == 1
     assert udcover.gridindex.open_rows(pts, cover, 1.0 + 1e-9).tolist() == []
-    # an uncovered point is left open by that tree and queried by verify's
-    assert _tree_builds(monkeypatch, pts, cover[1:]) == (1, 1)
+    # an uncovered point is left open by that tree and queried by it again
+    assert _tree_builds(monkeypatch, pts, cover[1:]) == 1
+
+
+def _clusters(n, k, seed):
+    """n points in k clusters (standard normal around uniform centers in a
+    10^5 square)."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((k, 2)) * 1e5
+    return np.ascontiguousarray(centers[rng.integers(0, k, n)] + rng.normal(size=(n, 2)))
+
+
+def test_clustered_cover_missing_a_center_builds_one_tree(monkeypatch):
+    # the cells widen past the clusters, so open_rows' table would
+    # overflow: its tree leaves the missing center's points open, and
+    # verify_cover queries them in that same tree
+    pts = _clusters(20_000, 100, 1)
+    cover = fast_cover(pts)
+    assert _tree_builds(monkeypatch, pts, cover) == 1
+    assert _tree_builds(monkeypatch, pts, cover[1:]) == 1
+    assert not verify_cover(pts, cover[1:]).valid
