@@ -20,8 +20,11 @@
   unmarked point. From 2 points per unit of bounding-box area, where few
   points become anchors, each anchor's slices of that grid are bisected
   when the sweep reaches it; below, every point's slices are searched up
-  front in numpy. A point that rounding leaves outside its anchor's quad
-  gets a disk of its own.
+  front in numpy, and the sweep starts with only the points whose windows
+  hold another point live: the others mark nothing, and each one that no
+  anchor marks is an anchor, numbered after the sweep by sorted position.
+  A point that rounding leaves outside its anchor's quad gets a disk of
+  its own.
 
 Both sweeps read the density the same way (``_box_area``), with the box's
 sides floored so that a line or a thin band does not read as dense.
@@ -204,7 +207,10 @@ def ll2014_1p(points) -> Cover:
 # (about 400). Per-anchor windows count both slices together and mark
 # them in one numpy call, 10% less time on the dense instance than a call
 # per slice. Per-point windows count each slice on its own: the joint
-# test cost their loop 1-3% at density 0.02-1.
+# test costs their loop 1-3% at density 0.02-1 (blms2017 alone, with the
+# sweep started at the busy points: sparse +2.1%, 3 of 41 interleaved
+# pairs faster; squares at density 0.1 +2.7%, 5/21; uniform +0.9%,
+# 17/41).
 _NUMPY_CUTOFF = 96
 # The sweep's bounds test dx ** 2 + dy ** 2, and the C pow behind ** is
 # not always the rounded v * v: the two sums differ by a few ulps at
@@ -231,10 +237,15 @@ def _blms_sweep(points):
     ``not a.x < x - 2.0`` and ``y - 2.0 <= a.y <= y + 2.0``, by
     (dx*dx + dy*dy, creation order); the point becomes an anchor itself
     when there is none or ``dx ** 2 + dy ** 2 > 4.0``. Each new anchor
-    marks the later points whose window it lies in, so the next anchor
-    is the first point left unmarked. Where the points are dense
-    (``_window_search``), an anchor's slices are searched when the sweep
-    reaches it; elsewhere every point's slices are searched up front.
+    marks the later points whose window it lies in, with its sorted
+    position, so the next anchor is the first point left unmarked. Where
+    the points are dense (``_window_search``), an anchor's slices are
+    searched when the sweep reaches it; elsewhere every point's slices
+    are searched up front. There a point whose windows hold no other
+    point would mark nothing, and the sweep starts with it dead: it stops
+    there only where a mark leaves it live, and sets it live afterwards
+    if nothing marked it. The anchors are then the live points, and each
+    is numbered by its rank among them, the order of creation.
     """
     x, y = as_points(points).T
     # a quicksort by x gives the stable (x, y) order when no two x are
@@ -274,6 +285,7 @@ def _blms_sweep(points):
         # the per-point searches compare: the same slices
         m_up, m_down, m_x_end, m_bounds = map(
             memoryview, (yc + 2.0, yc - 2.0, xs - 2.0, bounds))
+        live = bytearray(b"\x01") * n
     else:
         key = key[cell]
         lo = np.searchsorted(key + 2j, key, "left")
@@ -289,16 +301,20 @@ def _blms_sweep(points):
         busy = ((hi - lo > 1) | (hi_next > lo_next)).view(np.uint8)
         (m_cell_of, m_busy, m_lo, m_hi, m_lo_next, m_hi_next, m_end) = map(
             memoryview, (cell_of, busy, lo, hi, lo_next, hi_next, x_end))
-
-    live = bytearray(b"\x01") * n
-    live_np = np.frombuffer(live, np.uint8)
+        # a point that is not busy marks nothing, so the sweep starts with
+        # only the busy points live; one that no anchor marks is set live
+        # after the sweep
+        live = bytearray(busy[cell_of])
+    live_np = np.frombuffer(live, bool)
+    # per cell, the squared distance to the nearest anchor so far, and per
+    # sorted point, that anchor's sorted position
     best_d = np.full(n, np.inf)
     anchor = np.full(n, -1, np.int64)
     # memoryviews give Python scalars without converting whole arrays
     m_xs, m_ys, m_pos, m_x, m_y, m_d, m_a = map(
         memoryview, (xs, ys, cell, xc, yc, best_d, anchor))
 
-    def mark(k, end, a, ax, ay, t):
+    def mark(k, end, ax, ay, t):
         """The plain loop below, in numpy, over the cells t."""
         dx = ax - xc[t]
         dy = ay - yc[t]
@@ -309,18 +325,15 @@ def _blms_sweep(points):
         d = d[upd]
         pos = pos[upd]
         best_d[t] = d
-        anchor[t] = a
+        anchor[pos] = k
         live_np[pos] = d > 4.0
         for u in np.flatnonzero(np.abs(d - 4.0) <= _BAND).tolist():
             j = int(pos[u])
             live[j] = (ax - xs.item(j)) ** 2 + (ay - ys.item(j)) ** 2 > 4.0
 
     near = 4.0 - _BAND
-    anchors = []
-    a = 0
-    k = 0
+    k = live.find(1)
     while k >= 0:
-        anchors.append(k)
         if per_anchor or m_busy[i := m_cell_of[k]]:
             ax = m_xs[k]
             ay = m_ys[k]
@@ -338,7 +351,7 @@ def _blms_sweep(points):
                     s, e = e, m_bounds[c + 1]
                     lo_next, hi_next = bisect_left(m_up, ay, s, e), bisect_right(m_down, ay, s, e)
                 if hi - lo + hi_next - lo_next > _NUMPY_CUTOFF:
-                    mark(k, end, a, ax, ay,
+                    mark(k, end, ax, ay,
                          np.concatenate((np.arange(lo, hi), np.arange(lo_next, hi_next))))
                     windows = ()
                 else:
@@ -348,7 +361,7 @@ def _blms_sweep(points):
                 windows = ((m_lo[i], m_hi[i]), (m_lo_next[i], m_hi_next[i]))
             for s, e in windows:
                 if e - s > _NUMPY_CUTOFF:
-                    mark(k, end, a, ax, ay, np.arange(s, e))
+                    mark(k, end, ax, ay, np.arange(s, e))
                     continue
                 for t in range(s, e):
                     j = m_pos[t]
@@ -358,14 +371,21 @@ def _blms_sweep(points):
                         d = dx * dx + dy * dy
                         if d < m_d[t]:
                             m_d[t] = d
-                            m_a[t] = a
+                            m_a[j] = k
                             live[j] = d > near and dx ** 2 + dy ** 2 > 4.0
-        a += 1
         k = live.find(1, k + 1)
-    of = np.empty(n, np.int64)
-    of[cell] = anchor
-    of[anchors] = np.arange(a)
-    return xs, ys, np.array(anchors, np.int64), of
+    # the points no anchor marked are anchors too; the live points are
+    # then the anchors, which the sweep created in sorted order
+    live_np[anchor < 0] = True
+    anchors = np.flatnonzero(live_np)
+    ids = np.arange(len(anchors))
+    index = np.empty(n, np.int64)
+    index[anchors] = ids
+    # an unmarked point's -1 reads a stray entry, and as an anchor it then
+    # takes its own id
+    of = index[anchor]
+    of[anchors] = ids
+    return xs, ys, anchors, of
 
 
 def _quads(xs, ys):

@@ -32,6 +32,7 @@ CUTOFFS = (sweep._NUMPY_CUTOFF, 0, 10**9)
 # the _DENSE that forces each window search on any bounding box, whose
 # sides count as at least 2
 _FORCE = {"per anchor": 0.0, "per point": math.inf}
+_OFFSETS = (0.0, 2.0**20, -(2.0**20), -(2.0**30))
 
 
 def _bits(cover):
@@ -112,8 +113,7 @@ def point_sets(draw):
     pts = []
     for _ in range(draw(st.integers(1, 4))):
         pts += draw(st.sampled_from(_PARTS))(draw)
-    ox, oy = (draw(st.sampled_from([0.0, 2.0**20, -(2.0**20), -(2.0**30)]))
-              for _ in range(2))
+    ox, oy = (draw(st.sampled_from(_OFFSETS)) for _ in range(2))
     pts = [(x + ox, y + oy) for x, y in pts]
     # nudge a few coordinates by up to 2 ulps, at the offset's scale
     for _ in range(draw(st.integers(0, 4))):
@@ -182,7 +182,7 @@ def test_blms2017_matches_reference(pts):
 
 
 def test_blms2017_matches_reference_on_offset_lattices():
-    for offset in (0.0, 2.0**20, -(2.0**20), -(2.0**30)):
+    for offset in _OFFSETS:
         for spacing in (2.0, SQRT3):
             pts = [(offset + spacing * i, offset + spacing * j)
                    for i in range(8) for j in range(8)]
@@ -194,6 +194,65 @@ def test_blms2017_matches_reference_on_dense_squares():
     # plain loop and in numpy
     for n, side in ((400, 14.0), (2000, 6.4)):
         check(gen_square(n, side, 1))
+
+
+def _anchors_by_search(pts):
+    """The anchors of ``blms2017_raw`` (each quad's center disk), in
+    numbering order, with each window search forced."""
+    out = []
+    for dense in _FORCE.values():
+        with mock.patch.object(sweep, "_DENSE", dense):
+            out.append(blms2017_raw(pts)[::4].tolist())
+    return out
+
+
+# A point whose windows hold no other point marks nothing. The per-point
+# sweep starts with only the other points live and numbers the anchors by
+# sorted position after it.
+def test_blms2017_numbers_lone_anchors_between_visited_ones():
+    # lone points 3 apart on one row, interleaved in x with pairs 2 apart
+    # on another, the second of which its first marks: by x, lone, pair
+    # start, lone, pair end, lone, ...
+    for offset in _OFFSETS:
+        lone = [(offset + 3.0 * i, offset) for i in range(8)]
+        starts = [(offset + 1.5 + 6.0 * i, offset + 10.0) for i in range(4)]
+        ends = [(x + 2.0, y) for x, y in starts]
+        pts = lone + ends + starts
+        check(pts)
+        want = sorted(map(list, lone + starts))
+        assert _anchors_by_search(pts) == [want, want]
+
+
+@pytest.mark.parametrize("dx, dy, lone_anchor", [
+    # d just above 4, outside the band and inside it: left live
+    (1.2, 1.6 + 1e-6, True),
+    (1.2, 1.6, True),
+    # d exactly 4, re-tested with **, and just below 4: killed
+    (2.0, 0.0, False),
+    (1.2, 1.6 - 1e-6, False),
+])
+def test_blms2017_settles_a_lone_point_an_anchor_marks(dx, dy, lone_anchor):
+    # the point lies in the anchor's next column, where its own windows
+    # hold no other point
+    anchor, lone = (1.5, 0.0), (1.5 + dx, dy)
+    assert math.floor(lone[0] / 2.0) == 1
+    pts = [lone, anchor]
+    check(pts)
+    want = [list(anchor)] + [list(lone)] * lone_anchor
+    assert _anchors_by_search(pts) == [want, want]
+
+
+@pytest.mark.parametrize("spacing", [2.5, 3.0])
+def test_blms2017_lattice_of_lone_points(spacing):
+    # no point's windows hold another: every point is an anchor whose
+    # quad holds only it, in its center disk
+    for offset in _OFFSETS:
+        pts = [(offset + spacing * i, offset + spacing * j)
+               for i in range(6) for j in range(6)]
+        check(pts)
+        want = sorted(map(list, pts))
+        assert _anchors_by_search(pts) == [want, want]
+        assert blms2017(pts).tolist() == want
 
 
 @pytest.mark.parametrize("search", _FORCE)
