@@ -10,9 +10,11 @@ Three optimization levels over the same sqrt(2)-grid idea:
   grid-disk takes, then ``coalesce_pass`` merges adjacent disks whose
   combined box has diagonal at most 2 into a single disk.
 
-``fast_cover_plus`` and ``build_disk_table`` share one placement pass over
-arrays (``_place``): only the points whose fate depends on input order go
-through a Python loop.
+All three number the nonempty cells once (``_Cells``): in O(n) time by a
+radix sort where the cells' key box holds at most 2^16 keys, else by
+argsort. ``fast_cover_plus`` and ``build_disk_table`` share one placement
+pass over arrays (``_place``): only the points whose fate depends on input
+order go through a Python loop.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Cover, INV_SQRT2, SQRT2, bounded_points, run_starts
+from .geom import Cover, INV_SQRT2, SQRT2, bounded_points, key_order, run_starts
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
@@ -36,70 +38,61 @@ _PLACE_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _LATER_NEIGHBORS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _floor_cells(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(xy / sqrt(2)) of n >= 1 points, as floats and as int64 cell
-    indices."""
-    floor = np.floor(xy / SQRT2)
-    return floor, floor.astype(np.int64)
-
-
 class _Cells:
-    """The distinct cells among n (i, j) pairs, numbered in (i, j) order.
+    """The distinct cells (i, j) = floor(xy / sqrt(2)) of n >= 1 points,
+    numbered in (i, j) order.
 
-    A cell's key is i * span + j, span the number of j values in the
-    cells' bounding box. Keys keep (i, j) order and never collide; below
-    ``COORD_BOUND`` their magnitude stays under 2^45.
+    A cell's key is (i - i_min) * span + j - j_min, span one more than the
+    number of j values in the cells' bounding box. Keys keep (i, j) order,
+    and the spare j keeps a neighbor's key apart from every other cell's:
+    (i + di, j + dj), |dj| <= 1, has key + di * span + dj. Below
+    ``COORD_BOUND`` keys stay under 2^46; where the key box holds at most
+    2^16 keys, ``key_order`` sorts them by radix.
     """
 
-    def __init__(self, ij: np.ndarray):
-        j = ij[:, 1]
-        self.span = int(j.max()) - int(j.min()) + 1
-        key = ij[:, 0] * self.span + j
-        order = key.argsort()
-        sorted_key = key[order]
+    def __init__(self, floor: np.ndarray):
+        i = floor[:, 0].astype(np.int64)
+        j = floor[:, 1].astype(np.int64)
+        i0, j0 = int(i.min()), int(j.min())
+        self.span = int(j.max()) - j0 + 2
+        key = i * self.span
+        key += j
+        key -= i0 * self.span + j0
+        size = (int(i.max()) - i0 + 1) * self.span
+        order = key_order(key, size)
+        sorted_key = key.take(order)
         new = run_starts(sorted_key)
-        start = new.nonzero()[0]
-        self.key = sorted_key[start]
+        start = np.flatnonzero(new)
+        self.key = sorted_key.take(start)
         self.id = np.empty(len(key), dtype=np.intp)  # cell of each item
         self.id[order] = new.cumsum() - 1
-        # items grouped by cell, to reduce over each cell's items
-        self.order = order
-        self.start = start
-        self.first = np.minimum.reduceat(order, start)  # earliest item
-        self.i = ij[:, 0].take(self.first)
-        self.j = ij[:, 1].take(self.first)
-        # grid-disk centers
-        self.cx = SQRT2 * self.i + INV_SQRT2
-        self.cy = SQRT2 * self.j + INV_SQRT2
+        self.first = order.take(start)  # earliest item if the radix sort (stable) ran
+        if size > 2**16:
+            np.minimum.at(self.first, self.id, np.arange(len(key)))
+        self.center = SQRT2 * floor.take(self.first, axis=0) + INV_SQRT2  # grid-disk centers
+        self.row_at = {}  # di: where each key + di * span is or would go
 
     def neighbors(self, offsets) -> np.ndarray:
-        """For every cell (rows) and each (di, dj) in ``offsets``
+        """For each (di, dj) in ``offsets`` (rows) and every cell
         (columns): the index of the cell (i + di, j + dj), or -1 where
         that cell is empty."""
-        m = len(self.key)
-        pos = np.empty((len(offsets), m), dtype=np.intp)
-        row_at = {}
+        key = self.key
+        m = len(key)
+        out = np.empty((len(offsets), m), dtype=np.intp)
         for col, (di, dj) in enumerate(offsets):
+            want = key + (di * self.span + dj)
             if di == 0:
-                pos[col] = np.arange(dj, m + dj)
-                continue
-            # (i + di, j - 1), (i + di, j) and (i + di, j + 1) are
-            # adjacent in key order, so one search per di places all three
-            row = self.key + di * self.span
-            if di not in row_at:
-                row_at[di] = self.key.searchsorted(row)
-            if dj > 0:
-                pos[col] = row_at[di] + (self.key.take(row_at[di], mode="clip") == row)
+                pos = np.arange(dj, m + dj)
             else:
-                pos[col] = row_at[di] + dj
-        di, dj = np.array(offsets).T[:, :, None]
-        hit = ((self.i.take(pos, mode="clip") == self.i + di)
-               & (self.j.take(pos, mode="clip") == self.j + dj))
-        return np.where(hit, pos, -1).T
-
-    def centers(self, cells: np.ndarray) -> Cover:
-        """Grid-disk centers of the given cells, in that order."""
-        return np.column_stack((self.cx.take(cells), self.cy.take(cells)))
+                # (i + di, j - 1), (i + di, j) and (i + di, j + 1) are
+                # adjacent in key order, so one search per di places all three
+                if di not in self.row_at:
+                    self.row_at[di] = key.searchsorted(want - dj)
+                pos = self.row_at[di] + min(dj, 0)
+                if dj > 0:
+                    pos += key.take(pos, mode="clip") < want
+            out[col] = np.where(key.take(pos, mode="clip") == want, pos, -1)
+        return out
 
 
 class _Placement(NamedTuple):
@@ -121,8 +114,8 @@ def _place(xy: np.ndarray) -> _Placement:
     only those points go through the sequential loop.
     """
     n = len(xy)
-    floor, ij = _floor_cells(xy)
-    cells = _Cells(ij)
+    floor = np.floor(xy / SQRT2)
+    cells = _Cells(floor)
     cid = cells.id
     corner = floor * SQRT2
     gates = np.empty((n, 4), dtype=bool)  # columns E, W, N, S
@@ -131,25 +124,31 @@ def _place(xy: np.ndarray) -> _Placement:
     # (point, neighbor cell) pairs where that neighbor could take the
     # point: gate passed, neighbor nonempty, within distance 1, and one of
     # the neighbor's points comes earlier (else it cannot be placed yet)
-    pts, d = gates.nonzero()
-    nb = cells.neighbors(_PLACE_DIRS)[cid[pts], d]
-    dx = xy[:, 0].take(pts) - cells.cx.take(nb)
-    dy = xy[:, 1].take(pts) - cells.cy.take(nb)
-    ok = (nb >= 0) & (dx * dx + dy * dy <= 1.0) & (cells.first.take(nb) < pts)
-    pts = pts[ok]
-    reach = np.full((n, 4), -1, dtype=np.intp)  # columns E, W, N, S
-    reach[pts, d[ok]] = nb[ok]
-    takeable = np.zeros(n, dtype=bool)
-    takeable[pts] = True
+    pairs = np.flatnonzero(gates)
+    pts, d = pairs >> 2, pairs & 3
+    home = cid.take(pts)
+    nb = cells.neighbors(_PLACE_DIRS).ravel().take(d * len(cells.key) + home)
+    dxy = xy.take(pts, axis=0) - cells.center.take(nb, axis=0)
+    dxy *= dxy
+    ok = np.flatnonzero((nb >= 0) & (dxy[:, 0] + dxy[:, 1] <= 1.0)
+                        & (cells.first.take(nb) < pts))
+    pts, d, nb, home = pts.take(ok), d.take(ok), nb.take(ok), home.take(ok)
     # per cell: the first point that no neighbor can take (n if none)
-    index = np.arange(n)
-    firm = np.where(takeable, n, index)
-    placed_at = np.minimum.reduceat(firm[cells.order], cells.start)
-    dep = (takeable & (index < placed_at[cid])).nonzero()[0]
-
-    t = placed_at.tolist()
+    firm = np.arange(n)
+    firm[pts] = n
+    placed_at = np.full(len(cells.key), n)
+    np.minimum.at(placed_at, cid, firm)
+    # the pairs of the points that come before their cell's firm point:
+    # the dependent points, which the loop visits in input order
+    before = np.flatnonzero(pts < placed_at.take(home))
+    pts = pts.take(before)
+    new = run_starts(pts)
+    dep = pts.compress(new)
+    reach = np.full((len(dep), 4), -1, dtype=np.intp)  # columns E, W, N, S
+    reach[new.cumsum() - 1, d.take(before)] = nb.take(before)
+    t = memoryview(placed_at)  # the loop reads and places in placed_at
     own = []
-    for k, c, near in zip(dep.tolist(), cid[dep].tolist(), reach[dep].tolist()):
+    for k, c, near in zip(dep.tolist(), cid.take(dep).tolist(), reach.tolist()):
         if t[c] > k:  # own disk not placed yet
             for e in near:  # E, W, N, S
                 if e >= 0 and t[e] < k:
@@ -158,30 +157,29 @@ def _place(xy: np.ndarray) -> _Placement:
             else:
                 t[c] = k
         own.append(c)
-    return _Placement(cells, np.array(t), dep, own, xy)
+    return _Placement(cells, placed_at, dep, own, xy)
 
 
 def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray]:
     """The placed cells in (i, j) order, and a (4, m) array of the
     bounding boxes (rows xmin, ymin, xmax, ymax) of the points assigned
     to their disks."""
-    owner = p.cells.id.copy()  # cell of the disk each point joined
-    owner[p.dep] = p.dep_owner
-    by_owner = owner.argsort()
-    start = run_starts(owner[by_owner]).nonzero()[0]
-    disks = owner[by_owner[start]]
-    x = p.xy[:, 0].take(by_owner)
-    y = p.xy[:, 1].take(by_owner)
-    box = np.array([np.minimum.reduceat(x, start), np.minimum.reduceat(y, start),
-                    np.maximum.reduceat(x, start), np.maximum.reduceat(y, start)])
-    # A box keeps its first point's value among equal ones, and the
-    # reductions do not promise which of -0.0 and 0.0 they return.
+    disks = (p.placed_at < len(p.xy)).nonzero()[0]
+    slot = np.empty(len(p.placed_at), dtype=np.intp)
+    slot[disks] = np.arange(len(disks))
+    owner = slot.take(p.cells.id)  # the disk each point joined
+    owner[p.dep] = slot.take(p.dep_owner)
+    box = np.full((4, len(disks)), np.inf)
+    box[2:] = -np.inf
     for axis in (0, 1):
         v = p.xy[:, axis]
+        np.minimum.at(box[axis], owner, v)
+        np.maximum.at(box[axis + 2], owner, v)
+        # A box keeps its first point's value among equal ones, and the
+        # reductions do not promise which of -0.0 and 0.0 they keep.
         zero = np.flatnonzero(v == 0.0)
         if len(zero):
-            group, first = np.unique(np.searchsorted(disks, owner[zero]),
-                                     return_index=True)
+            group, first = np.unique(owner[zero], return_index=True)
             for edge in box[axis::2]:
                 z = edge[group] == 0.0
                 edge[group[z]] = v[zero[first[z]]]
@@ -204,12 +202,13 @@ class DiskTable:
 
 def fast_cover(points) -> Cover:
     """One grid-disk per distinct nonempty cell, in first-occurrence
-    order of the input. O(n log n) time: the cells are numbered by sorting."""
+    order of the input. O(n) time by radix sorts where n and the cells'
+    key box are at most 2^16, else O(n log n)."""
     xy = bounded_points(points)
     if len(xy) == 0:
         return np.empty((0, 2))
-    cells = _Cells(_floor_cells(xy)[1])
-    return cells.centers(cells.first.argsort())
+    cells = _Cells(np.floor(xy / SQRT2))
+    return cells.center.take(key_order(cells.first, len(xy)), axis=0)
 
 
 def fast_cover_plus(points) -> Cover:
@@ -221,7 +220,7 @@ def fast_cover_plus(points) -> Cover:
         return np.empty((0, 2))
     p = _place(xy)
     placed = (p.placed_at < len(xy)).nonzero()[0]
-    return p.cells.centers(placed[p.placed_at[placed].argsort()])
+    return p.cells.center.take(placed[key_order(p.placed_at[placed], len(xy))], axis=0)
 
 
 def build_disk_table(points) -> DiskTable:
@@ -256,24 +255,25 @@ def coalesce_pass(table: DiskTable) -> Cover:
     m = len(disks)
     slot = np.full(len(cells.key) + 1, -1, dtype=np.intp)  # slot[-1] stays -1
     slot[disks] = np.arange(m)
-    partner = slot[cells.neighbors(_LATER_NEIGHBORS)[disks]]
-    rows, cols = (partner >= 0).nonzero()
-    partner = partner[rows, cols]
+    partner = slot.take(cells.neighbors(_LATER_NEIGHBORS).take(disks, axis=1).T).ravel()
+    pairs = np.flatnonzero(partner >= 0)
+    rows, partner = pairs >> 2, partner.take(pairs)
     a = box.take(rows, axis=1)
     b = box.take(partner, axis=1)
     lo = np.where(a[:2] < b[:2], a[:2], b[:2])
     hi = np.where(a[2:] > b[2:], a[2:], b[2:])
     d = hi - lo
-    eligible = (d[0] * d[0] + d[1] * d[1] <= 4.0).nonzero()[0]
-    alive = [True] * m
+    eligible = np.flatnonzero(d[0] * d[0] + d[1] * d[1] <= 4.0)
+    alive = bytearray(b"\x01") * m
     merges = []
-    for pair, r, q in zip(eligible.tolist(), rows[eligible].tolist(),
-                          partner[eligible].tolist()):
+    for pair, r, q in zip(eligible.tolist(), rows.take(eligible).tolist(),
+                          partner.take(eligible).tolist()):
         if alive[r] and alive[q]:
-            alive[r] = alive[q] = False
+            alive[r] = alive[q] = 0
             merges.append(pair)
-    mid = (lo[:, merges] + hi[:, merges]) / 2.0
-    return np.concatenate((mid.T, cells.centers(disks[np.array(alive, dtype=bool)])))
+    mid = ((lo + hi) / 2.0).take(merges, axis=1)
+    survivors = disks.compress(np.frombuffer(alive, dtype=bool))
+    return np.concatenate((mid.T, cells.center.take(survivors, axis=0)))
 
 
 def fast_cover_pp(points) -> Cover:

@@ -59,12 +59,22 @@ def bounded_points(points) -> np.ndarray:
     return xy
 
 
+def key_order(keys: np.ndarray, size: int) -> np.ndarray:
+    """An order that sorts ``keys``, integers from 0 to size - 1: numpy's
+    O(n) radix sort of 8- or 16-bit keys, stable, where size <= 2^16;
+    else a comparison argsort, which need not be stable."""
+    if size <= 2**16:
+        return np.argsort(keys.astype(np.min_scalar_type(size - 1)), kind="stable")
+    return keys.argsort()
+
+
 def stable_order(values: np.ndarray) -> np.ndarray:
-    """The stable sort order of an integer-valued float array: a radix
-    sort of 16-bit ranks where the values span fewer than 2^16."""
+    """The stable sort order of an integer-valued float array, by
+    ``key_order`` where the values span fewer than 2^16."""
     rank = values - values.min(initial=math.inf)
-    key = rank.astype(np.uint16) if rank.max(initial=0.0) < 2**16 else values
-    return np.argsort(key, kind="stable")
+    if rank.max(initial=0.0) < 2**16:
+        return key_order(rank, 2**16)
+    return np.argsort(values, kind="stable")
 
 
 def run_starts(sorted_values: np.ndarray) -> np.ndarray:

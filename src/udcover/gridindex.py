@@ -201,7 +201,7 @@ def _any_within(px, py, a, cnt, cx, cy, lo) -> np.ndarray:
     center of every row not yet settled; a row none of its first
     ``_MAX_SLOTS`` centers settles stays unsettled."""
     hit = np.zeros(len(a), bool)
-    rows = np.flatnonzero(cnt)
+    rows = np.flatnonzero(cnt != 0)
     for j in range(_MAX_SLOTS):
         if not len(rows):
             break

@@ -5,6 +5,8 @@ algorithm."""
 
 import itertools
 
+import numpy as np
+
 from udcover.geom import INV_SQRT2, SQRT2, Point, as_points
 from udcover.oracle import _disk_masks, candidate_centers
 
@@ -20,9 +22,9 @@ def disk_table_dict(table) -> dict:
     in the table's order."""
     if not len(table):
         return {}
-    i = table.cells.i[table.disks].tolist()
-    j = table.cells.j[table.disks].tolist()
-    return dict(zip(zip(i, j), zip(*table.box.tolist())))
+    # a grid-disk center is (i + 1/2, j + 1/2) * sqrt(2), to within rounding
+    ij = np.floor(table.cells.center[table.disks] / SQRT2).astype(int)
+    return dict(zip(map(tuple, ij.tolist()), zip(*table.box.tolist())))
 
 
 def optimal_cover_exhaustive(points) -> int:

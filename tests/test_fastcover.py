@@ -103,9 +103,8 @@ def test_disk_table_boxes_bound_their_points():
     pts = rand_points(300, 12.0, 3)
     table = build_disk_table(pts)
     assert len(table) > 0
-    cells = table.cells
-    for i, j, box in zip(cells.i[table.disks], cells.j[table.disks], table.box.T):
-        cx, cy = grid_disk_center((i, j))
+    for key, box in disk_table_dict(table).items():
+        cx, cy = grid_disk_center(key)
         # every boxed point was assigned to this disk, so the box stays
         # inside the disk's bounding square
         xmin, ymin, xmax, ymax = box

@@ -1,6 +1,6 @@
-"""fast_cover_plus, build_disk_table, coalesce_pass and fast_cover_pp
-against the per-point and per-key loops they replaced, on generated point
-sets."""
+"""fast_cover, fast_cover_plus, build_disk_table, coalesce_pass and
+fast_cover_pp against the per-point and per-key loops they replaced, on
+generated point sets; and the cell numbering they share against a dict."""
 
 import math
 
@@ -9,8 +9,10 @@ import pytest
 
 from reference import disk_table_dict, grid_disk_center, worst_case_pointset
 from udcover.fastcover import (
+    _Cells,
     build_disk_table,
     coalesce_pass,
+    fast_cover,
     fast_cover_plus,
     fast_cover_pp,
 )
@@ -45,6 +47,13 @@ def _ref_point_list(points):
     if isinstance(points, np.ndarray):
         return points.reshape(-1, 2).tolist() if points.size else []
     return list(points)
+
+
+def reference_fast_cover(points):
+    cells = {}
+    for x, y in _ref_point_list(points):
+        cells.setdefault((math.floor(x / SQRT2), math.floor(y / SQRT2)), None)
+    return [grid_disk_center(k) for k in cells]
 
 
 def reference_fast_cover_plus(points):
@@ -302,6 +311,10 @@ _EXAMPLES = [np.array(worst_case_pointset(c, s), dtype=np.float64)
               (_CORNER, _CORNER), (_center(-4), _center(-4))]),
     np.array([(_center(-4), _center(-5)), (_center(-5), _center(-4)),
               (_BELOW_CORNER, _BELOW_CORNER), (_center(-5), _center(-5))]),
+    # j runs 0..2 and (1, 0) is occupied: (0, 3) and (1, -1) lie in the
+    # keys' spare j, where (1, 0) and (0, 2) would alias them without it;
+    # the points of (0, 0) and (0, 2) fit one disk but are not neighbors
+    np.array([(0.7, 1.40), (0.7, 2.84), (_center(1), _center(0))]),
 ]
 
 
@@ -373,3 +386,82 @@ def test_fast_cover_plus_gate_line_follows_disk_table():
     assert len(reference_build_disk_table(pts)) == 2
     assert fast_cover_plus(pts).tolist() == [list(grid_disk_center((0, 0))),
                                              list(grid_disk_center((-1, 0)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_points())
+@_examples
+def test_fast_cover_matches_loop(pts):
+    assert _bits(fast_cover(pts)) == _bits(reference_fast_cover(pts))
+
+
+# ---------------------------------------------------------------------------
+# Both cell orders: ``key_order`` sorts the cells' keys by radix where their
+# box, i_extent x (j_extent + 1) keys, holds at most 2^16 of them (8-bit keys
+# up to 2^8), and by argsort beyond. A cluster of points near the origin and
+# two cell centers on opposite corners of a box of drawn extents: 16 x 15
+# gives 2^8 keys, 256 x 255 gives 2^16 and 256 x 256 one row more.
+
+_EXTENTS = (13, 15, 16, 17, 255, 256, 257, 4096)
+
+
+@st.composite
+def _spread_points(draw):
+    coord = _coord(4, _KINDS)  # cells -5 .. 5, inside the box
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=30))
+    i_extent, j_extent = draw(st.tuples(st.sampled_from(_EXTENTS), st.sampled_from(_EXTENTS)))
+    pts += [(_center(-6), _center(-6)), (_center(i_extent - 7), _center(j_extent - 7))]
+    return np.array(draw(st.permutations(pts)), dtype=np.float64)
+
+
+def _spread_examples(test):
+    for i_extent, j_extent in ((16, 15), (16, 16), (256, 255), (256, 256), (4096, 13)):
+        pts = [(_center(-6), _center(-6)), (_center(i_extent - 7), _center(j_extent - 7)),
+               (0.1, 0.1), (1.5, 0.2), (0.2, 1.5), (-0.1, -0.1)]
+        test = example(pts=np.array(pts))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_spread_points())
+@_spread_examples
+def test_both_cell_orders_match_loops(pts):
+    assert _bits(fast_cover(pts)) == _bits(reference_fast_cover(pts))
+    table = reference_build_disk_table(pts)
+    assert _bits(fast_cover_plus(pts)) == _bits([grid_disk_center(k) for k in table])
+    in_ij_order = dict(sorted(table.items()))
+    assert _table_bits(disk_table_dict(build_disk_table(pts))) == _table_bits(in_ij_order)
+    assert _bits(fast_cover_pp(pts)) == _bits(reference_coalesce_pass(table))
+
+
+_ALL_NEIGHBORS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+
+def _check_neighbors(pts):
+    floor = np.floor(pts / SQRT2)
+    cells = _Cells(floor)
+    keys = sorted(set(map(tuple, floor.astype(np.int64).tolist())))
+    index = {k: c for c, k in enumerate(keys)}
+    want = [[index.get((i + di, j + dj), -1) for (i, j) in keys] for di, dj in _ALL_NEIGHBORS]
+    assert cells.neighbors(_ALL_NEIGHBORS).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=st.one_of(_points(), _spread_points()))
+def test_cell_neighbors_match_dict(pts):
+    if len(pts):
+        _check_neighbors(pts)
+
+
+def test_cell_past_the_last_row_is_empty():
+    # cells (0, 0), (0, 2) and (1, 0): without the spare j, (0, 3) would
+    # have the key of (1, 0), and (1, -1) that of (0, 2)
+    pts = np.array([(_center(0), _center(0)), (_center(0), _center(2)),
+                    (_center(1), _center(0))])
+    cells = _Cells(np.floor(pts / SQRT2))
+    assert cells.neighbors(((0, 1), (1, -1), (1, 0))).tolist() == [
+        [-1, -1, -1],  # (0, 1), (0, 3), (1, 1)
+        [-1, -1, -1],  # (1, -1), (1, 1), (2, -1)
+        [2, -1, -1],   # (1, 0), (1, 2), (2, 0)
+    ]
+    _check_neighbors(pts)

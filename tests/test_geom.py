@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference import grid_disk_center
-from udcover.geom import HALF_SQRT2, INV_SQRT2, SQRT2, as_points, centers_array
+from udcover.geom import HALF_SQRT2, INV_SQRT2, SQRT2, as_points, centers_array, key_order
 
 
 def test_constants():
@@ -63,3 +63,15 @@ def test_as_points_returns_c_contiguous_float64():
 def test_as_points_rejects_other_shapes(bad):
     with pytest.raises(ValueError):
         as_points(bad)
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 2**46])
+def test_key_order_sorts_and_radix_keeps_input_order(size):
+    rng = np.random.default_rng(size % 997)
+    keys = np.concatenate(([0, size - 1, size - 1, 0], rng.integers(0, size, 2000)))
+    keys = rng.permutation(keys)
+    order = key_order(keys, size)
+    assert sorted(order.tolist()) == list(range(len(keys)))
+    assert (np.diff(keys[order]) >= 0).all()
+    if size <= 2**16:  # numpy's radix sort, stable
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
