@@ -32,6 +32,17 @@ to the grid loop, which replays the decided points in between
 (``_handoff``). The first round runs on a prefix where the input looks
 sorted, so that a stall shows before the whole pair list is built.
 
+Where the sampled degree is moderate (``_BLOCK_DEGREE`` or more, from
+8 * _FIRST_BLOCK points up), the rounds decide the rows in doubling
+blocks, the first n/8 rows and then n/8, n/4 and n/2 more, rather than
+all at once. Before a later block, ``open_rows`` drops the block's rows
+that the centers placed so far cover; its pair list spans the rows that
+made those centers and the block's open rows, so each list is far
+shorter than the one over all rows. A stall is judged per block. For
+ccfm1997 at 10^4 points the blocks break even at a sampled degree of about
+10 and take a third off the rounds at density 1 (degree 19); the break-even
+falls to about 6 at 10^5 points. dgt2018 takes the grid path first.
+
 Where the sample puts the mean degree high, every point goes to the grid
 loop, in blocks that keep the input order. Where earlier centers covered
 enough of the previous block, the numpy cell grid that ``verify_cover``
@@ -67,7 +78,7 @@ from .gridindex import RadiusGrid, open_rows
 _FIRST_BLOCK = 256
 _GATE = 4
 # A pair count over a random sample of the points picks each input's path
-# (see _dense). Timed on a 2-core KVM guest for n = 500 to 16 000: 128
+# (see _path). Timed on a 2-core KVM guest for n = 500 to 16 000: 128
 # rows cost 0.10-0.18 ms a call, 256 rows 0.19-0.30 ms, next to 0.7 ms for
 # dgt2018's whole solve of 500 points at density 1. Above n = 128^2 the
 # sample grows as sqrt(n), which keeps up the sampled pairs within reach.
@@ -97,6 +108,17 @@ _MIS_DEGREE = 7.0
 # at 10^4 and 4 * 10^4; density 1 is a degree of 23.4.
 _CCFM_DEGREE = 45.0
 _CCFM_ROWS = 3000
+# From 8 * _FIRST_BLOCK rows up, a sampled mean degree of _BLOCK_DEGREE or
+# more (below the grid path's) decides the rows in blocks (see _rounds).
+# Both timed on gen_square points, 15 interleaved pairs (7-11 from 4 * 10^4
+# up), process time, 2-core KVM guest, by sampled degree. ccfm1997 at
+# n = 10^4: blocks +18% at 5.8, +3 to +7% at 7.8-9.6, -9% at 10.5 (15 of
+# 15), -35% at 19 (density 1); the break-even falls with n, from about 19
+# at 2 048 and 12 at 3 000-5 000 (+15% at 8.4) to 7 at 4 * 10^4 (-8% at
+# 8.5) and 6 at 10^5 (+3% at 5.1, -16% at 7.0). dgt2018 at 10^4 lost 15% at
+# 3.3 and gained 11-28% at 4.2-6.1, but its grid path starts at 7, so it
+# never takes the blocks.
+_BLOCK_DEGREE = 8.0
 # A round costs about as much as the grid loop takes for _ROUND rows plus
 # _STALL rows per pair left; the handoff replays a decided row in about
 # _REPLAY of the time it probes one. Timed on a 2-core KVM guest, n = 500
@@ -163,35 +185,45 @@ def _extent(xy: np.ndarray) -> tuple[float, float]:
     return float(x.max()) - float(x.min()), float(y.max()) - float(y.min())
 
 
-def _dense(xy: np.ndarray, reach: float, degree: float) -> bool:
-    """Whether a row of xy has, on average, at least ``degree`` other rows
-    within ``reach``, as estimated from ``_spread_sample``: P sampled pairs
-    within s * reach estimate 2 P / m. Clusters finer than s escape that
-    estimate, so the Q sampled pairs within ``reach`` itself count too: any
-    two sampled rows are that near as often as any two rows, so
-    2 (n - 1) Q / (m (m - 1)) estimates the degree whatever the layout; it
-    decides only where Q >= _NEAR_PAIRS, which keeps its noise out. The
-    bounding box, w by h, comes first and costs no sample: evenly spread
-    over it, the rows would have about pi reach^2 n / (w h) neighbours each
-    where both sides are 2 reach or more, and bunched up, more. A side
-    shorter than 2 reach clips the disk, so the box counts it as pi/4 of
-    the min(w, 2 reach) by min(h, 2 reach) rectangle: a line or a strip
-    thinner than the reach, evenly spread, has more neighbours than that,
-    not fewer."""
+def _path(xy: np.ndarray, reach: float, degree: float) -> str:
+    """How ``_online`` covers xy: ``"grid"`` where a row of xy has, on
+    average, at least ``degree`` other rows within ``reach``; else
+    ``"blocks"`` where it has at least ``_BLOCK_DEGREE`` and there are
+    8 * _FIRST_BLOCK rows or more; else ``"rounds"``. The mean degree is
+    estimated from ``_spread_sample``: P sampled pairs within s * reach
+    estimate 2 P / m. Clusters finer than s escape that estimate, so the Q
+    sampled pairs within ``reach`` itself count too: any two sampled rows
+    are that near as often as any two rows, so 2 (n - 1) Q / (m (m - 1))
+    estimates the degree whatever the layout; it decides only where
+    Q >= _NEAR_PAIRS, which keeps its noise out. The bounding box, w by h,
+    comes first and costs no sample: evenly spread over it, the rows would
+    have about pi reach^2 n / (w h) neighbours each where both sides are
+    2 reach or more, and bunched up, more. A side shorter than 2 reach
+    clips the disk, so the box counts it as pi/4 of the min(w, 2 reach) by
+    min(h, 2 reach) rectangle: a line or a strip thinner than the reach,
+    evenly spread, has more neighbours than that, not fewer."""
     n = len(xy)
     if n < 2:
-        return False
+        return "rounds"
     w, h = _extent(xy)
-    near = math.pi / 4 * min(w, 2 * reach) * min(h, 2 * reach)
-    if w * h > 0 and near * n >= degree * w * h:
-        return True
+    box = math.pi / 4 * min(w, 2 * reach) * min(h, 2 * reach) * n
+    area = w * h
+    if area > 0 and box >= degree * area:
+        return "grid"
     sample, spread = _spread_sample(xy)
     m = len(sample)
     tree = cKDTree(sample, balanced_tree=False, compact_nodes=False)
     near = len(tree.query_pairs(reach, output_type="ndarray"))
-    if near >= _NEAR_PAIRS and 2 * (n - 1) * near >= degree * m * (m - 1):
-        return True
-    return 2 * len(tree.query_pairs(reach * spread, output_type="ndarray")) >= degree * m
+    far = len(tree.query_pairs(reach * spread, output_type="ndarray"))
+
+    def at_least(d):
+        return ((area > 0 and box >= d * area)
+                or (near >= _NEAR_PAIRS and 2 * (n - 1) * near >= d * m * (m - 1))
+                or 2 * far >= d * m)
+
+    if at_least(degree):
+        return "grid"
+    return "blocks" if n >= 8 * _FIRST_BLOCK and at_least(_BLOCK_DEGREE) else "rounds"
 
 
 def _uncovered_blocks(xy: np.ndarray, centers: list[Point]):
@@ -245,7 +277,7 @@ def _ordered(xy: np.ndarray, m: int) -> bool:
     return 2 * wm * hm < w * h or 2 * (wm + hm) < w + h
 
 
-def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
+def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray | None:
     """Decide the rows of xy in dependency rounds, as Blelloch, Fineman and
     Shun do for the greedy maximal independent set (SPAA 2012), over the
     pairs of rows within r = ``_tree_radius(xy, reach)``: a row's decision
@@ -256,15 +288,28 @@ def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
     clears ``undecided`` for any row that it decides. A row b may already
     be decided, and ``settle`` must leave it so.
 
+    Given ``kept``, the rows are decided in blocks: the first n/8 rows,
+    then n/8 more, n/4 and n/2. ``kept(start, stop)`` returns the rows that
+    made a center before ``start`` and the rows of the block start:stop
+    that their centers leave open, each ascending; the rest of the block is
+    decided without making one, since an earlier center covers it. One pair
+    list spans both. Its pairs whose later row is decided go, and one
+    ``settle`` applies the earlier rows' decisions, before the block's
+    rounds. ccfm1997 on 10^4 points at density 1 builds four lists of 1.8k
+    to 19k pairs in place of one of 115k. ``_online`` passes ``kept`` where
+    ``_path`` says so: from 8 * _FIRST_BLOCK rows and a sampled degree of
+    ``_BLOCK_DEGREE`` up, whose comment gives the measured break-even.
+
     Rounds on sorted input can decide only a few rows each. Where the
     rounds left at the rate of the last one would cost more than the grid
-    loop on the rows still undecided and the replay of the others (see
-    ``_handoff``), the rounds stop and return the mask of the undecided
-    rows. The first round runs on a prefix of at most n/32 rows, where it
-    lies in a small part of the bounding box, so that such a stall shows
-    before the pair list of all rows is built. The next round, over all
-    rows, settles the prefix's decisions with its own; until then a decided
-    row only blocks its later rows. Returns None where every row is decided."""
+    loop on the block's rows still undecided and the replay of the rows
+    before them (see ``_handoff``), the rounds stop and return the mask of
+    the undecided rows. The first round runs on a prefix of at most n/32
+    rows, where it lies in a small part of the bounding box, so that such a
+    stall shows before the pair list of the first block is built. The next
+    round, over the whole block, settles the prefix's decisions with its
+    own; until then a decided row only blocks its later rows. Returns None
+    where every row is decided."""
     n = len(xy)
     undecided = np.ones(n, bool)
 
@@ -278,25 +323,46 @@ def _rounds(xy: np.ndarray, r: float, decide, settle) -> np.ndarray | None:
         keep = undecided[a] & undecided[b]
         return a[keep], b[keep]
 
-    head = min(n >> 5, _PREFIX_MAX)
-    left = n
-    for m in ((head, n) if head >= _PREFIX_MIN and _ordered(xy, head) else (n,)):
-        a, b = _pairs(xy[:m], r)
+    def lists():
+        # per pair list: the block start:stop, the end of the rows it spans
+        # and whether one round only runs on it
+        head = min(n >> 5, _PREFIX_MAX)
+        start = 0
+        for stop in ((n >> 3, n >> 2, n >> 1, n) if kept else (n,)):
+            if start == stop:
+                continue
+            if not start:
+                if head >= _PREFIX_MIN and _ordered(xy, head):
+                    yield 0, stop, head, *_pairs(xy[:head], r), True
+                yield 0, stop, stop, *_pairs(xy[:stop], r), False
+            else:
+                earlier, open_ = kept(start, stop)
+                undecided[start:stop] = False
+                undecided[open_] = True
+                if len(open_):
+                    rows = np.concatenate((earlier, open_))
+                    a, b = _pairs(xy[rows], r)
+                    keep = undecided[rows[b]]
+                    yield start, stop, stop, *settled(rows[a[keep]], rows[b[keep]]), False
+            start = stop
+
+    for start, stop, end, a, b, once in lists():
+        left = int(np.count_nonzero(undecided[start:stop]))
         while left:
-            # on a prefix, as if the pairs of all rows were there: on
+            # on a prefix, as if the pairs of the whole block were there: on
             # sorted input, the rows a round decides do not grow with n
-            cost = _ROUND + _STALL * len(a) * n / m
-            blocked = np.zeros(m, bool)
-            blocked[b] = True
-            ready = (undecided[:m] & ~blocked).nonzero()[0]
+            cost = _ROUND + _STALL * len(a) * (stop - start) / (end - start)
+            blocked = np.zeros(end - start, bool)
+            blocked[b - start] = True
+            ready = start + (undecided[start:end] & ~blocked).nonzero()[0]
             decide(ready, undecided)
             undecided[ready] = False
             a, b = settled(a, b)
-            decided = left - (left := int(np.count_nonzero(undecided)))
+            decided = left - (left := int(np.count_nonzero(undecided[start:stop])))
             # left / decided rounds more, against the handoff
-            if left and decided * (left + _REPLAY * (n - left)) < left * cost:
+            if left and decided * (left + _REPLAY * (stop - left)) < left * cost:
                 return undecided
-            if m < n:
+            if once:
                 break
     return None
 
@@ -396,21 +462,23 @@ class CcfmState:
 
 def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
     """The online cover of xy in row order, each activated center spawning
-    candidates at ``offsets``. Where ``_dense`` puts the mean degree within
+    candidates at ``offsets``. Where ``_path`` puts the mean degree within
     ``reach`` at ``degree`` or more, every row goes through the grid loop;
-    elsewhere ``_rounds`` decide the rows and, where they stall,
-    ``_handoff`` finishes the cover. In the rounds, a row that an earlier
-    row's center covers is skipped at once; a ready row promotes its
-    nearest candidate by the key (d, owner row, k), which is the grid
-    loop's insertion order, or else activates. A promoted candidate covers
-    every row that could take it again, so no row does. An activated row's
-    candidates are probed only against the later rows of its pairs, so a
-    row with none spawns nothing. With no pattern, settle and decide stop
-    after their first steps."""
+    elsewhere ``_rounds`` decide the rows, in blocks where ``_path`` says
+    so, and, where they stall, ``_handoff`` finishes the cover. A row that
+    the blocks' filter drops is neither left to it nor made. In the rounds,
+    a row that an earlier row's center covers is skipped at once; a ready
+    row promotes its nearest candidate by the key (d, owner row, k), which
+    is the grid loop's insertion order, or else activates. A promoted
+    candidate covers every row that could take it again, so no row does.
+    An activated row's candidates are probed only against the later rows
+    of its pairs, so a row with none spawns nothing. With no pattern,
+    settle and decide stop after their first steps."""
     # the pair list holds the pairs within r, whose margin grows with the
     # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
     r = _tree_radius(xy, reach)
-    if _dense(xy, r, degree):
+    path = _path(xy, r, degree)
+    if path == "grid":
         state = CcfmState(offsets)
         state.take_run(xy)
         return centers_array(state.active_order)
@@ -461,7 +529,14 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
         cx[row] = x[owner] + pattern[j, 0]
         cy[row] = y[owner] + pattern[j, 1]
 
-    left = _rounds(xy, r, decide, settle)
+    def kept(start, stop):
+        # the rows that made a center so far, and the rows of start:stop
+        # that their centers leave open
+        earlier = made[:start].nonzero()[0]
+        centers = np.column_stack((cx[earlier], cy[earlier]))
+        return earlier, start + open_rows(xy[start:stop], centers, 1.0)
+
+    left = _rounds(xy, r, decide, settle, kept if path == "blocks" else None)
     if left is None:
         return np.column_stack((cx[made], cy[made]))
     state = CcfmState(offsets)

@@ -47,10 +47,12 @@ class _Cells:
     and the spare j keeps a neighbor's key apart from every other cell's:
     (i + di, j + dj), |dj| <= 1, has key + di * span + dj. Below
     ``COORD_BOUND`` keys stay under 2^46; where the key box holds at most
-    2^16 keys, ``key_order`` sorts them by radix.
+    2^16 keys, ``key_order`` sorts them by radix. ``id``, each item's
+    cell, is left out where ``ids`` is false and the radix sort ran, as
+    ``fast_cover`` needs it only for the argsort path's earliest items.
     """
 
-    def __init__(self, floor: np.ndarray):
+    def __init__(self, floor: np.ndarray, ids: bool = True):
         i = floor[:, 0].astype(np.int64)
         j = floor[:, 1].astype(np.int64)
         i0, j0 = int(i.min()), int(j.min())
@@ -64,8 +66,9 @@ class _Cells:
         new = run_starts(sorted_key)
         start = np.flatnonzero(new)
         self.key = sorted_key.take(start)
-        self.id = np.empty(len(key), dtype=np.intp)  # cell of each item
-        self.id[order] = new.cumsum() - 1
+        if ids or size > 2**16:
+            self.id = np.empty(len(key), dtype=np.intp)  # cell of each item
+            self.id[order] = new.cumsum() - 1
         self.first = order.take(start)  # earliest item if the radix sort (stable) ran
         if size > 2**16:
             np.minimum.at(self.first, self.id, np.arange(len(key)))
@@ -207,7 +210,7 @@ def fast_cover(points) -> Cover:
     xy = bounded_points(points)
     if len(xy) == 0:
         return np.empty((0, 2))
-    cells = _Cells(np.floor(xy / SQRT2))
+    cells = _Cells(np.floor(xy / SQRT2), ids=False)
     return cells.center.take(key_order(cells.first, len(xy)), axis=0)
 
 

@@ -70,10 +70,12 @@ def key_order(keys: np.ndarray, size: int) -> np.ndarray:
 
 def stable_order(values: np.ndarray) -> np.ndarray:
     """The stable sort order of an integer-valued float array, by
-    ``key_order`` where the values span fewer than 2^16."""
+    ``key_order`` where the values span 2^16 or fewer: an 8-bit radix pass
+    where they span 2^8 or fewer."""
     rank = values - values.min(initial=math.inf)
-    if rank.max(initial=0.0) < 2**16:
-        return key_order(rank, 2**16)
+    top = rank.max(initial=0.0)  # inf where the subtraction overflows
+    if top < 2**16:
+        return key_order(rank, int(top) + 1)
     return np.argsort(values, kind="stable")
 
 

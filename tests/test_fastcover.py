@@ -203,3 +203,16 @@ def test_cells_past_int64_raise():
         # the largest coordinates below the bound still work
         top = math.nextafter(COORD_BOUND, 0.0)
         assert len(solver([(top, -top)])) == 1
+
+
+@pytest.mark.parametrize("side", [50.0, 5e5])
+def test_cells_number_each_point_only_where_a_caller_reads_it(side):
+    # fast_cover's radix path (a key box of at most 2^16 cells) never reads
+    # each point's cell; the argsort path needs it for the earliest point
+    pts = np.random.default_rng(3).random((3000, 2)) * side
+    floor = np.floor(pts / SQRT2)
+    assert hasattr(fastcover._Cells(floor, ids=False), "id") is (side > 1e3)
+    cells = fastcover._Cells(floor)
+    _, first, cell = np.unique(floor, axis=0, return_index=True, return_inverse=True)
+    assert cells.id.tolist() == cell.ravel().tolist()
+    assert cells.first.tolist() == first.tolist()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from reference import grid_disk_center
-from udcover.geom import HALF_SQRT2, INV_SQRT2, SQRT2, as_points, centers_array, key_order
+import udcover.geom as geom
+from udcover.geom import HALF_SQRT2, INV_SQRT2, SQRT2, as_points, centers_array, key_order, stable_order
 
 
 def test_constants():
@@ -75,3 +76,16 @@ def test_key_order_sorts_and_radix_keeps_input_order(size):
     assert (np.diff(keys[order]) >= 0).all()
     if size <= 2**16:  # numpy's radix sort, stable
         assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("span", [1, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1])
+@pytest.mark.parametrize("low", [0.0, -7.0, 3.0e6])
+def test_stable_order_matches_a_stable_argsort_and_sorts_the_narrowest_keys(monkeypatch, span, low):
+    # integer-valued floats spanning exactly ``span`` values; up to 2^8 of
+    # them take numpy's 8-bit radix pass, up to 2^16 its 16-bit one
+    sizes = []
+    monkeypatch.setattr(geom, "key_order", lambda keys, size: sizes.append(size) or key_order(keys, size))
+    rng = np.random.default_rng(span)
+    values = low + rng.permutation(np.concatenate(([0, span - 1, 0], rng.integers(0, span, 3000))))
+    assert stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
+    assert sizes == ([span] if span <= 2**16 else [])

@@ -1,19 +1,22 @@
 """dgt2018 and ccfm1997 against the plain loops of ``classic_reference``.
 
 Where the sampled degree is low, both solvers compute their covers in
-numpy dependency rounds over one cKDTree pair list, and hand a stalled
-run to the grid loop; elsewhere they drop, with ``gridindex.open_rows``
-per block (its numpy cell grid, or its cKDTree query where the cell table
-would overflow), the points an earlier center already covers. The covers must
-stay bit-equal to the plain loops on either path, with the rounds run on
-a prefix first and with a stall after the first round, on lattices with
-points at exactly distance 1, duplicates, sorted input and lines that
-stall the rounds, candidates tied at equal distance, sizes at the block
-edges and of 0-2 points, sparse/dense mixes that switch the block filter
-on and off, clustered and sorted input with the tree fallback forced,
-sets just either side of the path thresholds, pairs at exactly the reach
-give or take an ulp, and offsets up to 2^30 (2^52 for the pairs). Every
-row the grid or the tree drops is one the RadiusGrid probe finds covered.
+numpy dependency rounds over one cKDTree pair list, or, where it is
+moderate, over one list per doubling block that spans only the rows the
+earlier centers leave open, and hand a stalled run to the grid loop;
+elsewhere they drop, with ``gridindex.open_rows`` per block (its numpy
+cell grid, or its cKDTree query where the cell table would overflow), the
+points an earlier center already covers. The covers must stay bit-equal
+to the plain loops on every path, with the rounds run on a prefix first,
+in blocks or not, with a stall after the first round and in a later
+block, on lattices with points at exactly distance 1, duplicates, sorted
+input and lines that stall the rounds, candidates tied at equal distance,
+sizes at the block edges and of 0-2 points, sparse/dense mixes that
+switch the block filter on and off, clustered and sorted input with the
+tree fallback forced, sets just either side of the path thresholds, pairs
+at exactly the reach give or take an ulp, and offsets up to 2^30 (2^52
+for the pairs). Every row the grid or the tree drops is one the RadiusGrid
+probe finds covered, and none the blocks' filter drops is ever made.
 """
 
 import math
@@ -44,14 +47,24 @@ def _bits(cover):
 # Each solver on the grid loop (threshold 0: every input of 2 or more
 # points), on the rounds (threshold inf), on the rounds with the first
 # round on a prefix (of n/32 rows, from 32 rows up) and no stall, and on
-# the rounds with a stall after the first round
+# the rounds with a stall after the first round; then with the path forced
+# through the one hook, _path: the rounds in one block, and the rounds in
+# blocks at every size, with a prefix, with a stall after the first round,
+# and through the gate with a first block of 1 (blocks from 8 rows up)
 _GRID = {"_MIS_DEGREE": 0.0, "_CCFM_DEGREE": 0.0}
 _ROUNDS = {"_MIS_DEGREE": math.inf, "_CCFM_DEGREE": math.inf}
+_PREFIX = {"_PREFIX_MIN": 1, "_ordered": lambda xy, m: True, "_ROUND": 0.0, "_STALL": 0.0}
+_BLOCKS = {"_path": lambda xy, reach, degree: "blocks"}
 _VARIANTS = [
     _GRID,
     _ROUNDS,
-    {**_ROUNDS, "_PREFIX_MIN": 1, "_ordered": lambda xy, m: True, "_ROUND": 0.0, "_STALL": 0.0},
+    {**_ROUNDS, **_PREFIX},
     {**_ROUNDS, "_ROUND": math.inf},
+    {"_path": lambda xy, reach, degree: "rounds"},
+    _BLOCKS,
+    {**_BLOCKS, **_PREFIX},
+    {**_BLOCKS, "_ROUND": math.inf},
+    {**_ROUNDS, "_BLOCK_DEGREE": 0.0, "_FIRST_BLOCK": 1},
 ]
 
 
@@ -235,6 +248,16 @@ def _pair_path(built, probes, n):
     return _pair_lists(built) == [n] and not _queried(built) and not probes
 
 
+def _block_path(built, probes, n):
+    """Whether the solver took the rounds in blocks and they ran to the
+    end: a pair list over the first n/8 rows, then one per later block with
+    open rows, each over fewer than n rows; a block filter before each
+    later list; and no RadiusGrid probe."""
+    lists = _pair_lists(built)
+    return (lists[:1] == [n >> 3] and 1 < len(lists) <= 4 and max(lists[1:]) < n
+            and len(_queried(built)) == 3 and not probes)
+
+
 def test_block_filter_only_after_a_block_with_enough_covered_points(monkeypatch):
     built = _count_trees(monkeypatch)
     probes = _count_probes(monkeypatch)
@@ -285,44 +308,58 @@ def _strip(n, seed):
 def _assert_paths(monkeypatch, solver, cases):
     built = _count_trees(monkeypatch)
     probes = _count_probes(monkeypatch)
-    for pts, rounds in cases:
+    for pts, path in cases:
         # in random order, the rounds run to the end where they are taken
         built.clear()
         probes.clear()
         solver(pts)
-        assert _pair_path(built, probes, len(pts)) is rounds, (len(pts), built, len(probes))
+        n = len(pts)
+        assert _pair_path(built, probes, n) is (path == "rounds"), (n, built, len(probes))
+        assert _block_path(built, probes, n) is (path == "blocks"), (n, built, len(probes))
+        if path == "grid":
+            assert not _pair_lists(built), (n, built)
         # sorted input is sampled alike and takes the same path, but its
         # rounds may stall
         built.clear()
         solver(np.ascontiguousarray(pts[np.lexsort((pts[:, 1], pts[:, 0]))]))
-        assert bool(_pair_lists(built)) is rounds, (len(pts), built)
+        assert bool(_pair_lists(built)) is (path != "grid"), (n, built)
 
 
 def test_dgt2018_takes_the_pair_path_where_the_sampled_degree_is_low(monkeypatch):
+    # below _BLOCK_DEGREE, under the grid path's threshold of 7: dgt2018
+    # never decides in blocks
     _assert_paths(monkeypatch, dgt2018, [
-        (gen_disk(4000, 4000 / 0.02, 5), True),     # sparse, mean degree 0.06
-        (gen_square(4000, 4000.0, 6), True),        # density 1, mean degree 3
-        (gen_disk(500, 500.0, 7), True),            # small-batch-like
-        (gen_square(4000, 4000 / 50.0, 6), False),  # density 50
-        (_strip(4000, 9), True),
+        (gen_disk(4000, 4000 / 0.02, 5), "rounds"),     # sparse, mean degree 0.06
+        (gen_square(4000, 4000.0, 6), "rounds"),        # density 1, mean degree 3
+        (gen_square(10000, 10000.0, 6), "rounds"),      # uniform-like
+        (gen_disk(500, 500.0, 7), "rounds"),            # small-batch-like
+        (gen_square(4000, 4000 / 50.0, 6), "grid"),     # density 50
+        (_strip(4000, 9), "rounds"),
         # mean degree about 90, which the spread sample misses; the sampled
         # pairs within 1 catch it
-        (_clusters(20000, 50, 8), False),
+        (_clusters(20000, 50, 8), "grid"),
     ])
 
 
 def test_ccfm1997_takes_the_rounds_where_the_sampled_degree_is_low(monkeypatch):
-    # at reach 1 + sqrt(3), density 1 is a mean degree of 23.4; below
-    # _CCFM_ROWS points the threshold shrinks with n
+    # at reach 1 + sqrt(3), density 1 is a mean degree of 23.4, which
+    # decides in blocks from 8 * _FIRST_BLOCK = 2048 points up; below
+    # _CCFM_ROWS points the grid path's threshold shrinks with n
     _assert_paths(monkeypatch, ccfm1997, [
-        (gen_disk(4000, 4000 / 0.02, 5), True),
-        (gen_square(10000, 10000.0, 6), True),
-        (gen_disk(500, 500.0, 7), False),           # small-batch-like
-        (gen_disk(500, 500 / 0.1, 7), True),        # degree 2.3
-        (gen_square(4000, 4000 / 50.0, 6), False),
-        (_strip(4000, 9), True),
-        (_clusters(20000, 50, 8), False),
+        (gen_disk(4000, 4000 / 0.02, 5), "rounds"),     # sparse
+        (gen_square(10000, 10000.0, 6), "blocks"),      # uniform-like
+        (gen_square(2400, 2400 / 0.7, 6), "blocks"),    # degree 16
+        (gen_disk(500, 500.0, 7), "grid"),              # small-batch-like
+        (gen_disk(500, 500 / 0.1, 7), "rounds"),        # degree 2.3
+        (gen_disk(1000, 1000 / 0.5, 7), "rounds"),      # degree 12, n below the gate
+        (gen_square(4000, 4000 / 50.0, 6), "grid"),
+        (_strip(4000, 9), "rounds"),
+        (_clusters(20000, 50, 8), "grid"),
     ])
+    # the gate's size, 8 * _FIRST_BLOCK rows
+    for n, path in ((2048, "blocks"), (2047, "rounds")):
+        pts = gen_square(n, n / 0.7, 6)
+        assert classic._path(pts, classic._tree_radius(pts, 1.0 + SQRT3), classic._CCFM_DEGREE) == path
 
 
 @pytest.mark.parametrize("spacing", [0.5, 1.0])
@@ -372,6 +409,62 @@ def test_a_stall_after_a_shuffled_block_hands_off_to_the_grid_loop(monkeypatch):
     _assert_same(pts)
 
 
+@pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
+def test_a_stall_in_a_later_block_hands_off_to_the_grid_loop(monkeypatch, solver):
+    # 8 000 rows: blocks of 1 000, 1 000, 2 000 and 4 000; the sorted line
+    # fills the second half of the last block, whose rounds stall on it
+    # after the shuffled square's rows are decided. dgt2018's sampled degree
+    # is too low for the blocks, so the hook forces them.
+    square = gen_square(6000, 6000.0, 12)
+    line = np.array([(0.5 * i, -20.0) for i in range(2000)])
+    pts = np.concatenate([square, line])
+    rows = [tuple(p) for p in pts.tolist()]
+    if solver is dgt2018:
+        monkeypatch.setattr(classic, "_path", _BLOCKS["_path"])
+    built = _count_trees(monkeypatch)
+    probes = _count_probes(monkeypatch)
+    assert _bits(solver(pts)) == _bits(dict(PAIRS)[solver](pts))
+    assert _pair_lists(built)[0] == len(pts) >> 3 and len(_pair_lists(built)) == 4
+    assert probes and min(rows.index(p) for p in probes) >= len(pts) // 2
+    assert len(probes) > len(line) // 3
+
+
+@pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
+@pytest.mark.parametrize("case", ["uniform", "dense", "stall", "sorted"])
+def test_no_row_the_block_filter_drops_is_ever_made(monkeypatch, solver, case):
+    # made rows are those the rounds pass to decide, and those left to the
+    # handoff that no earlier center covers
+    square = gen_square(8000, 8000 / (4.0 if case == "dense" else 1.0), 14)
+    pts = {"uniform": square, "dense": square, "sorted": _sorted(square),
+           "stall": np.concatenate([square[:6000], [(0.5 * i, -20.0) for i in range(2000)]])}[case]
+    real = classic._rounds
+    seen = {"ready": [], "dropped": [], "left": None}
+
+    def rounds(xy, r, decide, settle, kept):
+        def decide_(ready, undecided):
+            seen["ready"].append(ready.copy())
+            decide(ready, undecided)
+
+        def kept_(start, stop):
+            earlier, open_ = kept(start, stop)
+            seen["dropped"].append(np.setdiff1d(np.arange(start, stop), open_))
+            return earlier, open_
+
+        seen["left"] = real(xy, r, decide_, settle, kept_)
+        return seen["left"]
+
+    monkeypatch.setattr(classic, "_path", _BLOCKS["_path"])
+    monkeypatch.setattr(classic, "_rounds", rounds)
+    assert _bits(solver(pts)) == _bits(dict(PAIRS)[solver](pts))
+    dropped = np.concatenate(seen["dropped"] or [np.zeros(0, int)])
+    if case != "sorted":
+        assert len(dropped) > len(pts) // 10
+    made = np.concatenate(seen["ready"])
+    assert not np.intersect1d(made, dropped).size
+    if seen["left"] is not None:
+        assert not seen["left"][dropped].any()
+
+
 def test_candidates_tied_at_equal_distance_go_to_the_lower_owner_and_k():
     # owners 2 sqrt(3) apart on the x axis: the candidate k = 0 of the
     # first and k = 4 of the second are both (sqrt(3), 0), bit for bit
@@ -412,7 +505,7 @@ def test_sets_either_side_of_the_path_threshold_match_the_plain_loop():
     # degree: bisect for the area where dgt2018 changes path
     def grid_path(area):
         pts = gen_square(600, area, 9)
-        return classic._dense(pts, classic._tree_radius(pts, 1.0), classic._MIS_DEGREE)
+        return classic._path(pts, classic._tree_radius(pts, 1.0), classic._MIS_DEGREE) == "grid"
 
     lo, hi = 600 / 20.0, 600 / 0.5
     assert grid_path(lo) and not grid_path(hi)
