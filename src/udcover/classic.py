@@ -29,8 +29,7 @@ the probe only delays its later point. A ready point promotes its nearest
 live candidate, ties going to the lower (owner, k), or activates. Rounds
 that stall, as on chains in sorted input, hand the points still undecided
 to the grid loop, which replays the decided points in between
-(``_handoff``). The first round runs on a prefix where the input looks
-sorted, so that a stall shows before the whole pair list is built.
+(``_handoff``).
 
 Where the sampled degree is moderate (``_BLOCK_DEGREE`` or more, from
 8 * _FIRST_BLOCK points up), the rounds decide the rows in doubling
@@ -58,11 +57,10 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
                    bounded_points, centers_array, run_starts, stable_order)
-from .gridindex import RadiusGrid, open_rows
+from .gridindex import RadiusGrid, kd_tree, open_rows
 
 # Blocks double in size from _FIRST_BLOCK on, so a run filters O(log n)
 # blocks, each against the centers of every earlier block. A block is
@@ -94,11 +92,12 @@ _NEAR_PAIRS = 12
 # density 1 to 5, shuffled and sorted by x, at n = 10^4 and 10^5 (process
 # time, 2-core KVM guest): shuffled, the pair path is the faster one up to
 # a sampled degree of about 12 (10.2: 14.4 ms against 16.6 ms at 10^4;
-# 12.3: 11.4 ms against 10.4 ms). Sorted at 10^5, the rounds stall from
-# density 2 on and cost within 2% of the grid loop; sorted at 10^4 they
-# run to the end and are the faster up to about 7 (6.6: 22 ms against
-# 41 ms; 7.6: 41 ms against 39 ms; 12.7: 44 ms against 30 ms). Density 1
-# samples as 2.5-3.1.
+# 12.3: 11.4 ms against 10.4 ms). Sorted by (x, y) (library time, gc off,
+# 3 interleaved pairs at 10^5 and 7 at 10^4), the rounds run to the end up
+# to density 2 at 10^5 and are the faster (5.6: 94 ms against 176 ms), and
+# stall from 2.5 on (6.9: 236 ms against 171 ms); at 10^4 they are the
+# faster up to about 7 (6.6: 14 ms against 17 ms; 7.6, where they stall:
+# 22 ms against 17 ms). Density 1 samples as 2.5-3.1.
 _MIS_DEGREE = 7.0
 # ccfm1997 takes the rounds below a sampled mean degree at reach 1 + sqrt(3)
 # of _CCFM_DEGREE, scaled down by n / _CCFM_ROWS below _CCFM_ROWS rows,
@@ -125,22 +124,15 @@ _BLOCK_DEGREE = 8.0
 # to 10^5: a round's fixed cost is 0.1-0.25 ms and its cost per pair left
 # 10-20 ns, against 3-6 us a probe; a replay is a few RadiusGrid inserts
 # where the row made a center and nothing where it did not. With these,
-# the rounds stall after their first on sorted lines and on squares sorted
-# by x at density 0.3 to 1.5 (ccfm1997), and run to the end on shuffled
-# input and, for dgt2018, on sorted squares.
+# the rounds stall after their first on sorted lines; for ccfm1997 within
+# the first eight on squares and disks sorted by (x, y) at density 0.3 to
+# 1.5, at 10^4 and 10^5 points; for dgt2018 on such squares from density
+# 2.5 (10^5) or 3 (10^4) on, which take the grid path. They run to the end
+# on shuffled input, for dgt2018 on sorted input up to density 2 and for
+# ccfm1997 on sorted input at density 0.2.
 _ROUND = 32
 _STALL = 0.003
 _REPLAY = 0.25
-# The first round runs on the first n/32 rows, at most _PREFIX_MAX, where
-# they are _PREFIX_MIN or more and lie in a small part of the bounding box
-# (see _ordered). The stall test scales the prefix's pairs up to all rows,
-# so a few hundred rows show a stall. Timed with and without the prefix
-# (alternating runs, 2-core KVM guest): ccfm1997 on gen_square(n, n, 5)
-# sorted by (x, y) took 600 against 869 ms at n = 10^5 and 57 against
-# 71 ms at 10^4, and 502 against 621 ms on a sorted line of 10^5 points;
-# dgt2018 was even at 10^5 and 4% slower with it at 10^4.
-_PREFIX_MIN = 256
-_PREFIX_MAX = 1024
 # Pairs are settled this many at a time, which bounds settle's temporary
 # arrays: ccfm1997 probes a (pairs, 6) block of candidates.
 _CHUNK = 1 << 18
@@ -212,7 +204,7 @@ def _path(xy: np.ndarray, reach: float, degree: float) -> str:
         return "grid"
     sample, spread = _spread_sample(xy)
     m = len(sample)
-    tree = cKDTree(sample, balanced_tree=False, compact_nodes=False)
+    tree = kd_tree(sample)
     near = len(tree.query_pairs(reach, output_type="ndarray"))
     far = len(tree.query_pairs(reach * spread, output_type="ndarray"))
 
@@ -224,26 +216,6 @@ def _path(xy: np.ndarray, reach: float, degree: float) -> str:
     if at_least(degree):
         return "grid"
     return "blocks" if n >= 8 * _FIRST_BLOCK and at_least(_BLOCK_DEGREE) else "rounds"
-
-
-def _uncovered_blocks(xy: np.ndarray, centers: list[Point]):
-    """Yield the rows of xy, in order and as lists of [x, y], in runs,
-    leaving out those that ``centers`` already covers. ``centers`` is the
-    caller's list of placed centers, which it grows by exactly one per
-    yielded point that no center covers, before asking for the next run.
-    The rows are dropped by ``open_rows`` at limit 1: by its cell grid or,
-    for a block whose cell table would overflow, by its cKDTree query."""
-    start, size = 0, _FIRST_BLOCK
-    use_filter = False
-    while start < len(xy):
-        block = xy[start:start + size]
-        placed = len(centers)
-        rows = block[open_rows(block, centers_array(centers), 1.0)] if use_filter else block
-        yield rows.tolist()
-        uncovered = len(centers) - placed
-        use_filter = (len(block) - uncovered) * _GATE >= len(block)
-        start += size
-        size *= 2
 
 
 def _probe(ux, uy, vx, vy):
@@ -262,19 +234,9 @@ def _probe(ux, uy, vx, vy):
 
 def _pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (a, b) of rows of xy within r, a < b, as two arrays."""
-    pairs = cKDTree(xy, balanced_tree=False, compact_nodes=False).query_pairs(
-        r, output_type="ndarray")
+    pairs = kd_tree(xy).query_pairs(r, output_type="ndarray")
     a, b = pairs.T
     return a.copy(), b.copy()
-
-
-def _ordered(xy: np.ndarray, m: int) -> bool:
-    """Whether the first m rows of xy span less than half the bounding
-    box of all rows, in area or in extent: so they do in input sorted along
-    a line or a curve, and they do not, but for chance, in input in random
-    order, whose rounds do not stall."""
-    (w, h), (wm, hm) = _extent(xy), _extent(xy[:m])
-    return 2 * wm * hm < w * h or 2 * (wm + hm) < w + h
 
 
 def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray | None:
@@ -299,17 +261,13 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray |
     to 19k pairs in place of one of 115k. ``_online`` passes ``kept`` where
     ``_path`` says so: from 8 * _FIRST_BLOCK rows and a sampled degree of
     ``_BLOCK_DEGREE`` up, whose comment gives the measured break-even.
+    Without ``kept``, one block and its one pair list span all rows.
 
     Rounds on sorted input can decide only a few rows each. Where the
     rounds left at the rate of the last one would cost more than the grid
     loop on the block's rows still undecided and the replay of the rows
     before them (see ``_handoff``), the rounds stop and return the mask of
-    the undecided rows. The first round runs on a prefix of at most n/32
-    rows, where it lies in a small part of the bounding box, so that such a
-    stall shows before the pair list of the first block is built. The next
-    round, over the whole block, settles the prefix's decisions with its
-    own; until then a decided row only blocks its later rows. Returns None
-    where every row is decided."""
+    the undecided rows. Returns None where every row is decided."""
     n = len(xy)
     undecided = np.ones(n, bool)
 
@@ -323,38 +281,28 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray |
         keep = undecided[a] & undecided[b]
         return a[keep], b[keep]
 
-    def lists():
-        # per pair list: the block start:stop, the end of the rows it spans
-        # and whether one round only runs on it
-        head = min(n >> 5, _PREFIX_MAX)
-        start = 0
-        for stop in ((n >> 3, n >> 2, n >> 1, n) if kept else (n,)):
-            if start == stop:
+    bounds = (0, n >> 3, n >> 2, n >> 1, n) if kept else (0, n)
+    for start, stop in zip(bounds, bounds[1:]):
+        if start == stop:
+            continue
+        if start:
+            earlier, open_ = kept(start, stop)
+            undecided[start:stop] = False
+            undecided[open_] = True
+            if not len(open_):
                 continue
-            if not start:
-                if head >= _PREFIX_MIN and _ordered(xy, head):
-                    yield 0, stop, head, *_pairs(xy[:head], r), True
-                yield 0, stop, stop, *_pairs(xy[:stop], r), False
-            else:
-                earlier, open_ = kept(start, stop)
-                undecided[start:stop] = False
-                undecided[open_] = True
-                if len(open_):
-                    rows = np.concatenate((earlier, open_))
-                    a, b = _pairs(xy[rows], r)
-                    keep = undecided[rows[b]]
-                    yield start, stop, stop, *settled(rows[a[keep]], rows[b[keep]]), False
-            start = stop
-
-    for start, stop, end, a, b, once in lists():
+            rows = np.concatenate((earlier, open_))
+            a, b = _pairs(xy[rows], r)
+            keep = undecided[rows[b]]
+            a, b = settled(rows[a[keep]], rows[b[keep]])
+        else:
+            a, b = _pairs(xy[:stop], r)
         left = int(np.count_nonzero(undecided[start:stop]))
         while left:
-            # on a prefix, as if the pairs of the whole block were there: on
-            # sorted input, the rows a round decides do not grow with n
-            cost = _ROUND + _STALL * len(a) * (stop - start) / (end - start)
-            blocked = np.zeros(end - start, bool)
+            cost = _ROUND + _STALL * len(a)
+            blocked = np.zeros(stop - start, bool)
             blocked[b - start] = True
-            ready = start + (undecided[start:end] & ~blocked).nonzero()[0]
+            ready = start + (undecided[start:stop] & ~blocked).nonzero()[0]
             decide(ready, undecided)
             undecided[ready] = False
             a, b = settled(a, b)
@@ -362,8 +310,6 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray |
             # left / decided rounds more, against the handoff
             if left and decided * (left + _REPLAY * (stop - left)) < left * cost:
                 return undecided
-            if once:
-                break
     return None
 
 
@@ -454,10 +400,22 @@ class CcfmState:
                 self.activate(p)
 
     def take_run(self, xy: np.ndarray) -> None:
-        """Take the rows of xy in order, less those that
-        ``_uncovered_blocks`` drops as covered already."""
-        for block in _uncovered_blocks(xy, self.active_order):
-            self.take(block)
+        """Take the rows of xy in order, in blocks that double in size from
+        _FIRST_BLOCK. Where the centers placed so far covered at least
+        1/_GATE of the previous block on arrival, ``open_rows`` at limit 1
+        first drops the block's rows that they cover: by its cell grid or,
+        for a block whose cell table would overflow, by its cKDTree query."""
+        start, size = 0, _FIRST_BLOCK
+        use_filter = False
+        while start < len(xy):
+            block = xy[start:start + size]
+            placed = len(self.active_order)
+            rows = block[open_rows(block, centers_array(self.active_order), 1.0)] if use_filter else block
+            self.take(rows.tolist())
+            uncovered = len(self.active_order) - placed
+            use_filter = (len(block) - uncovered) * _GATE >= len(block)
+            start += size
+            size *= 2
 
 
 def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:

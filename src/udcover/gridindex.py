@@ -5,7 +5,8 @@ query radius, so a 3x3 block of cells around the query is guaranteed to
 contain every stored point within that radius; it answers one query at a
 time, in Python. ``open_rows`` asks the same question of many rows at
 once, in numpy, over a cell table it builds for the call, or, where that
-table would overflow, with a cKDTree over the centers.
+table would overflow, with a cKDTree over the centers. ``kd_tree`` builds
+every cKDTree the package queries.
 """
 
 from __future__ import annotations
@@ -116,11 +117,12 @@ class RadiusGrid:
         return best, best_d
 
 
-def center_tree(centers: np.ndarray) -> cKDTree:
-    """The cKDTree over the centers that ``open_rows`` and ``verify_cover``
-    query: a sliding-midpoint tree without node shrinking builds faster
-    and answers the same nearest distances."""
-    return cKDTree(centers, balanced_tree=False, compact_nodes=False)
+def kd_tree(xy: np.ndarray) -> cKDTree:
+    """The cKDTree over the rows of xy that ``open_rows`` and
+    ``verify_cover`` query for nearest centers and the online solvers for
+    pairs: a sliding-midpoint tree without node shrinking builds faster
+    and answers the same distances and pairs."""
+    return cKDTree(xy, balanced_tree=False, compact_nodes=False)
 
 
 def open_rows(points: np.ndarray, centers: np.ndarray, limit: float,
@@ -190,7 +192,7 @@ def _tree_open_rows(points, centers, limit, tree) -> np.ndarray:
     """``open_rows`` by a cKDTree query: the rows with no center nearer
     than ``limit * _INSIDE``."""
     inside = limit * _INSIDE
-    tree = tree() if tree else center_tree(centers)
+    tree = tree() if tree else kd_tree(centers)
     dist, _ = tree.query(points, distance_upper_bound=inside)
     return np.flatnonzero(dist >= inside)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Cover, Point, as_points, centers_array
-from .gridindex import center_tree, open_rows
+from .gridindex import kd_tree, open_rows
 
 MAX_EXACT_POINTS = 12
 
@@ -60,7 +60,7 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     def tree():
         """The centers' tree, built on first use, by open_rows or below."""
         if not built:
-            built.append(center_tree(ctr))
+            built.append(kd_tree(ctr))
         return built[0]
 
     open_ = open_rows(pts, ctr, limit, tree)

@@ -7,15 +7,15 @@ earlier centers leave open, and hand a stalled run to the grid loop;
 elsewhere they drop, with ``gridindex.open_rows`` per block (its numpy
 cell grid, or its cKDTree query where the cell table would overflow), the
 points an earlier center already covers. The covers must stay bit-equal
-to the plain loops on every path, with the rounds run on a prefix first,
-in blocks or not, with a stall after the first round and in a later
-block, on lattices with points at exactly distance 1, duplicates, sorted
-input and lines that stall the rounds, candidates tied at equal distance,
-sizes at the block edges and of 0-2 points, sparse/dense mixes that
-switch the block filter on and off, clustered and sorted input with the
-tree fallback forced, sets just either side of the path thresholds, pairs
-at exactly the reach give or take an ulp, and offsets up to 2^30 (2^52
-for the pairs). Every row the grid or the tree drops is one the RadiusGrid
+to the plain loops on every path, with the rounds in blocks or not, with
+a stall after the first round and in a later block, on lattices with
+points at exactly distance 1, duplicates, sorted input and lines that
+stall the rounds, well-spread sorted input that does not, candidates
+tied at equal distance, sizes at the block edges and of 0-2 points,
+sparse/dense mixes that switch the block filter on and off, clustered
+and sorted input with the tree fallback forced, sets just either side of
+the path thresholds, pairs at exactly the reach give or take an ulp, and
+offsets up to 2^30 (2^52 for the pairs). Every row the grid or the tree drops is one the RadiusGrid
 probe finds covered, and none the blocks' filter drops is ever made.
 """
 
@@ -45,24 +45,20 @@ def _bits(cover):
 
 
 # Each solver on the grid loop (threshold 0: every input of 2 or more
-# points), on the rounds (threshold inf), on the rounds with the first
-# round on a prefix (of n/32 rows, from 32 rows up) and no stall, and on
-# the rounds with a stall after the first round; then with the path forced
-# through the one hook, _path: the rounds in one block, and the rounds in
-# blocks at every size, with a prefix, with a stall after the first round,
-# and through the gate with a first block of 1 (blocks from 8 rows up)
+# points), on the rounds (threshold inf), and on the rounds with a stall
+# after the first round; then with the path forced through the one hook,
+# _path: the rounds in one block, and the rounds in blocks at every size,
+# with a stall after the first round, and through the gate with a first
+# block of 1 (blocks from 8 rows up)
 _GRID = {"_MIS_DEGREE": 0.0, "_CCFM_DEGREE": 0.0}
 _ROUNDS = {"_MIS_DEGREE": math.inf, "_CCFM_DEGREE": math.inf}
-_PREFIX = {"_PREFIX_MIN": 1, "_ordered": lambda xy, m: True, "_ROUND": 0.0, "_STALL": 0.0}
 _BLOCKS = {"_path": lambda xy, reach, degree: "blocks"}
 _VARIANTS = [
     _GRID,
     _ROUNDS,
-    {**_ROUNDS, **_PREFIX},
     {**_ROUNDS, "_ROUND": math.inf},
     {"_path": lambda xy, reach, degree: "rounds"},
     _BLOCKS,
-    {**_BLOCKS, **_PREFIX},
     {**_BLOCKS, "_ROUND": math.inf},
     {**_ROUNDS, "_BLOCK_DEGREE": 0.0, "_FIRST_BLOCK": 1},
 ]
@@ -186,13 +182,13 @@ def test_points_nudged_around_distance_one_match_the_plain_loops():
 def _count_trees(monkeypatch):
     """Record each cKDTree the solvers build as (rows, names of the methods
     called on it), so a test can tell the sample's trees (query_pairs on a
-    few rows), the rounds' pair lists (query_pairs on all rows, or on a
-    prefix) and the block filter's trees (query on the centers, which
+    few rows), the rounds' pair lists (query_pairs on the rows of a block)
+    and the block filter's trees (query on the centers, which
     ``open_rows`` builds where its cell table would overflow); and each
     call of the block filter as (centers, ["open_rows"]), before the tree
-    that call builds, if any."""
+    that call builds, if any. ``gridindex.kd_tree`` builds every one."""
     built = []
-    real = classic.cKDTree
+    real = gridindex.cKDTree
 
     def grid(points, centers, limit):
         built.append((len(centers), ["open_rows"]))
@@ -208,7 +204,6 @@ def _count_trees(monkeypatch):
             self.calls.append(name)
             return getattr(self.tree, name)
 
-    monkeypatch.setattr(classic, "cKDTree", Spy)
     monkeypatch.setattr(gridindex, "cKDTree", Spy)
     monkeypatch.setattr(classic, "open_rows", grid)
     return built
@@ -379,14 +374,27 @@ def test_sorted_lines_stall_the_rounds_and_match_the_plain_loop(monkeypatch, sol
 
 
 @pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
-def test_a_sorted_line_stalls_before_the_whole_pair_list(monkeypatch, solver):
-    # 2^14 rows: the first round runs on the first 2^9, which lie in a
-    # thirty-second of the line, and stalls there
+def test_a_sorted_line_stalls_on_its_one_pair_list(monkeypatch, solver):
+    # 2^14 rows: the rounds build one pair list over all of them and stall
+    # after the first round
     pts = np.array([(0.5 * i, 7.0) for i in range(2**14)])
     built = _count_trees(monkeypatch)
+    probes = _count_probes(monkeypatch)
     cover = solver(pts)
-    assert _pair_lists(built) == [2**9]
+    assert _pair_lists(built) == [2**14] and probes
     assert _bits(cover) == _bits(dict(PAIRS)[solver](pts))
+
+
+def test_well_spread_sorted_input_runs_the_rounds_to_the_end(monkeypatch):
+    # density 0.2 in a disk, sorted by (x, y): each round decides many rows
+    # across the disk, so the rounds run to the end on one pair list, with
+    # no handoff to the grid loop
+    pts = _sorted(gen_disk(10000, 50000.0, 6))
+    built = _count_trees(monkeypatch)
+    probes = _count_probes(monkeypatch)
+    cover = ccfm1997(pts)
+    assert _pair_path(built, probes, len(pts)), (built, len(probes))
+    assert _bits(cover) == _bits(reference_ccfm1997(pts))
 
 
 def test_a_stall_after_a_shuffled_block_hands_off_to_the_grid_loop(monkeypatch):
