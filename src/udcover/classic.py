@@ -2,7 +2,9 @@
 
 * ``g1991``    -- sqrt(2)-high strips, each covered left to right by
   sqrt(2) x sqrt(2) squares, a unit disk at each center: one sort by
-  (strip, x), then a walk over the points that start a square.
+  (strip, x); the squares at a strip's first point and at each point
+  more than sqrt(2) past the one before are set in numpy, and a walk
+  finds the others between them.
 * ``ccfm1997`` -- online: each placed disk pre-positions six hexagonal
   candidate centers; an uncovered point promotes the nearest candidate
   within distance 1, or becomes a center itself.
@@ -339,19 +341,31 @@ def g1991(points) -> Cover:
     """Strips are processed in increasing strip index, squares left to
     right; a square with left edge at the leftmost uncovered point
     covers every strip point within sqrt(2) of it in x (closed bound).
-    Sorted by (strip, x), the next square's point is found by bisection."""
+    Sorted by (strip, x), the forced squares, at a strip's first point
+    and at each point more than sqrt(2) right of the one before, are set
+    in numpy; between two of them the next square's point is found by
+    bisection."""
     xy = bounded_points(points)
     order = np.argsort(xy[:, 0])
     strip = np.floor(xy[order, 1] / SQRT2)
     by_strip = stable_order(strip)  # each strip stays in x order
     strip, x = strip[by_strip], xy[order[by_strip], 0]
+    # forced: a point past the bound of the one before, as the last
+    # square's first point lies at or left of that one and rounding is
+    # monotone. The point after a forced one is in its square unless
+    # forced itself, so a stretch needs three points to walk
+    head = run_starts(strip)
+    head[1:] |= x[1:] > x[:-1] + SQRT2
+    cuts = np.flatnonzero(head)
+    ends = np.append(cuts[1:], len(x))
+    walk = ends - cuts > 2
     xs = x.tolist()
-    heads = []
-    cuts = [*np.flatnonzero(run_starts(strip)).tolist(), len(xs)]
-    for i, end in zip(cuts, cuts[1:]):
-        while i < end:
-            heads.append(i)
-            i = bisect_right(xs, xs[i] + SQRT2, i + 1, end)
+    found = []
+    for i, end in zip(cuts[walk].tolist(), ends[walk].tolist()):
+        while (i := bisect_right(xs, xs[i] + SQRT2, i + 1, end)) < end:
+            found.append(i)
+    head[found] = True
+    heads = np.flatnonzero(head)
     return np.column_stack((x[heads] + HALF_SQRT2, (strip[heads] + 0.5) * SQRT2))
 
 

@@ -69,13 +69,14 @@ def key_order(keys: np.ndarray, size: int) -> np.ndarray:
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
-    """The stable sort order of an integer-valued float array, by
-    ``key_order`` where the values span 2^16 or fewer: an 8-bit radix pass
-    where they span 2^8 or fewer."""
-    rank = values - values.min(initial=math.inf)
-    top = rank.max(initial=0.0)  # inf where the subtraction overflows
-    if top < 2**16:
-        return key_order(rank, int(top) + 1)
+    """The stable sort order of an integer array or an integer-valued
+    float array, by ``key_order`` where the values span 2^16 or fewer: an
+    8-bit radix pass where they span 2^8 or fewer."""
+    # the span in Python numbers: an int cannot wrap, and a float
+    # overflows to inf
+    low, top = (values.min().item(), values.max().item()) if len(values) else (0, 0)
+    if top - low < 2**16:
+        return key_order(values - low, int(top - low) + 1)
     return np.argsort(values, kind="stable")
 
 

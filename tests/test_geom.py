@@ -78,14 +78,35 @@ def test_key_order_sorts_and_radix_keeps_input_order(size):
         assert order.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
 @pytest.mark.parametrize("span", [1, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1])
-@pytest.mark.parametrize("low", [0.0, -7.0, 3.0e6])
-def test_stable_order_matches_a_stable_argsort_and_sorts_the_narrowest_keys(monkeypatch, span, low):
-    # integer-valued floats spanning exactly ``span`` values; up to 2^8 of
-    # them take numpy's 8-bit radix pass, up to 2^16 its 16-bit one
+@pytest.mark.parametrize("low", [0, -7, 3_000_000])
+def test_stable_order_matches_a_stable_argsort_and_sorts_the_narrowest_keys(monkeypatch, span, low, dtype):
+    # integers or integer-valued floats spanning exactly ``span`` values;
+    # up to 2^8 of them take numpy's 8-bit radix pass, up to 2^16 its
+    # 16-bit one
     sizes = []
     monkeypatch.setattr(geom, "key_order", lambda keys, size: sizes.append(size) or key_order(keys, size))
     rng = np.random.default_rng(span)
     values = low + rng.permutation(np.concatenate(([0, span - 1, 0], rng.integers(0, span, 3000))))
+    values = values.astype(dtype)
     assert stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
     assert sizes == ([span] if span <= 2**16 else [])
+
+
+@pytest.mark.parametrize("values", [
+    # int64: max - min wraps in numpy, to -1 and to -2^63, which would
+    # read as spans below 2^16
+    np.array([2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63)]),
+    np.array([2**62, -(2**62), 1, 2**62]),
+    # floats: max - min overflows to inf
+    np.array([1.7e308, -1.7e308, 0.0, 1.7e308, -1.7e308]),
+    # no values: one empty key
+    np.array([], np.int64),
+    np.array([], np.float64),
+])
+def test_stable_order_reads_the_span_without_overflow(monkeypatch, values):
+    sizes = []
+    monkeypatch.setattr(geom, "key_order", lambda keys, size: sizes.append(size) or key_order(keys, size))
+    assert stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
+    assert sizes == ([1] if len(values) == 0 else [])
