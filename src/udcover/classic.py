@@ -29,9 +29,9 @@ undecided point with no undecided earlier point within the reach. A center
 that was made settles the later points its probe hits; a pair that fails
 the probe only delays its later point. A ready point promotes its nearest
 live candidate, ties going to the lower (owner, k), or activates. Rounds
-that stall, as on chains in sorted input, hand the points still undecided
-to the grid loop, which replays the decided points in between
-(``_handoff``).
+that stall, as on chains in sorted input, hand the grid loop the rest of
+the input from the first point still undecided, after it replays the
+centers made before that point.
 
 Where the sampled degree is moderate (``_BLOCK_DEGREE`` or more, from
 8 * _FIRST_BLOCK points up), the rounds decide the rows in doubling
@@ -241,7 +241,7 @@ def _pairs(xy: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     return a.copy(), b.copy()
 
 
-def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray | None:
+def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> int | None:
     """Decide the rows of xy in dependency rounds, as Blelloch, Fineman and
     Shun do for the greedy maximal independent set (SPAA 2012), over the
     pairs of rows within r = ``_tree_radius(xy, reach)``: a row's decision
@@ -268,8 +268,9 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray |
     Rounds on sorted input can decide only a few rows each. Where the
     rounds left at the rate of the last one would cost more than the grid
     loop on the block's rows still undecided and the replay of the rows
-    before them (see ``_handoff``), the rounds stop and return the mask of
-    the undecided rows. Returns None where every row is decided."""
+    before them, the rounds stop and return the first undecided row: every
+    row before it is decided as the grid loop would decide it. Returns None
+    where every row is decided."""
     n = len(xy)
     undecided = np.ones(n, bool)
 
@@ -311,30 +312,8 @@ def _rounds(xy: np.ndarray, r: float, decide, settle, kept=None) -> np.ndarray |
             decided = left - (left := int(np.count_nonzero(undecided[start:stop])))
             # left / decided rounds more, against the handoff
             if left and decided * (left + _REPLAY * (stop - left)) < left * cost:
-                return undecided
+                return int(undecided.argmax())
     return None
-
-
-def _handoff(xy: np.ndarray, left: np.ndarray, made: np.ndarray, replay, state: CcfmState) -> None:
-    """Finish a cover that the rounds stopped short of: the rows of xy
-    that ``left`` marks go, in runs of consecutive ones, through
-    ``state.take_run``, and ``replay(rows)`` applies, in between and each
-    in its place, the decision of every row that ``made`` marks as having
-    made a center. Each probe then sees the state of the sequential loop:
-    the rows before it, decided by either."""
-    todo = np.flatnonzero(left)
-    rows = np.flatnonzero(made)
-    cut = np.searchsorted(rows, todo)  # the made rows before each row left
-    runs = [*np.flatnonzero(run_starts(cut)).tolist(), len(todo)]
-    done = 0
-    for i, j in zip(runs, runs[1:]):
-        replay(rows[done:cut[i]])
-        done = cut[i]
-        first, last = int(todo[i]), int(todo[j - 1])
-        # a view, not a copy, where the run's rows are consecutive
-        run = xy[first:last + 1] if last - first == j - 1 - i else xy[todo[i:j]]
-        state.take_run(run)
-    replay(rows[done:])
 
 
 def g1991(points) -> Cover:
@@ -437,15 +416,17 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
     candidates at ``offsets``. Where ``_path`` puts the mean degree within
     ``reach`` at ``degree`` or more, every row goes through the grid loop;
     elsewhere ``_rounds`` decide the rows, in blocks where ``_path`` says
-    so, and, where they stall, ``_handoff`` finishes the cover. A row that
-    the blocks' filter drops is neither left to it nor made. In the rounds,
-    a row that an earlier row's center covers is skipped at once; a ready
-    row promotes its nearest candidate by the key (d, owner row, k), which
-    is the grid loop's insertion order, or else activates. A promoted
-    candidate covers every row that could take it again, so no row does.
-    An activated row's candidates are probed only against the later rows
-    of its pairs, so a row with none spawns nothing. With no pattern,
-    settle and decide stop after their first steps."""
+    so. Where they stall, the grid loop replays the centers made before the
+    first undecided row and takes every row from it on, as the grid path
+    does from row 0. A row that the blocks' filter drops is never made: the
+    rounds decide it covered, and the loop, if it takes the row again,
+    skips it. In the rounds, a row that an earlier row's center covers is
+    skipped at once; a ready row promotes its nearest candidate by the key
+    (d, owner row, k), which is the grid loop's insertion order, or else
+    activates. A promoted candidate covers every row that could take it
+    again, so no row does. An activated row's candidates are probed only
+    against the later rows of its pairs, so a row with none spawns nothing.
+    With no pattern, settle and decide stop after their first steps."""
     # the pair list holds the pairs within r, whose margin grows with the
     # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
     r = _tree_radius(xy, reach)
@@ -508,16 +489,14 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float) -> Cover:
         centers = np.column_stack((cx[earlier], cy[earlier]))
         return earlier, start + open_rows(xy[start:stop], centers, 1.0)
 
-    left = _rounds(xy, r, decide, settle, kept if path == "blocks" else None)
-    if left is None:
+    first = _rounds(xy, r, decide, settle, kept if path == "blocks" else None)
+    if first is None:
         return np.column_stack((cx[made], cy[made]))
     state = CcfmState(offsets)
-
-    def replay(rows):
-        for p, fresh in zip(zip(cx[rows].tolist(), cy[rows].tolist()), spawned[rows].tolist()):
-            (state.activate if fresh else state.promote)(p)
-
-    _handoff(xy, left, made, replay, state)
+    rows = made[:first].nonzero()[0]
+    for p, fresh in zip(zip(cx[rows].tolist(), cy[rows].tolist()), spawned[rows].tolist()):
+        (state.activate if fresh else state.promote)(p)
+    state.take_run(xy[first:])
     return centers_array(state.active_order)
 
 

@@ -4,11 +4,11 @@ by exhaustive enumeration, and the 7-point worst case of the grid
 algorithm."""
 
 import itertools
+import math
 
 import numpy as np
 
 from udcover.geom import INV_SQRT2, SQRT2, Point, as_points
-from udcover.oracle import _disk_masks, candidate_centers
 
 
 def grid_disk_center(k: tuple[int, int]) -> Point:
@@ -29,12 +29,23 @@ def disk_table_dict(table) -> dict:
 
 def optimal_cover_exhaustive(points) -> int:
     """Minimum cover size by exhaustive enumeration over candidate-disk
-    subsets, smallest size first. Reference for the branch and bound."""
-    pts = sorted(map(tuple, as_points(points).tolist()))
+    subsets, smallest size first. Reference for the branch and bound,
+    with its own candidates: the points, and the centers of the unit
+    circles through each pair at most 2 apart. Some minimum cover has
+    every disk at one of them: a disk that covers two or more points can
+    slide until two of them lie on its circle."""
+    pts = [complex(x, y) for x, y in as_points(points).tolist()]
     n = len(pts)
     if n == 0:
         return 0
-    masks, _ = _disk_masks(pts, candidate_centers(pts))
+    cands = list(pts)
+    for a, b in itertools.combinations(pts, 2):
+        d = abs(b - a)
+        if 0 < d <= 2:
+            # from the midpoint, perpendicular to ab, to either center
+            h = (b - a) / d * 1j * math.sqrt(max(0.0, 1 - d * d / 4))
+            cands += [(a + b) / 2 + h, (a + b) / 2 - h]
+    masks = {sum(1 << i for i, p in enumerate(pts) if abs(p - c) <= 1 + 1e-9) for c in cands}
     full = (1 << n) - 1
     for size in range(1, n + 1):
         for combo in itertools.combinations(masks, size):

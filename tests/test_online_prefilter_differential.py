@@ -3,10 +3,12 @@
 Where the sampled degree is low, both solvers compute their covers in
 numpy dependency rounds over one cKDTree pair list, or, where it is
 moderate, over one list per doubling block that spans only the rows the
-earlier centers leave open, and hand a stalled run to the grid loop;
-elsewhere they drop, with ``gridindex.open_rows`` per block (its numpy
-cell grid, or its cKDTree query where the cell table would overflow), the
-points an earlier center already covers. The covers must stay bit-equal
+earlier centers leave open; where those rounds stall, the grid loop
+replays the centers made before the first undecided row and takes every
+row from it on, in one run. Elsewhere they drop, with
+``gridindex.open_rows`` per block (its numpy cell grid, or its cKDTree
+query where the cell table would overflow), the points an earlier center
+already covers. The covers must stay bit-equal
 to the plain loops on every path, with the rounds in blocks or not, with
 a stall after the first round and in a later block, on lattices with
 points at exactly distance 1, duplicates, sorted input and lines that
@@ -16,7 +18,8 @@ sparse/dense mixes that switch the block filter on and off, clustered
 and sorted input with the tree fallback forced, sets just either side of
 the path thresholds, pairs at exactly the reach give or take an ulp, and
 offsets up to 2^30 (2^52 for the pairs). Every row the grid or the tree drops is one the RadiusGrid
-probe finds covered, and none the blocks' filter drops is ever made.
+probe finds covered, and none the blocks' filter drops is ever made: where
+the grid loop takes one again after a stall, its probe finds it covered.
 """
 
 import math
@@ -440,13 +443,17 @@ def test_a_stall_in_a_later_block_hands_off_to_the_grid_loop(monkeypatch, solver
 @pytest.mark.parametrize("solver", [dgt2018, ccfm1997])
 @pytest.mark.parametrize("case", ["uniform", "dense", "stall", "sorted"])
 def test_no_row_the_block_filter_drops_is_ever_made(monkeypatch, solver, case):
-    # made rows are those the rounds pass to decide, and those left to the
-    # handoff that no earlier center covers
+    # made rows are those the rounds pass to decide, and those the grid
+    # loop takes after a stall that no earlier center covers; the loop
+    # takes every row from the first one undecided, dropped ones too
     square = gen_square(8000, 8000 / (4.0 if case == "dense" else 1.0), 14)
     pts = {"uniform": square, "dense": square, "sorted": _sorted(square),
            "stall": np.concatenate([square[:6000], [(0.5 * i, -20.0) for i in range(2000)]])}[case]
-    real = classic._rounds
-    seen = {"ready": [], "dropped": [], "left": None}
+    index = {p: i for i, p in enumerate(map(tuple, pts.tolist()))}
+    assert len(index) == len(pts)
+    real_rounds, real_take = classic._rounds, classic.CcfmState.take
+    seen = {"ready": [], "dropped": [], "first": None}
+    covered = {}  # row taken by the loop: whether its probe found it covered
 
     def rounds(xy, r, decide, settle, kept):
         def decide_(ready, undecided):
@@ -458,19 +465,47 @@ def test_no_row_the_block_filter_drops_is_ever_made(monkeypatch, solver, case):
             seen["dropped"].append(np.setdiff1d(np.arange(start, stop), open_))
             return earlier, open_
 
-        seen["left"] = real(xy, r, decide_, settle, kept_)
-        return seen["left"]
+        seen["first"] = real_rounds(xy, r, decide_, settle, kept_)
+        return seen["first"]
+
+    def take(self, rows):
+        for row in rows:
+            covered[index[tuple(row)]] = self.active.nearest_within(tuple(row), 1.0) is not None
+            real_take(self, [row])
 
     monkeypatch.setattr(classic, "_path", _BLOCKS["_path"])
     monkeypatch.setattr(classic, "_rounds", rounds)
+    monkeypatch.setattr(classic.CcfmState, "take", take)
     assert _bits(solver(pts)) == _bits(dict(PAIRS)[solver](pts))
     dropped = np.concatenate(seen["dropped"] or [np.zeros(0, int)])
     if case != "sorted":
         assert len(dropped) > len(pts) // 10
     made = np.concatenate(seen["ready"])
     assert not np.intersect1d(made, dropped).size
-    if seen["left"] is not None:
-        assert not seen["left"][dropped].any()
+    assert bool(covered) is (seen["first"] is not None)
+    taken = [row for row in dropped.tolist() if row in covered]
+    assert all(covered[row] for row in taken)
+    if case == "stall":
+        assert taken
+
+
+def test_sorted_clusters_hand_the_grid_loop_one_suffix(monkeypatch):
+    # 200 clusters of sigma 3 in a 10^4 square, sorted by (x, y): ccfm1997
+    # takes the rounds in blocks, which stall within the first block, and
+    # the grid loop takes every row from the first one left, in one run
+    rng = np.random.default_rng(0)
+    centers = rng.random((200, 2)) * 1e4
+    pts = _sorted(centers[rng.integers(0, 200, 20000)] + rng.normal(size=(20000, 2)) * 3.0)
+    runs = []
+    real = classic.CcfmState.take_run
+
+    def take_run(self, xy):
+        runs.append(len(xy))
+        real(self, xy)
+
+    monkeypatch.setattr(classic.CcfmState, "take_run", take_run)
+    assert _bits(ccfm1997(pts)) == _bits(reference_ccfm1997(pts))
+    assert len(runs) == 1 and 0 < runs[0] < len(pts), runs[:5]
 
 
 def test_candidates_tied_at_equal_distance_go_to_the_lower_owner_and_k():

@@ -26,6 +26,7 @@ def _imported(path: Path) -> set[str]:
 @pytest.mark.parametrize("reference, module", [
     ("classic_reference.py", "udcover.classic"),
     ("sweep_reference.py", "udcover.sweep"),
+    ("reference.py", "udcover.oracle"),
 ])
 def test_reference_does_not_import_the_module_it_checks(reference, module):
     imported = _imported(TESTS / reference)
