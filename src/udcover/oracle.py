@@ -1,27 +1,32 @@
-"""Cover verification and an exact optimal solver for small instances.
+"""Cover verification and an exact optimal solver for up to
+MAX_EXACT_POINTS points.
 
 The exact solver reduces to set cover over a finite candidate-center
 set: every coverable subset admits a covering unit disk that either is
 centered on a point or has two points on its boundary, so it suffices to
 consider the input points plus, for each pair at distance <= 2, the two
-unit-circle centers through that pair.
+unit-circle centers through that pair. The set cover is solved as a 0/1
+integer program by HiGHS (``scipy.optimize.milp``), which is imported on
+the first call, so that ``import udcover`` does not load it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Cover, Point, as_points, centers_array
+from .geom import Cover, as_points
 from .gridindex import kd_tree, open_rows
 
-MAX_EXACT_POINTS = 12
+MAX_EXACT_POINTS = 100
 
 # slack for points lying exactly on a candidate circle's boundary
 _COVER_TOL = 1e-12
+
+# how far the trees' pair and ball queries reach past the exact tests
+_MARGIN = 1e-9
 
 # a few ulps above 1: verify_cover's bounded query reaches past its limit
 _BOUND_MARGIN = 1.0 + 4 * np.finfo(np.float64).eps
@@ -80,109 +85,52 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
     return VerifyReport(len(uncovered) == 0, uncovered, ctr.shape[0])
 
 
-def candidate_centers(points) -> list[Point]:
+def candidate_centers(points) -> np.ndarray:
     """Input points plus the unit-circle centers through every pair at
-    distance <= 2 (midpoint only at distance exactly 2), deduplicated
-    within 1e-12."""
-    pts = list(map(tuple, as_points(points).tolist()))
-    if not pts:
-        raise ValueError("need at least one point")
-    cands: list[Point] = list(pts)
-    for (ax, ay), (bx, by) in itertools.combinations(pts, 2):
-        dx = bx - ax
-        dy = by - ay
-        d_sq = dx * dx + dy * dy
-        if d_sq > 4.0 or d_sq == 0.0:
-            continue
-        mx = (ax + bx) / 2.0
-        my = (ay + by) / 2.0
-        h_sq = 1.0 - d_sq / 4.0
-        if h_sq <= 0.0:
-            cands.append((mx, my))
-            continue
-        # offset perpendicular to the chord, length h/|ab|
-        f = math.sqrt(h_sq / d_sq)
-        ox = -dy * f
-        oy = dx * f
-        cands.append((mx + ox, my + oy))
-        cands.append((mx - ox, my - oy))
-    seen: dict[tuple[int, int], Point] = {}
-    for c in cands:
-        key = (round(c[0] * 1e12), round(c[1] * 1e12))
-        if key not in seen:
-            seen[key] = c
-    return list(seen.values())
-
-
-def _disk_masks(pts: list[Point], cands: list[Point]) -> tuple[list[int], list[Point]]:
-    """Coverage bitmask per candidate, with dominated duplicates dropped."""
-    masks: list[int] = []
-    kept: list[Point] = []
-    seen: set[int] = set()
-    for cx, cy in cands:
-        m = 0
-        for idx, (px, py) in enumerate(pts):
-            if (px - cx) ** 2 + (py - cy) ** 2 <= 1.0 + _COVER_TOL:
-                m |= 1 << idx
-        if m and m not in seen:
-            seen.add(m)
-            masks.append(m)
-            kept.append((cx, cy))
-    return masks, kept
-
-
-def _greedy_cover(n: int, masks: list[int]) -> list[int]:
-    full = (1 << n) - 1
-    covered = 0
-    chosen: list[int] = []
-    while covered != full:
-        best = max(range(len(masks)), key=lambda k: bin(masks[k] & ~covered).count("1"))
-        chosen.append(best)
-        covered |= masks[best]
-    return chosen
+    distance <= 2 (twice the midpoint at distance exactly 2), as an
+    ``(m, 2)`` array."""
+    pts = as_points(points)
+    i, j = kd_tree(pts).query_pairs(2.0 + _MARGIN, output_type="ndarray").T
+    d = pts[j] - pts[i]
+    d_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    near = (d_sq > 0.0) & (d_sq <= 4.0)
+    d, d_sq = d[near], d_sq[near]
+    mid = (pts[i[near]] + pts[j[near]]) / 2.0
+    # offset perpendicular to the chord, length h/|ab|
+    f = np.sqrt(np.maximum(1.0 - d_sq / 4.0, 0.0) / d_sq)
+    off = np.column_stack((-d[:, 1] * f, d[:, 0] * f))
+    return np.concatenate((pts, mid + off, mid - off))
 
 
 def optimal_cover(points) -> OptResult:
-    """Exact minimum cover over the candidate-center disks, by branch
-    and bound on the lowest-index uncovered point. Points are ordered
-    lexicographically; input size is capped at MAX_EXACT_POINTS."""
-    pts = sorted(map(tuple, as_points(points).tolist()))
+    """Exact minimum cover over the candidate-center disks: set cover as
+    a 0/1 integer program, solved by HiGHS. Input size is capped at
+    MAX_EXACT_POINTS. Raises RuntimeError if the solver fails or its
+    centers do not cover the points."""
+    from scipy.optimize import milp
+
+    pts = as_points(points)
     n = len(pts)
     if n == 0:
         return OptResult(0, np.empty((0, 2)))
     if n > MAX_EXACT_POINTS:
         raise ValueError(f"exact solver limited to {MAX_EXACT_POINTS} points, got {n}")
-    masks, kept = _disk_masks(pts, candidate_centers(pts))
-    full = (1 << n) - 1
-    # disks covering each point, for branching
-    by_point: list[list[int]] = [[] for _ in range(n)]
-    for k, m in enumerate(masks):
-        for idx in range(n):
-            if m >> idx & 1:
-                by_point[idx].append(k)
-
-    incumbent = _greedy_cover(n, masks)
-    best_size = len(incumbent)
-    best_sel = list(incumbent)
-
-    def descend(covered: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_sel
-        if covered == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_sel = list(chosen)
-            return
-        if len(chosen) + 1 >= best_size:
-            return
-        pivot = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered bit
-        for k in by_point[pivot]:
-            add = masks[k] & ~covered
-            if not add:
-                continue
-            chosen.append(k)
-            descend(covered | masks[k], chosen)
-            chosen.pop()
-
-    descend(0, [])
-    return OptResult(best_size, centers_array([kept[k] for k in best_sel]))
-
+    cands = candidate_centers(pts)
+    hits = kd_tree(cands).query_ball_point(pts, 1.0 + _MARGIN)
+    rows = np.repeat(np.arange(n), [len(h) for h in hits])
+    cols = np.concatenate(hits)  # every point is a candidate: none is empty
+    d = pts[rows] - cands[cols]
+    keep = d[:, 0] ** 2 + d[:, 1] ** 2 <= 1.0 + _COVER_TOL
+    covers = np.zeros((len(cands), n), bool)
+    covers[cols[keep], rows[keep]] = True
+    # one column per distinct covered set, the first candidate's
+    first = np.sort(np.unique(np.packbits(covers, axis=1), axis=0, return_index=True)[1])
+    cands, covers = cands[first], covers[first]
+    m = len(cands)
+    res = milp(np.ones(m), integrality=np.ones(m), bounds=(0, 1), constraints=(covers.T, 1, np.inf))
+    if res.status != 0:
+        raise RuntimeError(f"exact solver failed: {res.message}")
+    centers = cands[res.x > 0.5]
+    if not verify_cover(pts, centers).valid:
+        raise RuntimeError("exact solver returned centers that do not cover the points")
+    return OptResult(len(centers), centers)

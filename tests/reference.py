@@ -29,11 +29,11 @@ def disk_table_dict(table) -> dict:
 
 def optimal_cover_exhaustive(points) -> int:
     """Minimum cover size by exhaustive enumeration over candidate-disk
-    subsets, smallest size first. Reference for the branch and bound,
-    with its own candidates: the points, and the centers of the unit
-    circles through each pair at most 2 apart. Some minimum cover has
-    every disk at one of them: a disk that covers two or more points can
-    slide until two of them lie on its circle."""
+    subsets, smallest size first. Reference for ``optimal_cover``'s
+    integer program, with its own candidates: the points, and the
+    centers of the unit circles through each pair at most 2 apart. Some
+    minimum cover has every disk at one of them: a disk that covers two
+    or more points can slide until two of them lie on its circle."""
     pts = [complex(x, y) for x, y in as_points(points).tolist()]
     n = len(pts)
     if n == 0:

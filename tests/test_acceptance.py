@@ -76,37 +76,60 @@ def test_criterion_1_validity_suite():
     assert ok, failures[:5]
 
 
+# proven approximation factors; ll2014 (6 passes) is held to ceil(25/6 * opt)
+FACTORS = {
+    "fastcover": 7.0,
+    "fastcover+": 7.0,
+    "fastcover++": 7.0,
+    "g1991": 8.0,
+    "ccfm1997": 7.0,
+    "dgt2018": 5.0,
+    "blms2017": 4.0,
+    "ll2014-1p": 5.0,
+}
+
+
+def _ratio_violations(pts, opt):
+    violations = []
+    for name, bound in FACTORS.items():
+        size = len(ALGORITHMS[name](pts))
+        if size > bound * opt:
+            violations.append((name, pts, size, opt))
+    size = len(ll2014(pts, passes=6))
+    if size > math.ceil(25.0 / 6.0 * opt):
+        violations.append(("ll2014", pts, size, opt))
+    return violations
+
+
 def test_criterion_2_oracle_ratio_suite():
     start = time.perf_counter()
-    factors = {
-        "fastcover": 7.0,
-        "fastcover+": 7.0,
-        "fastcover++": 7.0,
-        "g1991": 8.0,
-        "ccfm1997": 7.0,
-        "dgt2018": 5.0,
-        "blms2017": 4.0,
-        "ll2014-1p": 5.0,
-    }
     rnd = random.Random(2024)
     violations = []
     for _ in range(1000):
         n = rnd.randint(1, 10)
         pts = [(rnd.uniform(0, 4), rnd.uniform(0, 4)) for _ in range(n)]
-        opt = optimal_cover(pts).size
-        for name, bound in factors.items():
-            size = len(ALGORITHMS[name](pts))
-            if size > bound * opt:
-                violations.append((name, pts, size, opt))
-        size = len(ll2014(pts, passes=6))
-        if size > math.ceil(25.0 / 6.0 * opt):
-            violations.append(("ll2014", pts, size, opt))
+        violations += _ratio_violations(pts, optimal_cover(pts).size)
     elapsed = time.perf_counter() - start
     ok = not violations
     _report(2, ok, f"{elapsed:.1f}s")
     if elapsed >= 120.0:
         warnings.warn(f"ratio suite took {elapsed:.1f}s (expected < 120s)")
     assert ok, violations[:3]
+
+
+def test_criterion_2_ratios_at_100_points():
+    # instances far past exhaustive search: no cover beats the optimum,
+    # and each stays within its factor of it
+    violations = []
+    for density in (0.2, 1.0, 5.0):
+        for seed in (1, 2, 3, 4, 5):
+            pts = gen_square(100, 100 / density, seed)
+            opt = optimal_cover(pts).size
+            for name, solver in ALGORITHMS.items():
+                if len(solver(pts)) < opt:
+                    violations.append((name, density, seed, opt))
+            violations += _ratio_violations(pts, opt)
+    assert violations == []
 
 
 def test_criterion_3_adversarial_construction():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import udcover
-from udcover import ALGORITHMS, gen_annulus, gen_convex, gen_disk, gen_square
+from udcover import ALGORITHMS, MAX_EXACT_POINTS, gen_annulus, gen_convex, gen_disk, gen_square
 from udcover import cli
 from udcover.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY, main
 from udcover.pointio import read_xy, write_xy
@@ -143,7 +143,7 @@ def test_optimal_subcommand(tmp_path, capsys):
 
 def test_optimal_rejects_large(tmp_path):
     f = tmp_path / "p.xy"
-    f.write_text("".join(f"{i} {i}\n" for i in range(13)))
+    f.write_text("".join(f"{i} {i}\n" for i in range(MAX_EXACT_POINTS + 1)))
     assert run(["optimal", "--input", str(f)]) == EXIT_USAGE
 
 
@@ -329,9 +329,9 @@ def _verify_eps(value, command="verify"):
     return argv
 
 
-def _thirteen_points(tmp_path):
+def _past_the_exact_cap(tmp_path):
     f = tmp_path / "p.xy"
-    f.write_text("".join(f"{i} {i}\n" for i in range(13)))
+    f.write_text("".join(f"{i} {i}\n" for i in range(MAX_EXACT_POINTS + 1)))
     return ["optimal", "--input", str(f)]
 
 
@@ -343,12 +343,12 @@ def _thirteen_points(tmp_path):
     _far_points,
     _past_the_bound,
     _missing_cover,
-    _thirteen_points,
+    _past_the_exact_cap,
     _verify_eps("nan"),
     _verify_eps("-1"),
     _verify_eps("nan", "cover"),
 ], ids=["area-0", "n-negative", "annulus-radii", "cell-range", "coord-bound",
-        "missing-cover", "optimal-13", "verify-eps-nan", "verify-eps-minus-1",
+        "missing-cover", "optimal-over-cap", "verify-eps-nan", "verify-eps-minus-1",
         "cover-eps-nan"])
 def test_argument_and_range_errors_exit_usage_with_one_line(argv, tmp_path, capsys):
     assert run(argv(tmp_path)) == EXIT_USAGE

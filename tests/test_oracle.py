@@ -1,11 +1,16 @@
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import udcover
 from reference import optimal_cover_exhaustive
 from udcover.oracle import (
     MAX_EXACT_POINTS,
+    VerifyReport,
     candidate_centers,
     optimal_cover,
     verify_cover,
@@ -74,9 +79,11 @@ def test_verify_rejects_cover_entries_that_are_not_pairs():
 
 def test_candidate_centers_include_points():
     pts = [(0.0, 0.0), (1.0, 0.0)]
-    cands = candidate_centers(pts)
-    assert (0.0, 0.0) in cands
-    assert (1.0, 0.0) in cands
+    cands = candidate_centers(pts).tolist()
+    # exact rows: ``in`` on the array matched any single coordinate
+    assert [0.0, 0.0] in cands
+    assert [1.0, 0.0] in cands
+    assert [0.0, 1.0] not in cands
     # circle centers through the pair as well
     assert len(cands) > 2
 
@@ -112,7 +119,7 @@ def test_optimal_cover_is_valid():
         assert verify_cover(pts, result.centers, eps=1e-9).valid
 
 
-def test_branch_and_bound_matches_exhaustive():
+def test_optimal_matches_exhaustive():
     for seed in range(60):
         n = 3 + seed % 4
         pts = rand_points(n, 4.0, 100 + seed)
@@ -124,3 +131,49 @@ def test_optimal_order_insensitive():
     a = optimal_cover(pts).size
     b = optimal_cover(list(reversed(pts))).size
     assert a == b
+
+
+def test_optimal_known_optimum_at_100_points():
+    # 20 clusters of 5 points, each inside a disk of radius 0.9, cluster
+    # centers 4.5 apart: one disk per cluster, and no disk reaches two
+    rnd = random.Random(5)
+    pts = []
+    for cx in range(5):
+        for cy in range(4):
+            for _ in range(5):
+                r = 0.9 * math.sqrt(rnd.random())
+                a = rnd.uniform(0.0, 2.0 * math.pi)
+                pts.append((4.5 * cx + r * math.cos(a), 4.5 * cy + r * math.sin(a)))
+    assert len(pts) == 100 <= MAX_EXACT_POINTS
+    result = optimal_cover(pts)
+    assert result.size == 20 == len(result.centers)
+    assert verify_cover(pts, result.centers).valid
+
+
+def test_optimal_raises_when_its_centers_do_not_cover(monkeypatch):
+    monkeypatch.setattr("udcover.oracle.verify_cover",
+                        lambda points, cover: VerifyReport(False, [(0, 4.0)], len(cover)))
+    with pytest.raises(RuntimeError, match="do not cover"):
+        optimal_cover([(0.0, 0.0), (3.0, 0.0)])
+
+
+def test_optimal_raises_when_the_solver_fails(monkeypatch):
+    import scipy.optimize
+
+    def failed(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=1, message="time limit reached", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", failed)
+    with pytest.raises(RuntimeError, match="time limit reached"):
+        optimal_cover([(0.0, 0.0), (3.0, 0.0)])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 10 MB and 0.08 s to every process that
+    # imports the package; only optimal_cover loads it
+    src = str(Path(udcover.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import udcover; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
