@@ -61,7 +61,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
-                   bounded_points, centers_array, run_starts, stable_order)
+                   bounded_points, centers_array, run_starts, stable_order, unsort)
 from .gridindex import RadiusGrid, kd_tree, open_rows
 
 # Blocks double in size from _FIRST_BLOCK on, so a run filters O(log n)
@@ -324,11 +324,18 @@ def g1991(points) -> Cover:
     and at each point more than sqrt(2) right of the one before, are set
     in numpy; between two of them the next square's point is found by
     bisection."""
+    return _g1991(points)[0]
+
+
+def _g1991(points):
+    """``g1991``'s cover, and a callable that gives per point the index of
+    its square's disk in it."""
     xy = bounded_points(points)
     order = np.argsort(xy[:, 0])
     strip = np.floor(xy[order, 1] / SQRT2)
     by_strip = stable_order(strip)  # each strip stays in x order
-    strip, x = strip[by_strip], xy[order[by_strip], 0]
+    order = order[by_strip]
+    strip, x = strip[by_strip], xy[order, 0]
     # forced: a point past the bound of the one before, as the last
     # square's first point lies at or left of that one and rounding is
     # monotone. The point after a forced one is in its square unless
@@ -345,7 +352,8 @@ def g1991(points) -> Cover:
             found.append(i)
     head[found] = True
     heads = np.flatnonzero(head)
-    return np.column_stack((x[heads] + HALF_SQRT2, (strip[heads] + 0.5) * SQRT2))
+    return (np.column_stack((x[heads] + HALF_SQRT2, (strip[heads] + 0.5) * SQRT2)),
+            lambda: unsort(np.cumsum(head) - 1, order))
 
 
 class CcfmState:

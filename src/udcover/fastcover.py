@@ -19,11 +19,12 @@ order go through a Python loop.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Cover, INV_SQRT2, SQRT2, bounded_points, key_order, run_starts
+from .geom import Cover, INV_SQRT2, SQRT2, bounded_points, key_order, run_starts, unsort
 
 # gate offsets relative to the cell's lower-left corner: a neighbor disk
 # can only reach points past these lines (far side / near side)
@@ -48,11 +49,11 @@ class _Cells:
     (i + di, j + dj), |dj| <= 1, has key + di * span + dj. Below
     ``COORD_BOUND`` keys stay under 2^46; where the key box holds at most
     2^16 keys, ``key_order`` sorts them by radix. ``id``, each item's
-    cell, is left out where ``ids`` is false and the radix sort ran, as
-    ``fast_cover`` needs it only for the argsort path's earliest items.
+    cell, is numbered on first read: ``fast_cover`` reads it only for the
+    argsort path's earliest items, and for its witness.
     """
 
-    def __init__(self, floor: np.ndarray, ids: bool = True):
+    def __init__(self, floor: np.ndarray):
         i = floor[:, 0].astype(np.int64)
         j = floor[:, 1].astype(np.int64)
         i0, j0 = int(i.min()), int(j.min())
@@ -66,14 +67,19 @@ class _Cells:
         new = run_starts(sorted_key)
         start = np.flatnonzero(new)
         self.key = sorted_key.take(start)
-        if ids or size > 2**16:
-            self.id = np.empty(len(key), dtype=np.intp)  # cell of each item
-            self.id[order] = new.cumsum() - 1
+        self._sort = order, new
         self.first = order.take(start)  # earliest item if the radix sort (stable) ran
         if size > 2**16:
             np.minimum.at(self.first, self.id, np.arange(len(key)))
         self.center = SQRT2 * floor.take(self.first, axis=0) + INV_SQRT2  # grid-disk centers
         self.row_at = {}  # di: where each key + di * span is or would go
+
+    @cached_property
+    def id(self) -> np.ndarray:
+        """The cell of each item."""
+        order, new = self._sort
+        self._sort = None  # read once
+        return unsort(new.cumsum() - 1, order)
 
     def neighbors(self, offsets) -> np.ndarray:
         """For each (di, dj) in ``offsets`` (rows) and every cell
@@ -163,15 +169,21 @@ def _place(xy: np.ndarray) -> _Placement:
     return _Placement(cells, placed_at, dep, own, xy)
 
 
-def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray]:
-    """The placed cells in (i, j) order, and a (4, m) array of the
-    bounding boxes (rows xmin, ymin, xmax, ymax) of the points assigned
-    to their disks."""
+def _joined(p: _Placement, slot: np.ndarray) -> np.ndarray:
+    """Per point, ``slot`` of the cell whose disk it joined."""
+    out = slot.take(p.cells.id)
+    out[p.dep] = slot.take(p.dep_owner)
+    return out
+
+
+def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The placed cells in (i, j) order, a (4, m) array of the bounding
+    boxes (rows xmin, ymin, xmax, ymax) of the points assigned to their
+    disks, and per point the index of the disk it joined."""
     disks = (p.placed_at < len(p.xy)).nonzero()[0]
     slot = np.empty(len(p.placed_at), dtype=np.intp)
     slot[disks] = np.arange(len(disks))
-    owner = slot.take(p.cells.id)  # the disk each point joined
-    owner[p.dep] = slot.take(p.dep_owner)
+    owner = _joined(p, slot)
     box = np.full((4, len(disks)), np.inf)
     box[2:] = -np.inf
     for axis in (0, 1):
@@ -186,44 +198,71 @@ def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray]:
             for edge in box[axis::2]:
                 z = edge[group] == 0.0
                 edge[group[z]] = v[zero[first[z]]]
-    return disks, box
+    return disks, box, owner
 
 
 class DiskTable:
-    """The placement's cells, and its disks and boxes as ``_boxes`` gives them."""
+    """The placement's cells, and its disks, boxes and point owners as
+    ``_boxes`` gives them."""
 
-    __slots__ = ("cells", "disks", "box")
+    __slots__ = ("cells", "disks", "box", "owner")
 
-    def __init__(self, cells, disks, box):
+    def __init__(self, cells, disks, box, owner):
         self.cells = cells
         self.disks = disks
         self.box = box
+        self.owner = owner
 
     def __len__(self) -> int:
         return len(self.disks)
+
+
+def _no_witness() -> np.ndarray:
+    return np.empty(0, dtype=np.intp)
 
 
 def fast_cover(points) -> Cover:
     """One grid-disk per distinct nonempty cell, in first-occurrence
     order of the input. O(n) time by radix sorts where n and the cells'
     key box are at most 2^16, else O(n log n)."""
+    return _fast_cover(points)[0]
+
+
+def _fast_cover(points):
+    """``fast_cover``'s cover, and a callable that gives per point the
+    index of its cell's disk in it."""
     xy = bounded_points(points)
     if len(xy) == 0:
-        return np.empty((0, 2))
-    cells = _Cells(np.floor(xy / SQRT2), ids=False)
-    return cells.center.take(key_order(cells.first, len(xy)), axis=0)
+        return np.empty((0, 2)), _no_witness
+    cells = _Cells(np.floor(xy / SQRT2))
+    order = key_order(cells.first, len(xy))
+    return (cells.center.take(order, axis=0),
+            lambda: unsort(np.arange(len(order)), order).take(cells.id))
 
 
 def fast_cover_plus(points) -> Cover:
     """Single pass; a point whose own cell-disk is absent is first tested
     against the E, W, N, S neighbor disks (in that order) before a new
     grid-disk is placed. Disks are listed in placement order."""
+    return _fast_cover_plus(points)[0]
+
+
+def _fast_cover_plus(points):
+    """``fast_cover_plus``'s cover, and a callable that gives per point
+    the index of the disk it joined in it."""
     xy = bounded_points(points)
     if len(xy) == 0:
-        return np.empty((0, 2))
+        return np.empty((0, 2)), _no_witness
     p = _place(xy)
     placed = (p.placed_at < len(xy)).nonzero()[0]
-    return p.cells.center.take(placed[key_order(p.placed_at[placed], len(xy))], axis=0)
+    placed = placed[key_order(p.placed_at[placed], len(xy))]
+
+    def witness():
+        slot = np.empty(len(p.placed_at), dtype=np.intp)
+        slot[placed] = np.arange(len(placed))
+        return _joined(p, slot)
+
+    return p.cells.center.take(placed, axis=0), witness
 
 
 def build_disk_table(points) -> DiskTable:
@@ -232,7 +271,8 @@ def build_disk_table(points) -> DiskTable:
     neighbor-cover hit extends that neighbor's box), in (i, j) order."""
     xy = bounded_points(points)
     if len(xy) == 0:
-        return DiskTable(None, np.empty(0, dtype=np.intp), np.empty((4, 0)))
+        return DiskTable(None, np.empty(0, dtype=np.intp), np.empty((4, 0)),
+                         np.empty(0, dtype=np.intp))
     p = _place(xy)
     return DiskTable(p.cells, *_boxes(p))
 
@@ -252,8 +292,14 @@ def coalesce_pass(table: DiskTable) -> Cover:
     ineligible, and the test is symmetric, so only the four later
     neighbors can be partners; only the eligible pairs are walked.
     """
+    return _coalesce(table)[0]
+
+
+def _coalesce(table: DiskTable):
+    """``coalesce_pass``'s cover, and a callable that gives per disk of
+    the table the index of its center, or of its merged one, in it."""
     if not len(table):
-        return np.empty((0, 2))
+        return np.empty((0, 2)), _no_witness
     cells, disks, box = table.cells, table.disks, table.box
     m = len(disks)
     slot = np.full(len(cells.key) + 1, -1, dtype=np.intp)  # slot[-1] stays -1
@@ -275,10 +321,26 @@ def coalesce_pass(table: DiskTable) -> Cover:
             alive[r] = alive[q] = 0
             merges.append(pair)
     mid = ((lo + hi) / 2.0).take(merges, axis=1)
-    survivors = disks.compress(np.frombuffer(alive, dtype=bool))
-    return np.concatenate((mid.T, cells.center.take(survivors, axis=0)))
+    kept = np.frombuffer(alive, dtype=bool)
+    survivors = disks.compress(kept)
+
+    def position():
+        at = np.empty(m, dtype=np.intp)
+        at[rows.take(merges)] = at[partner.take(merges)] = np.arange(len(merges))
+        at[kept] = np.arange(len(merges), len(merges) + len(survivors))
+        return at
+
+    return np.concatenate((mid.T, cells.center.take(survivors, axis=0))), position
 
 
 def fast_cover_pp(points) -> Cover:
     """fast_cover_plus's disks with their point boxes, then one coalescing pass."""
-    return coalesce_pass(build_disk_table(points))
+    return _fast_cover_pp(points)[0]
+
+
+def _fast_cover_pp(points):
+    """``fast_cover_pp``'s cover, and a callable that gives per point the
+    index in it of the disk it ended in."""
+    table = build_disk_table(points)
+    cover, position = _coalesce(table)
+    return cover, lambda: position().take(table.owner)

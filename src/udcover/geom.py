@@ -89,6 +89,14 @@ def run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return new
 
 
+def unsort(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The array ``a`` with ``a[order] = values``, for a permutation
+    ``order``: per original position, the value of its sorted one."""
+    out = np.empty(len(order), dtype=values.dtype)
+    out[order] = values
+    return out
+
+
 def centers_array(centers: list[Point]) -> Cover:
     """A list of (x, y) pairs as a cover: a new ``(m, 2)`` float64 array.
     Three times faster than ``np.array`` on a list of tuples."""

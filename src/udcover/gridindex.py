@@ -5,7 +5,8 @@ query radius, so a 3x3 block of cells around the query is guaranteed to
 contain every stored point within that radius; it answers one query at a
 time, in Python. ``open_rows`` asks the same question of many rows at
 once, in numpy, over a cell table it builds for the call, or, where that
-table would overflow, with a cKDTree over the centers. ``kd_tree`` builds
+table would overflow, with a cKDTree over the centers; ``witness_open_rows``
+asks it of one named center per row, by the same test. ``kd_tree`` builds
 every cKDTree the package queries.
 """
 
@@ -18,9 +19,9 @@ from scipy.spatial import cKDTree
 
 from .geom import Point
 
-# open_rows settles a row only where dx*dx + dy*dy is below limit**2 by
-# more than this share, so an exact test of the distance, in any rounding,
-# finds a center within the limit
+# open_rows and witness_open_rows settle a row only where dx*dx + dy*dy
+# is below limit**2 by more than this share, so an exact test of the
+# distance, in any rounding, finds a center within the limit
 _BAND = 1e-12
 # a few ulps above 1: cells this much wider than the limit keep every
 # center within the limit of a row in the row's 3x3 block, whatever the
@@ -146,7 +147,7 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float,
     center nearer than ``limit * _INSIDE`` instead. ``tree``, where given,
     returns that tree when called, so that a caller that queries the
     centers too can build it once."""
-    lo = limit * limit * (1.0 - _BAND)
+    lo = _settle_sq(limit)
     ctx, cty = centers[:, 0], centers[:, 1]
     x0, y0 = float(ctx.min()), float(cty.min())
     w, h = float(ctx.max()) - x0, float(cty.max()) - y0
@@ -188,6 +189,33 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float,
     return open_[~(hit[:len(open_)] | hit[len(open_):])]
 
 
+def witness_open_rows(points: np.ndarray, centers: np.ndarray, witness: np.ndarray,
+                      limit: float) -> np.ndarray:
+    """The rows of ``points`` that their witness leaves open, in index
+    order. ``witness`` is an integer array with one index into ``centers``
+    per row, and it settles a row by ``open_rows``' own test: that
+    center's ``dx*dx + dy*dy`` below ``limit**2`` by more than ``_BAND``.
+    An index outside ``[0, m)`` settles nothing, and nor does any witness
+    where ``limit**2`` is not finite."""
+    lo = _settle_sq(limit)
+    if not math.isfinite(lo):
+        return np.arange(len(points))
+    c = centers.take(witness.astype(np.intp, copy=False), axis=0, mode="clip")
+    hit = _settles(points[:, 0] - c[:, 0], points[:, 1] - c[:, 1], lo)
+    hit &= (witness >= 0) & (witness < len(centers))
+    return np.flatnonzero(~hit)
+
+
+def _settle_sq(limit: float) -> float:
+    """The squared distance below which a center settles a row."""
+    return limit * limit * (1.0 - _BAND)
+
+
+def _settles(dx: np.ndarray, dy: np.ndarray, lo: float) -> np.ndarray:
+    """Per row, whether ``dx*dx + dy*dy <= lo``: the test that settles it."""
+    return dx * dx + dy * dy <= lo
+
+
 def _tree_open_rows(points, centers, limit, tree) -> np.ndarray:
     """``open_rows`` by a cKDTree query: the rows with no center nearer
     than ``limit * _INSIDE``."""
@@ -208,9 +236,7 @@ def _any_within(px, py, a, cnt, cx, cy, lo) -> np.ndarray:
         if not len(rows):
             break
         k = a[rows] + j
-        dx = px[rows] - cx[k]
-        dy = py[rows] - cy[k]
-        near = dx * dx + dy * dy <= lo
+        near = _settles(px[rows] - cx[k], py[rows] - cy[k], lo)
         hit[rows[near]] = True
         rows = rows[~near & (cnt[rows] > j + 1)]
     return hit

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Cover, as_points
-from .gridindex import kd_tree, open_rows
+from .gridindex import kd_tree, open_rows, witness_open_rows
 
 MAX_EXACT_POINTS = 100
 
@@ -45,15 +45,32 @@ class OptResult:
     centers: Cover
 
 
-def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
+def verify_cover(points, cover, eps: float = 1e-9, *, witness=None) -> VerifyReport:
     """Check that every point is within distance 1 of some center, with
     relative tolerance eps on the radius (finite, > -1). ``cover`` takes
     the points' contract (``as_points``): the ``(m, 2)`` array a solver
-    returns, or a sequence of (x, y) pairs."""
+    returns, or a sequence of (x, y) pairs.
+
+    Three steps settle the points. ``witness``, where given, is an integer
+    array of shape ``(n,)`` naming for each point a center that may cover
+    it, such as the one its solver put it in; each point is tested against
+    that center alone (``gridindex.witness_open_rows``). The points it
+    leaves open, or all of them, go to a cell grid over the centers
+    (``gridindex.open_rows``), and those still open to a cKDTree query,
+    which gives the report's exact distances. The first two steps settle
+    a point only where some center is within the limit in any rounding,
+    so the report is the same whatever the witness: a wrong one, or an
+    index outside ``[0, m)``, costs time only. Raises ValueError for a
+    witness of another shape or of a non-integer dtype."""
     if not (math.isfinite(eps) and eps > -1.0):
         raise ValueError(f"eps must be finite and > -1, got {eps}")
     pts = as_points(points)
     ctr = as_points(cover)
+    if witness is not None:
+        witness = np.asarray(witness)
+        if witness.shape != (pts.shape[0],) or witness.dtype.kind not in "iu":
+            raise ValueError(f"witness must be an integer array of shape ({pts.shape[0]},), "
+                             f"got {witness.dtype} of shape {witness.shape}")
     if pts.shape[0] == 0:
         return VerifyReport(True, [], ctr.shape[0])
     if ctr.shape[0] == 0:
@@ -68,7 +85,12 @@ def verify_cover(points, cover, eps: float = 1e-9) -> VerifyReport:
             built.append(kd_tree(ctr))
         return built[0]
 
-    open_ = open_rows(pts, ctr, limit, tree)
+    if witness is None:
+        open_ = open_rows(pts, ctr, limit, tree)
+    else:
+        open_ = witness_open_rows(pts, ctr, witness, limit)
+        if len(open_):
+            open_ = open_[open_rows(pts[open_], ctr, limit, tree)]
     if not len(open_):
         return VerifyReport(True, [], ctr.shape[0])
     pts = pts[open_]
@@ -104,11 +126,10 @@ def candidate_centers(points) -> np.ndarray:
 
 def optimal_cover(points) -> OptResult:
     """Exact minimum cover over the candidate-center disks: set cover as
-    a 0/1 integer program, solved by HiGHS. Input size is capped at
-    MAX_EXACT_POINTS. Raises RuntimeError if the solver fails or its
-    centers do not cover the points."""
-    from scipy.optimize import milp
-
+    a 0/1 integer program, solved by HiGHS, or the first candidate where
+    one covers every point. Input size is capped at MAX_EXACT_POINTS.
+    Raises RuntimeError if the solver fails or its centers do not cover
+    the points."""
     pts = as_points(points)
     n = len(pts)
     if n == 0:
@@ -123,14 +144,21 @@ def optimal_cover(points) -> OptResult:
     keep = d[:, 0] ** 2 + d[:, 1] ** 2 <= 1.0 + _COVER_TOL
     covers = np.zeros((len(cands), n), bool)
     covers[cols[keep], rows[keep]] = True
-    # one column per distinct covered set, the first candidate's
-    first = np.sort(np.unique(np.packbits(covers, axis=1), axis=0, return_index=True)[1])
-    cands, covers = cands[first], covers[first]
-    m = len(cands)
-    res = milp(np.ones(m), integrality=np.ones(m), bounds=(0, 1), constraints=(covers.T, 1, np.inf))
-    if res.status != 0:
-        raise RuntimeError(f"exact solver failed: {res.message}")
-    centers = cands[res.x > 0.5]
+    whole = np.flatnonzero(covers.all(axis=1))
+    if len(whole):
+        centers = cands[whole[:1]]
+    else:
+        from scipy.optimize import milp
+
+        # one column per distinct covered set, the first candidate's
+        first = np.sort(np.unique(np.packbits(covers, axis=1), axis=0, return_index=True)[1])
+        cands, covers = cands[first], covers[first]
+        m = len(cands)
+        res = milp(np.ones(m), integrality=np.ones(m), bounds=(0, 1),
+                   constraints=(covers.T, 1, np.inf))
+        if res.status != 0:
+            raise RuntimeError(f"exact solver failed: {res.message}")
+        centers = cands[res.x > 0.5]
     if not verify_cover(pts, centers).valid:
         raise RuntimeError("exact solver returned centers that do not cover the points")
     return OptResult(len(centers), centers)

@@ -38,7 +38,8 @@ from itertools import count
 
 import numpy as np
 
-from .geom import Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, run_starts, stable_order
+from .geom import (Cover, HALF_SQRT3, SQRT3, SQRT3_OVER_6, as_points, run_starts, stable_order,
+                   unsort)
 
 # Both sweeps choose their path once per call by the points per unit of
 # bounding-box area. ll2014 floors the box's width at one strip (sqrt(3))
@@ -119,11 +120,18 @@ def ll2014(points, passes: int = 6) -> Cover:
     other segments and the forced ones just before them, whose stab they
     read. Otherwise the loop visits every segment.
     """
+    return _ll2014(points, passes)[0]
+
+
+def _ll2014(points, passes: int = 6):
+    """``ll2014``'s cover, and a callable that gives per point the index in
+    it of the stab of its segment: in the winning pass, the last stab at
+    or before the segment's sorted position."""
     if passes not in (1, 6):
         raise ValueError("passes must be 1 or 6")
     xy = as_points(points)
     if len(xy) == 0:
-        return np.empty((0, 2))
+        return np.empty((0, 2)), lambda: np.empty(0, dtype=np.intp)
     x, y = xy.T
     x_min = x.min()
     # y - half and y + half round outward by up to ulp(y) / 2, so from
@@ -192,8 +200,15 @@ def ll2014(points, passes: int = 6) -> Cover:
             forced[keep[_stab(top[keep], bottom[keep])]] = True
             stabs = np.flatnonzero(forced)
         if best is None or len(stabs) < len(best[0]):
-            best = (x_rl[order[stabs]], bottom[stabs])
-    return np.column_stack(best)
+            best = (stabs, order, x_rl[order[stabs]], bottom[stabs])
+    stabs, order, cx, cy = best
+
+    def witness():
+        opens = np.zeros(len(order), dtype=np.intp)
+        opens[stabs] = 1
+        return unsort(opens.cumsum() - 1, order)
+
+    return np.column_stack((cx, cy)), witness
 
 
 def ll2014_1p(points) -> Cover:
@@ -230,8 +245,8 @@ def _blms_sweep(points):
     """The sweep, anchor by anchor.
 
     Returns the points sorted by (x, y), the sorted positions of the
-    anchors in creation order and, per sorted point, the index of its
-    anchor (its own index for an anchor).
+    anchors in creation order, per sorted point the index of its anchor
+    (its own index for an anchor), and the sort order.
 
     A point's anchor is the nearest earlier anchor a in its window,
     ``not a.x < x - 2.0`` and ``y - 2.0 <= a.y <= y + 2.0``, by
@@ -258,7 +273,7 @@ def _blms_sweep(points):
     ys = y[order]
     n = len(xs)
     if n == 0:
-        return xs, ys, np.zeros(0, np.int64), np.zeros(0, np.int64)
+        return xs, ys, np.zeros(0, np.int64), np.zeros(0, np.int64), order
     # columns of width 2, numbered by rank; a later point in an anchor's
     # own column lies within 2 to its right, and the window reaches no
     # further than the next column
@@ -387,7 +402,7 @@ def _blms_sweep(points):
     # takes its own id
     of = index[anchor]
     of[anchors] = ids
-    return xs, ys, anchors, of
+    return xs, ys, anchors, of, order
 
 
 def _quads(xs, ys):
@@ -410,7 +425,13 @@ def blms2017(points) -> Cover:
     disk at its own position; these follow the quad disks, in sweep
     order.
     """
-    xs, ys, anchors, of = _blms_sweep(points)
+    return _blms2017(points)[0]
+
+
+def _blms2017(points):
+    """``blms2017``'s cover, and a callable that gives per point the index
+    in it of the quad disk that holds it, or of its own disk."""
+    xs, ys, anchors, of, order = _blms_sweep(points)
     cx, cy = _quads(xs[anchors], ys[anchors])
     quad = np.full(len(xs), -1, np.int64)
     for i in range(4):
@@ -426,12 +447,19 @@ def blms2017(points) -> Cover:
     held = quad >= 0
     used[of[held], quad[held]] = True
     own = ~held
-    return np.column_stack((np.r_[cx[used], xs[own]], np.r_[cy[used], ys[own]]))
+
+    def witness():
+        # the used disks are numbered in (anchor, quad) order, then the own ones
+        at = np.where(held, used.cumsum().take(of * 4 + quad) - 1,
+                      np.count_nonzero(used) + own.cumsum() - 1)
+        return unsort(at, order)
+
+    return np.column_stack((np.r_[cx[used], xs[own]], np.r_[cy[used], ys[own]])), witness
 
 
 def blms2017_raw(points) -> Cover:
     """All four disks of every anchor, before empty-disk elimination and
     without the own-position disks ``blms2017`` may add."""
-    xs, ys, anchors, _ = _blms_sweep(points)
+    xs, ys, anchors, _, _ = _blms_sweep(points)
     cx, cy = _quads(xs[anchors], ys[anchors])
     return np.column_stack((cx.ravel(), cy.ravel()))

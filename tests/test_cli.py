@@ -111,6 +111,64 @@ def test_cover_invalid_cover_exits_with_verify_code(tmp_path, capsys, monkeypatc
     assert "INVALID (2 uncovered)" in capsys.readouterr().out
 
 
+def _zero_witness(monkeypatch, drop=0):
+    """Patch fastcover's witnessed form to name center 0 for every point,
+    built after the solve clock stops; drop its first ``drop`` centers.
+    Returns the log of clock reads and witness builds."""
+    log = []
+    clock = cli.time.perf_counter
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: log.append("clock") or clock())
+
+    def witnessed(points):
+        def witness():
+            log.append("witness")
+            return np.zeros(len(points), dtype=np.intp)
+        return udcover.fast_cover(points)[drop:], witness
+
+    monkeypatch.setitem(cli._WITNESSED, udcover.fast_cover, witnessed)
+    return log
+
+
+def test_cover_verifies_with_a_wrong_witness(tmp_path, capsys, monkeypatch):
+    pts = gen_square(300, 600.0, 1)
+    f = tmp_path / "p.xy"
+    with open(f, "w", encoding="utf-8") as fh:
+        write_xy(pts, fh)
+    log = _zero_witness(monkeypatch)
+    assert run(["cover", "--input", str(f), "--algorithm", "fastcover", "--verify"]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("verified")
+    assert log == ["clock", "clock", "witness"]
+    # a broken cover gives the same count as verify_cover without a witness
+    _zero_witness(monkeypatch, drop=3)
+    uncovered = len(udcover.verify_cover(pts, udcover.fast_cover(pts)[3:]).uncovered)
+    assert uncovered > 0
+    assert run(["cover", "--input", str(f), "--algorithm", "fastcover", "--verify"]) == EXIT_VERIFY
+    assert f"INVALID ({uncovered} uncovered)" in capsys.readouterr().out
+
+
+def test_bench_passes_witnesses_and_keeps_its_records(tmp_path, monkeypatch):
+    pts = gen_square(200, 200.0, 2)
+    f = tmp_path / "p.xy"
+    with open(f, "w", encoding="utf-8") as fh:
+        write_xy(pts, fh)
+    witnessed = []
+
+    def spy(points, cover, eps, witness=None):
+        witnessed.append(witness is not None)
+        return udcover.verify_cover(points, cover, eps, witness=witness)
+
+    monkeypatch.setattr(cli, "verify_cover", spy)
+    csv = tmp_path / "out.csv"
+    assert run(["bench", "--input", str(f), "--algorithm", "all", "--trials", "1",
+                "--csv", str(csv)]) == EXIT_OK
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "algorithm,instance,n,cover_size,wall_time_s,seed,trial"
+    rows = [r.split(",") for r in lines[1:]]
+    assert [r[:4] for r in rows[::2]] == [[name, str(f), "200", str(len(solver(pts)))]
+                                         for name, solver in ALGORITHMS.items()]
+    assert witnessed == [name not in ("ccfm1997", "dgt2018") for name in ALGORITHMS]
+
+
 def test_cover_unknown_algorithm(tmp_path):
     f = tmp_path / "p.xy"
     f.write_text("0 0\n")

@@ -142,6 +142,8 @@ def test_coalesce_pass_keeps_singletons():
 
 
 def test_fast_cover_pp_is_the_two_stages(monkeypatch):
+    # coalesce_pass is the cover of _coalesce, the stage that fast_cover_pp
+    # runs so that it also knows where each disk went
     calls = []
 
     def counted(stage):
@@ -151,9 +153,11 @@ def test_fast_cover_pp_is_the_two_stages(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fastcover, "build_disk_table", counted(build_disk_table))
-    monkeypatch.setattr(fastcover, "coalesce_pass", counted(coalesce_pass))
+    monkeypatch.setattr(fastcover, "_coalesce", counted(fastcover._coalesce))
     fast_cover_pp(rand_points(200, 10.0, 7))
-    assert calls == ["build_disk_table", "coalesce_pass"]
+    assert calls == ["build_disk_table", "_coalesce"]
+    coalesce_pass(build_disk_table([(0.1, 0.1)]))
+    assert calls[2:] == ["_coalesce"]
 
 
 def test_empty_disk_table():
@@ -207,12 +211,13 @@ def test_cells_past_int64_raise():
 
 @pytest.mark.parametrize("side", [50.0, 5e5])
 def test_cells_number_each_point_only_where_a_caller_reads_it(side):
-    # fast_cover's radix path (a key box of at most 2^16 cells) never reads
-    # each point's cell; the argsort path needs it for the earliest point
+    # fast_cover's radix path (a key box of at most 2^16 cells) reads each
+    # point's cell only for its witness; the argsort path needs it for the
+    # earliest point
     pts = np.random.default_rng(3).random((3000, 2)) * side
     floor = np.floor(pts / SQRT2)
-    assert hasattr(fastcover._Cells(floor, ids=False), "id") is (side > 1e3)
     cells = fastcover._Cells(floor)
+    assert ("id" in vars(cells)) is (side > 1e3)
     _, first, cell = np.unique(floor, axis=0, return_index=True, return_inverse=True)
     assert cells.id.tolist() == cell.ravel().tolist()
     assert cells.first.tolist() == first.tolist()

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from reference import worst_case_pointset
-from udcover import ALGORITHMS, gen_annulus, gen_convex, gen_disk, gen_square
+from udcover import (ALGORITHMS, cli, gen_annulus, gen_convex, gen_disk, gen_square, gridindex,
+                     oracle, verify_cover)
 from udcover.geom import SQRT2
 
 INSTANCES = {
@@ -117,3 +118,29 @@ def test_cover_digest(algorithm, instance):
 def test_every_algorithm_is_pinned():
     assert {a for a, _ in DIGESTS} == set(ALGORITHMS)
     assert {i for _, i in DIGESTS} == set(INSTANCES)
+
+
+WITNESSED = ["g1991", "ll2014", "ll2014-1p", "blms2017", "fastcover", "fastcover+", "fastcover++"]
+
+
+def test_witnessed_solvers_are_registered():
+    assert {ALGORITHMS[name] for name in WITNESSED} == set(cli._WITNESSED)
+
+
+@pytest.mark.parametrize("instance", sorted(INSTANCES))
+@pytest.mark.parametrize("algorithm", WITNESSED)
+def test_witness_alone_settles_every_point(algorithm, instance, monkeypatch):
+    # a broken witness would only cost time, never fail a report: so the
+    # witness must leave open_rows no row, and the cover keep its digest
+    pts = INSTANCES[instance]()
+    cover, witness = cli._WITNESSED[ALGORITHMS[algorithm]](pts)
+    assert hashlib.sha256(cover.tobytes()).hexdigest() == DIGESTS[algorithm, instance]
+    rows = []
+
+    def spy(points, *args):
+        rows.append(len(points))
+        return gridindex.open_rows(points, *args)
+
+    monkeypatch.setattr(oracle, "open_rows", spy)
+    assert verify_cover(pts, cover, witness=witness()).valid
+    assert sum(rows) == 0

@@ -150,11 +150,24 @@ def test_optimal_known_optimum_at_100_points():
     assert verify_cover(pts, result.centers).valid
 
 
-def test_optimal_raises_when_its_centers_do_not_cover(monkeypatch):
+def test_optimal_one_disk_needs_no_solver(monkeypatch):
+    # 100 points in a 2 x 2 square at density 50: one disk covers them
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "milp", None)
+    pts = udcover.gen_square(100, 2.0, 1)
+    result = optimal_cover(pts)
+    assert result.size == 1 == len(result.centers)
+    assert verify_cover(pts, result.centers).valid
+
+
+# the second input takes the one-disk shortcut, which keeps the check
+@pytest.mark.parametrize("pts", [[(0.0, 0.0), (3.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)]])
+def test_optimal_raises_when_its_centers_do_not_cover(monkeypatch, pts):
     monkeypatch.setattr("udcover.oracle.verify_cover",
                         lambda points, cover: VerifyReport(False, [(0, 4.0)], len(cover)))
     with pytest.raises(RuntimeError, match="do not cover"):
-        optimal_cover([(0.0, 0.0), (3.0, 0.0)])
+        optimal_cover(pts)
 
 
 def test_optimal_raises_when_the_solver_fails(monkeypatch):

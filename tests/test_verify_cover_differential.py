@@ -2,7 +2,8 @@
 points and covers: near the limit, where the cell grid hands points to
 the tree, and at the grid's edges (many cells, points far outside the
 centers' box, a far outlier center, coordinates up to 1e20), with the
-grid's tree fallback forced there too."""
+grid's tree fallback forced there too; and with witnesses, right, wrong
+or out of range, which must leave every report as it is."""
 
 import math
 from unittest import mock
@@ -14,6 +15,7 @@ from scipy.spatial import cKDTree
 import udcover.gridindex
 import udcover.oracle
 from udcover import fast_cover, fast_cover_pp, gen_square
+from udcover.fastcover import _fast_cover_pp
 from udcover.oracle import VerifyReport, verify_cover
 
 pytest.importorskip("hypothesis")
@@ -83,6 +85,66 @@ def test_verify_cover_matches_on_full_and_truncated_covers(pts, drop):
     cover = fast_cover_pp(pts)
     cover = cover[:len(cover) - drop]
     assert _exact(verify_cover(pts, cover)) == _exact(reference_verify_cover(pts, cover))
+
+
+def _witnesses(data, pts, cover, true):
+    """Witnesses for the points: random indices in [-3, m + 3), all zeros,
+    and ``true``."""
+    m = len(cover)
+    yield np.array(data.draw(st.lists(st.integers(-3, m + 2), min_size=len(pts),
+                                      max_size=len(pts))), dtype=np.int64)
+    yield np.zeros(len(pts), dtype=np.intp)
+    yield true
+
+
+@settings(max_examples=400, deadline=None)
+@given(inst=_instance(), data=st.data())
+def test_witness_never_changes_the_report(inst, data):
+    # the true witness: each point's nearest center
+    pts, cover, eps = inst
+    ctr = np.asarray(cover, dtype=np.float64).reshape(-1, 2)
+    true = cKDTree(ctr).query(np.reshape(pts, (-1, 2)))[1] if len(ctr) else np.zeros(len(pts), int)
+    expected = _exact(reference_verify_cover(pts, cover, eps))
+    for witness in _witnesses(data, pts, cover, true):
+        assert _exact(verify_cover(pts, cover, eps, witness=witness)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+                    min_size=1, max_size=60),
+       drop=st.integers(0, 5), data=st.data())
+def test_witness_never_changes_the_report_of_a_truncated_cover(pts, drop, data):
+    # the true witness is fastcover++'s own, whose dropped centers' indices
+    # fall out of range
+    cover, witness = _fast_cover_pp(pts)
+    cover = cover[:len(cover) - drop]
+    expected = _exact(reference_verify_cover(pts, cover))
+    for witness in _witnesses(data, pts, cover, witness()):
+        assert _exact(verify_cover(pts, cover, witness=witness)) == expected
+
+
+def test_witness_is_ignored_where_the_limit_squared_overflows():
+    # limit**2 is inf, and so is dx*dx here, 2e300 > 1e160 apart
+    pts, cover = [(1e300, 0.0), (1.0, 0.0)], [(-1e300, 0.0), (0.0, 0.0)]
+    expected = _exact(reference_verify_cover(pts, cover, 1e160))
+    assert expected[0] is False
+    assert _exact(verify_cover(pts, cover, 1e160, witness=[0, 0])) == expected
+
+
+def test_out_of_range_witness_settles_nothing():
+    pts = np.array([(0.0, 0.0), (1.0, 0.0)])
+    open_ = lambda w: udcover.gridindex.witness_open_rows(pts, pts, np.array(w), 1.0).tolist()
+    assert open_([0, 1]) == []
+    # clipped into range, each would name the center on its point
+    assert open_([-1, 2]) == [0, 1]
+    assert open_(np.array([2**64 - 1, 1], dtype=np.uint64)) == [0]
+
+
+@pytest.mark.parametrize("witness", [[0], [0, 0, 0], [[0, 0]], [0.0, 0.0], [True, False]],
+                         ids=["short", "long", "2-d", "float", "bool"])
+def test_malformed_witness_raises(witness):
+    with pytest.raises(ValueError, match="witness"):
+        verify_cover([(0.0, 0.0), (5.0, 5.0)], [(0.0, 0.0)], witness=np.array(witness))
 
 
 # every kind of eps verify_cover accepts: just above -1, negative, zero,
