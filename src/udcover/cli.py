@@ -28,12 +28,16 @@ EXIT_VERIFY = 4
 # The solvers that know which of their disks each point lies in, keyed by
 # the function ALGORITHMS registers (so that a patched registry entry runs
 # as patched): each form returns the cover and a callable that gives one
-# center index per point, which verify_cover tests first.
+# center index per point, which verify_cover tests first, or None in place
+# of the callable where the solver's path keeps no such index (the online
+# solvers' grid path, blocks and stalls).
 _WITNESSED = {
     fastcover.fast_cover: fastcover._fast_cover,
     fastcover.fast_cover_plus: fastcover._fast_cover_plus,
     fastcover.fast_cover_pp: fastcover._fast_cover_pp,
     classic.g1991: classic._g1991,
+    classic.ccfm1997: classic._ccfm1997,
+    classic.dgt2018: classic._dgt2018,
     sweep.ll2014: sweep._ll2014,
     sweep.ll2014_1p: lambda points: sweep._ll2014(points, passes=1),
     sweep.blms2017: sweep._blms2017,
@@ -107,7 +111,8 @@ def _solve(name: str, points: np.ndarray, eps: float | None):
     """Run one solver, timing the solve call alone. Returns the cover, the
     time and the ``verify_cover`` report, or None when ``eps`` is None.
     A solver in ``_WITNESSED`` runs in its witnessed form, and its witness,
-    built after the clock stops, goes to ``verify_cover``."""
+    built after the clock stops, goes to ``verify_cover``; where that form
+    gives None, as the online solvers' grid path does, none goes."""
     solver = ALGORITHMS[name]
     witnessed = _WITNESSED.get(solver)
     start = time.perf_counter()

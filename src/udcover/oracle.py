@@ -25,7 +25,7 @@ MAX_EXACT_POINTS = 100
 # slack for points lying exactly on a candidate circle's boundary
 _COVER_TOL = 1e-12
 
-# how far the trees' pair and ball queries reach past the exact tests
+# how far the tree's pair query reaches past the exact test
 _MARGIN = 1e-9
 
 # a few ulps above 1: verify_cover's bounded query reaches past its limit
@@ -115,13 +115,28 @@ def candidate_centers(points) -> np.ndarray:
     i, j = kd_tree(pts).query_pairs(2.0 + _MARGIN, output_type="ndarray").T
     d = pts[j] - pts[i]
     d_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    near = (d_sq > 0.0) & (d_sq <= 4.0)
+    # a pair closer than 1.5e-154 adds no centers: its squared distance is
+    # subnormal, so h/|ab| would overflow; to a unit disk the pair is one
+    # point, whose candidates are itself and its circles with third points
+    near = (d_sq >= np.finfo(float).tiny) & (d_sq <= 4.0)
     d, d_sq = d[near], d_sq[near]
     mid = (pts[i[near]] + pts[j[near]]) / 2.0
     # offset perpendicular to the chord, length h/|ab|
     f = np.sqrt(np.maximum(1.0 - d_sq / 4.0, 0.0) / d_sq)
     off = np.column_stack((-d[:, 1] * f, d[:, 0] * f))
     return np.concatenate((pts, mid + off, mid - off))
+
+
+def _coverage(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The (candidates, points) matrix of whether a unit disk at each
+    candidate covers each point, dx**2 + dy**2 <= 1 + _COVER_TOL, by one
+    broadcast test: at n <= MAX_EXACT_POINTS, at most 10^6 distances."""
+    dx = pts[:, 0] - cands[:, 0, None]
+    dy = pts[:, 1] - cands[:, 1, None]
+    np.square(dx, out=dx)
+    np.square(dy, out=dy)
+    dx += dy
+    return dx <= 1.0 + _COVER_TOL
 
 
 def optimal_cover(points) -> OptResult:
@@ -137,13 +152,7 @@ def optimal_cover(points) -> OptResult:
     if n > MAX_EXACT_POINTS:
         raise ValueError(f"exact solver limited to {MAX_EXACT_POINTS} points, got {n}")
     cands = candidate_centers(pts)
-    hits = kd_tree(cands).query_ball_point(pts, 1.0 + _MARGIN)
-    rows = np.repeat(np.arange(n), [len(h) for h in hits])
-    cols = np.concatenate(hits)  # every point is a candidate: none is empty
-    d = pts[rows] - cands[cols]
-    keep = d[:, 0] ** 2 + d[:, 1] ** 2 <= 1.0 + _COVER_TOL
-    covers = np.zeros((len(cands), n), bool)
-    covers[cols[keep], rows[keep]] = True
+    covers = _coverage(pts, cands)
     whole = np.flatnonzero(covers.all(axis=1))
     if len(whole):
         centers = cands[whole[:1]]

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from reference import worst_case_pointset
-from udcover import (ALGORITHMS, cli, gen_annulus, gen_convex, gen_disk, gen_square, gridindex,
-                     oracle, verify_cover)
+from udcover import (ALGORITHMS, classic, cli, gen_annulus, gen_convex, gen_disk, gen_square,
+                     gridindex, oracle, verify_cover)
 from udcover.geom import SQRT2
 
 INSTANCES = {
@@ -120,11 +120,44 @@ def test_every_algorithm_is_pinned():
     assert {i for _, i in DIGESTS} == set(INSTANCES)
 
 
-WITNESSED = ["g1991", "ll2014", "ll2014-1p", "blms2017", "fastcover", "fastcover+", "fastcover++"]
+WITNESSED = ["g1991", "ccfm1997", "ll2014", "ll2014-1p", "blms2017", "dgt2018",
+             "fastcover", "fastcover+", "fastcover++"]
+
+# the online solvers keep a witness only where their rounds decide every
+# point: not on the grid path, nor where the rounds stall (ccfm1997 on the
+# lattice, at its second row)
+ONLINE_PATHS = {
+    ("ccfm1997", "square"): "rounds", ("dgt2018", "square"): "rounds",
+    ("ccfm1997", "disk"): "rounds", ("dgt2018", "disk"): "rounds",
+    ("ccfm1997", "annulus"): "grid", ("dgt2018", "annulus"): "rounds",
+    ("ccfm1997", "convex"): "grid", ("dgt2018", "convex"): "grid",
+    ("ccfm1997", "worst_case"): "grid", ("dgt2018", "worst_case"): "rounds",
+    ("ccfm1997", "dense"): "grid", ("dgt2018", "dense"): "grid",
+    ("ccfm1997", "sparse"): "rounds", ("dgt2018", "sparse"): "rounds",
+    ("ccfm1997", "lattice"): "stall", ("dgt2018", "lattice"): "rounds",
+}
 
 
 def test_witnessed_solvers_are_registered():
-    assert {ALGORITHMS[name] for name in WITNESSED} == set(cli._WITNESSED)
+    assert {ALGORITHMS[name] for name in WITNESSED} == set(cli._WITNESSED) == set(
+        ALGORITHMS.values())
+
+
+@pytest.mark.parametrize("algorithm, instance", sorted(ONLINE_PATHS))
+def test_online_paths_are_as_pinned(algorithm, instance, monkeypatch):
+    taken = []
+    path, rounds = classic._path, classic._rounds
+    monkeypatch.setattr(classic, "_path", lambda *args: taken.append(path(*args)) or taken[-1])
+
+    def first_undecided(*args):
+        first = rounds(*args)
+        if first is not None:
+            taken.append("stall")
+        return first
+
+    monkeypatch.setattr(classic, "_rounds", first_undecided)
+    cli._WITNESSED[ALGORITHMS[algorithm]](INSTANCES[instance]())
+    assert taken[-1] == ONLINE_PATHS[algorithm, instance]
 
 
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
@@ -135,6 +168,9 @@ def test_witness_alone_settles_every_point(algorithm, instance, monkeypatch):
     pts = INSTANCES[instance]()
     cover, witness = cli._WITNESSED[ALGORITHMS[algorithm]](pts)
     assert hashlib.sha256(cover.tobytes()).hexdigest() == DIGESTS[algorithm, instance]
+    if ONLINE_PATHS.get((algorithm, instance), "rounds") != "rounds":
+        assert witness is None
+        return
     rows = []
 
     def spy(points, *args):

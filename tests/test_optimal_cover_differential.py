@@ -18,6 +18,8 @@ coordinate = st.floats(0.0, 4.0) | st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0])
 @given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=7))
 @example([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
 @example([(1.0, 1.0)] * 7)
+# a pair whose squared distance is subnormal
+@example([(0.0, 0.0), (0.0, 1.6238074214861098e-162)])
 def test_optimal_matches_exhaustive(pts):
     result = optimal_cover(pts)
     assert result.size == len(result.centers) == optimal_cover_exhaustive(pts)

@@ -4,13 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import udcover
 from reference import optimal_cover_exhaustive
 from udcover.oracle import (
     MAX_EXACT_POINTS,
     VerifyReport,
+    _coverage,
     candidate_centers,
     optimal_cover,
     verify_cover,
@@ -92,6 +95,35 @@ def test_candidate_centers_pair_at_diameter():
     # exactly 2 apart: the only common disk is centered at the midpoint
     cands = candidate_centers([(0.0, 0.0), (2.0, 0.0)])
     assert any(math.isclose(c[0], 1.0) and abs(c[1]) < 1e-12 for c in cands)
+
+
+def _ball_query_coverage(pts, cands):
+    """The coverage matrix as built from cKDTree ball lists at 1 + 1e-9,
+    then the exact test: the form the broadcast test replaced."""
+    hits = cKDTree(cands).query_ball_point(pts, 1.0 + 1e-9)
+    rows = np.repeat(np.arange(len(pts)), [len(h) for h in hits])
+    cols = np.concatenate(hits)
+    d = pts[rows] - cands[cols]
+    keep = d[:, 0] ** 2 + d[:, 1] ** 2 <= 1.0 + 1e-12
+    covers = np.zeros((len(cands), len(pts)), bool)
+    covers[cols[keep], rows[keep]] = True
+    return covers
+
+
+@pytest.mark.parametrize("pts", [
+    *(udcover.gen_square(n, side, seed) for n, side, seed in
+      [(1, 1.0, 0), (7, 4.0, 1), (40, 3.0, 2), (100, 2.0, 1), (100, 10.0, 3), (100, 1e-6, 4)]),
+    *(udcover.gen_disk(n, area, seed) for n, area, seed in [(60, 5.0, 5), (100, 300.0, 6)]),
+    # points exactly 1 and 2 apart, so candidates lie on circles through them
+    np.array([(float(i), float(j)) for i in range(10) for j in range(10)]),
+    np.array([(2.0 * i, 0.5 * j) for i in range(10) for j in range(10)]),
+    np.array([(0.6 * i + 1e6, 0.8 * j - 1e6) for i in range(10) for j in range(10)]),
+], ids=lambda p: f"n{len(p)}")
+def test_coverage_matches_the_ball_query(pts):
+    cands = candidate_centers(pts)
+    covers = _coverage(pts, cands)
+    assert covers.shape == (len(cands), len(pts)) and covers.dtype == bool
+    assert (covers == _ball_query_coverage(pts, cands)).all()
 
 
 def test_optimal_singletons():

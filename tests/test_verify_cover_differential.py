@@ -3,7 +3,8 @@ points and covers: near the limit, where the cell grid hands points to
 the tree, and at the grid's edges (many cells, points far outside the
 centers' box, a far outlier center, coordinates up to 1e20), with the
 grid's tree fallback forced there too; and with witnesses, right, wrong
-or out of range, which must leave every report as it is."""
+or out of range, which must leave every report as it is, including the
+online solvers' own on their rounds, blocks and stall paths."""
 
 import math
 from unittest import mock
@@ -14,7 +15,8 @@ from scipy.spatial import cKDTree
 
 import udcover.gridindex
 import udcover.oracle
-from udcover import fast_cover, fast_cover_pp, gen_square
+from udcover import classic, fast_cover, fast_cover_pp, gen_disk, gen_square
+from udcover.classic import _ccfm1997, _dgt2018
 from udcover.fastcover import _fast_cover_pp
 from udcover.oracle import VerifyReport, verify_cover
 
@@ -121,6 +123,74 @@ def test_witness_never_changes_the_report_of_a_truncated_cover(pts, drop, data):
     expected = _exact(reference_verify_cover(pts, cover))
     for witness in _witnesses(data, pts, cover, witness()):
         assert _exact(verify_cover(pts, cover, witness=witness)) == expected
+
+
+def _online_witness(solve, pts, drop):
+    """``solve``'s cover of pts, less its last ``drop`` centers, verifies
+    bit-equal with and without its own witness and to the reference. The
+    witness is None unless the rounds decided every point, and then names
+    for each point a center of the full cover, which alone settles it.
+    Returns the path taken ("grid", "rounds", "blocks" or "stall") and the
+    witness."""
+    taken = []
+    path, rounds = classic._path, classic._rounds
+
+    def first_undecided(*args):
+        first = rounds(*args)
+        if first is not None:
+            taken.append("stall")
+        return first
+
+    with mock.patch.object(classic, "_path", lambda *args: taken.append(path(*args)) or taken[-1]), \
+            mock.patch.object(classic, "_rounds", first_undecided):
+        cover, witness = solve(pts)
+    witness = witness and witness()
+    assert (witness is not None) == (taken[-1] == "rounds")
+    if witness is not None:
+        assert witness.shape == (len(pts),)
+        assert ((witness >= 0) & (witness < len(cover))).all()
+        assert udcover.gridindex.witness_open_rows(pts, cover, witness, 1.0).tolist() == []
+    cover = cover[:len(cover) - drop]
+    expected = _exact(reference_verify_cover(pts, cover))
+    assert _exact(verify_cover(pts, cover)) == expected
+    assert _exact(verify_cover(pts, cover, witness=witness)) == expected
+    return taken[-1], witness
+
+
+@pytest.mark.parametrize("solve", [_ccfm1997, _dgt2018], ids=["ccfm1997", "dgt2018"])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 1500), density=st.sampled_from([0.02, 0.1, 0.3, 1.0]),
+       seed=st.integers(0, 2**16), drop=st.sampled_from([0, 3]))
+def test_online_witness_never_changes_the_report(solve, n, density, seed, drop):
+    # shuffled disks: the rounds decide every point where the degree is
+    # low (for ccfm1997, low next to n), and the grid loop takes the rest
+    _online_witness(solve, gen_disk(n, n / density, seed), min(drop, n - 1))
+
+
+@pytest.mark.parametrize("solve", [_ccfm1997, _dgt2018], ids=["ccfm1997", "dgt2018"])
+@pytest.mark.parametrize("drop", [0, 3])
+def test_online_rounds_keep_a_witness(solve, drop):
+    assert _online_witness(solve, gen_disk(3000, 150_000.0, 4), drop)[0] == "rounds"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("drop", [0, 3])
+def test_online_blocks_keep_no_witness(seed, drop):
+    # density 1 at 10^4 points: ccfm1997 decides in blocks, whose filter
+    # names no center for the rows it drops
+    assert _online_witness(_ccfm1997, gen_square(10_000, 10_000.0, seed), drop)[0] == "blocks"
+
+
+@pytest.mark.parametrize("solve", [_ccfm1997, _dgt2018], ids=["ccfm1997", "dgt2018"])
+@pytest.mark.parametrize("drop", [0, 3])
+def test_online_stall_keeps_no_witness(solve, drop):
+    # a line and, for ccfm1997, a density-1 square, each sorted by (x, y),
+    # stall the rounds; the grid loop then takes the rest
+    line = np.column_stack((np.arange(1500) * 0.5, np.zeros(1500)))
+    assert _online_witness(solve, line, drop)[0] == "stall"
+    square = gen_square(2000, 2000.0, 3)
+    square = np.ascontiguousarray(square[np.lexsort((square[:, 1], square[:, 0]))])
+    assert _online_witness(solve, square, drop)[0] == ("stall" if solve is _ccfm1997 else "rounds")
 
 
 def test_witness_is_ignored_where_the_limit_squared_overflows():
