@@ -31,10 +31,7 @@ the probe only delays its later point. A ready point promotes its nearest
 live candidate, ties going to the lower (owner, k), or activates. Rounds
 that stall, as on chains in sorted input, hand the grid loop the rest of
 the input from the first point still undecided, after it replays the
-centers made before that point. The rounds keep, for each point, the made
-point whose center settled it, and hand that on as the witness that
-``verify_cover`` tests first (``cli._WITNESSED``), where no stall and no
-block (below) came between; the grid path keeps none.
+centers made before that point.
 
 Where the sampled degree is moderate (``_BLOCK_DEGREE`` or more, from
 8 * _FIRST_BLOCK points up), the rounds decide the rows in doubling
@@ -50,10 +47,15 @@ falls to about 6 at 10^5 points. dgt2018 takes the grid path first.
 Where the sample puts the mean degree high, every point goes to the grid
 loop, in blocks that keep the input order. Where earlier centers covered
 enough of the previous block, the numpy cell grid that ``verify_cover``
-uses too (``gridindex.open_rows``) drops the points that the centers
-placed so far cover by a margin, or, for a block whose cell table would
-overflow, its cKDTree query does; the rest go through ``CcfmState.take``
-one by one.
+uses too (``gridindex.settling_centers``) drops the points that the
+centers placed so far cover by a margin, or, for a block whose cell table
+would overflow, its cKDTree query does; the rest go through
+``CcfmState.take`` one by one.
+
+Every path names, for each point, a center of the cover within 1 of it:
+the rounds' made point whose center settled it, the filter's settling
+center, or the grid loop's probe hit; ``verify_cover`` tests that witness
+first (``cli._WITNESSED``).
 """
 
 from __future__ import annotations
@@ -65,19 +67,20 @@ import numpy as np
 
 from .geom import (Cover, HALF_SQRT2, HALF_SQRT3, Point, SQRT2, SQRT3, as_points,
                    bounded_points, centers_array, run_starts, stable_order, unsort)
-from .gridindex import RadiusGrid, kd_tree, open_rows
+from .gridindex import RadiusGrid, kd_tree, settling_centers
 
 # Blocks double in size from _FIRST_BLOCK on, so a run filters O(log n)
 # blocks, each against the centers of every earlier block. A block is
-# filtered only if at least 1/_GATE of the previous block was covered on
-# arrival, so sparse input (about one center per point) never builds a
-# cell table. Timed against the filter on for every block with a covered
-# predecessor (31 alternating pairs, 2-core KVM guest): on 4 000 points at
-# density 1 000 then 28 000 at density 0.02, dgt2018 took 5.6% longer
-# without the gate (the gate faster in 25 of 31), ccfm1997 1.7% (20 of
-# 31); on gen_disk(500, 500, s), s = 1..40, the two were even. A first
-# block of 32, 64 or 128 made ccfm1997 on those 40 instances 5-17%
-# slower (11 pairs).
+# filtered only if the filter dropped at least 1/_GATE of the previous
+# block or, where that one was not filtered, at least 1/_GATE of it was
+# covered on arrival, so sparse input (about one center per point) never
+# builds a cell table. Timed, with the arrival rule alone, against the
+# filter on for every block with a covered predecessor (31 alternating
+# pairs, 2-core KVM guest): on 4 000 points at density 1 000 then 28 000
+# at density 0.02, dgt2018 took 5.6% longer without the gate (the gate
+# faster in 25 of 31), ccfm1997 1.7% (20 of 31); on gen_disk(500, 500, s),
+# s = 1..40, the two were even. A first block of 32, 64 or 128 made
+# ccfm1997 on those 40 instances 5-17% slower (11 pairs).
 _FIRST_BLOCK = 256
 _GATE = 4
 # A pair count over a random sample of the points picks each input's path
@@ -386,41 +389,60 @@ class CcfmState:
         self.active.insert(q)
         self.active_order.append(q)
 
-    def take(self, rows) -> None:
+    def take(self, rows) -> list[int]:
         """Take the points [x, y] of rows in order: skip one where an
         active center covers it, else promote the nearest candidate within
-        1, else activate the point. It takes a block, not a point: a call
-        per point made dgt2018 about 5% slower on a sorted line."""
-        covered, candidate = self.active.nearest_within, self.inactive.nearest_within
-        offsets = self.offsets
+        1, else activate the point. Returns, per row, the index in
+        ``active_order`` of a center within 1 of it: the probe's hit, whose
+        insertion number in ``active`` is that index, or the center the row
+        makes. It takes a block, not a point: a call per point made dgt2018
+        about 5% slower on a sorted line."""
+        covered, candidate = self.active._nearest, self.inactive._nearest
+        offsets, order = self.offsets, self.active_order
+        by = []
+        name = by.append
         for row in rows:
             p = (row[0], row[1])
-            if covered(p, 1.0) is not None:
+            hit = covered(p, 1.0)
+            if hit is not None:
+                name(hit[2])
                 continue
+            name(len(order))
             # with no pattern there are no candidates to probe
             hit = offsets and candidate(p, 1.0)
             if hit:
                 self.promote(hit[0])
             else:
                 self.activate(p)
+        return by
 
-    def take_run(self, xy: np.ndarray) -> None:
+    def take_run(self, xy: np.ndarray) -> np.ndarray:
         """Take the rows of xy in order, in blocks that double in size from
-        _FIRST_BLOCK. Where the centers placed so far covered at least
-        1/_GATE of the previous block on arrival, ``open_rows`` at limit 1
-        first drops the block's rows that they cover: by its cell grid or,
-        for a block whose cell table would overflow, by its cKDTree query."""
+        _FIRST_BLOCK, and return ``take``'s index per row. A block is
+        filtered where the previous one, if filtered, had at least 1/_GATE
+        of its rows dropped, or else had at least 1/_GATE covered on
+        arrival: ``settling_centers`` at limit 1 first drops the block's
+        rows that the centers placed so far cover, by its cell grid or, for
+        a block whose cell table would overflow, by its cKDTree query, and
+        names their centers."""
+        by = np.empty(len(xy), np.intp)
         start, size = 0, _FIRST_BLOCK
         use_filter = False
         while start < len(xy):
             block = xy[start:start + size]
-            placed = len(self.active_order)
-            rows = block[open_rows(block, centers_array(self.active_order), 1.0)] if use_filter else block
-            self.take(rows.tolist())
-            uncovered = len(self.active_order) - placed
-            use_filter = (len(block) - uncovered) * _GATE >= len(block)
-            start += size
-            size *= 2
+            stop = start + len(block)
+            if use_filter:
+                open_, who = settling_centers(block, centers_array(self.active_order), 1.0)
+                who[open_] = self.take(block[open_].tolist())
+                by[start:stop] = who
+                covered = len(block) - len(open_)
+            else:
+                placed = len(self.active_order)
+                by[start:stop] = self.take(block.tolist())
+                covered = len(block) - (len(self.active_order) - placed)
+            use_filter = covered * _GATE >= len(block)
+            start, size = stop, size * 2
+        return by
 
 
 def _online(xy: np.ndarray, offsets, reach: float, degree: float):
@@ -441,24 +463,18 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float):
     row with none spawns nothing. With no pattern, settle and decide stop
     after their first steps.
 
-    The witness, where the rounds decide every row in one block, is a
-    callable that gives per row the index in the cover of the center that
-    covers it: its own, or the center whose probe settled it. Elsewhere it
-    is None. The grid loop keeps no such index. The blocks' filter names
-    no center for the rows it drops (5 180 of ``uniform``'s 10 000 for
-    ccfm1997), and that witness made ``verify_cover`` slower, 0.84 against
-    0.91 ms (41 interleaved calls, 34 of them faster without it; 2-core KVM
-    guest). A stall comes within the first few rounds, so the rows before
-    it are 0.1-1% of the input on sorted squares, disks and lines, and
-    their witness cost ``verify_cover`` 30-45% more than none."""
+    The witness is a callable that gives per row the index in the cover
+    of a center within 1 of it: the row's own, the made row's whose probe
+    settled it in the rounds, the one the blocks' filter settled it by,
+    or, in the grid loop, ``CcfmState.take``'s."""
     # the pair list holds the pairs within r, whose margin grows with the
     # coordinates (r = 2 at 2^48, 17 at 2^52), so the sample counts at r
     r = _tree_radius(xy, reach)
     path = _path(xy, r, degree)
     if path == "grid":
         state = CcfmState(offsets)
-        state.take_run(xy)
-        return centers_array(state.active_order), None
+        by = state.take_run(xy)
+        return centers_array(state.active_order), lambda: by
     n = len(xy)
     k = len(offsets)
     # gathers from a column copy are faster than from xy[:, 0]
@@ -511,24 +527,26 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float):
 
     def kept(start, stop):
         # the rows that made a center so far, and the rows of start:stop
-        # that their centers leave open
+        # that their centers leave open; the others are covered by them
         earlier = made[:start].nonzero()[0]
         centers = np.column_stack((cx[earlier], cy[earlier]))
-        return earlier, start + open_rows(xy[start:stop], centers, 1.0)
+        open_, who = settling_centers(xy[start:stop], centers, 1.0)
+        covered = who >= 0
+        covered_by[start:stop][covered] = earlier[who[covered]]
+        return earlier, start + open_
 
     first = _rounds(xy, r, decide, settle, kept if path == "blocks" else None)
     if first is None:
-        cover = np.column_stack((cx[made], cy[made]))
-        if path == "blocks":
-            return cover, None
         # every row's covered_by made a center: its rank among them
-        return cover, lambda: (np.cumsum(made) - 1)[covered_by]
+        return np.column_stack((cx[made], cy[made])), lambda: (np.cumsum(made) - 1)[covered_by]
     state = CcfmState(offsets)
     rows = made[:first].nonzero()[0]
     for p, fresh in zip(zip(cx[rows].tolist(), cy[rows].tolist()), spawned[rows].tolist()):
         (state.activate if fresh else state.promote)(p)
-    state.take_run(xy[first:])
-    return centers_array(state.active_order), None
+    by = state.take_run(xy[first:])
+    # the replay appends the centers of the rows before first in row order
+    return centers_array(state.active_order), lambda: np.concatenate(
+        ((np.cumsum(made[:first]) - 1)[covered_by[:first]], by))
 
 
 def ccfm1997(points) -> Cover:
@@ -537,7 +555,7 @@ def ccfm1997(points) -> Cover:
 
 def _ccfm1997(points):
     """``ccfm1997``'s cover, and a callable that gives per point the index
-    of a center that covers it, or None where ``_online`` keeps none."""
+    of a center that covers it."""
     xy = as_points(points)
     return _online(xy, HEX_OFFSETS, 1.0 + SQRT3,
                    _CCFM_DEGREE * min(1.0, len(xy) / _CCFM_ROWS))

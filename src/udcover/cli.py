@@ -28,9 +28,7 @@ EXIT_VERIFY = 4
 # The solvers that know which of their disks each point lies in, keyed by
 # the function ALGORITHMS registers (so that a patched registry entry runs
 # as patched): each form returns the cover and a callable that gives one
-# center index per point, which verify_cover tests first, or None in place
-# of the callable where the solver's path keeps no such index (the online
-# solvers' grid path, blocks and stalls).
+# center index per point, which verify_cover tests first.
 _WITNESSED = {
     fastcover.fast_cover: fastcover._fast_cover,
     fastcover.fast_cover_plus: fastcover._fast_cover_plus,
@@ -111,17 +109,16 @@ def _solve(name: str, points: np.ndarray, eps: float | None):
     """Run one solver, timing the solve call alone. Returns the cover, the
     time and the ``verify_cover`` report, or None when ``eps`` is None.
     A solver in ``_WITNESSED`` runs in its witnessed form, and its witness,
-    built after the clock stops, goes to ``verify_cover``; where that form
-    gives None, as the online solvers' grid path does, none goes."""
+    built after the clock stops, goes to ``verify_cover``; any other (a
+    patched registry entry) gives none."""
     solver = ALGORITHMS[name]
-    witnessed = _WITNESSED.get(solver)
+    witnessed = _WITNESSED.get(solver, lambda points: (solver(points), lambda: None))
     start = time.perf_counter()
-    cover, witness = (solver(points), None) if witnessed is None else witnessed(points)
+    cover, witness = witnessed(points)
     elapsed = time.perf_counter() - start
     if eps is None:
         return cover, elapsed, None
-    return cover, elapsed, verify_cover(points, cover, eps=eps,
-                                        witness=witness and witness())
+    return cover, elapsed, verify_cover(points, cover, eps=eps, witness=witness())
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -5,9 +5,10 @@ query radius, so a 3x3 block of cells around the query is guaranteed to
 contain every stored point within that radius; it answers one query at a
 time, in Python. ``open_rows`` asks the same question of many rows at
 once, in numpy, over a cell table it builds for the call, or, where that
-table would overflow, with a cKDTree over the centers; ``witness_open_rows``
-asks it of one named center per row, by the same test. ``kd_tree`` builds
-every cKDTree the package queries.
+table would overflow, with a cKDTree over the centers; ``settling_centers``
+answers it with the index of a center that settles each row, and
+``witness_open_rows`` asks it of one named center per row, by the same
+test. ``kd_tree`` builds every cKDTree the package queries.
 """
 
 from __future__ import annotations
@@ -85,8 +86,14 @@ class RadiusGrid:
 
     def nearest_within(self, q: Point, r: float) -> tuple[Point, float] | None:
         """Nearest stored point at distance <= r from q (boundary
-        inclusive), or None. Requires r <= cell_side so the 3x3 probe
-        window is sufficient."""
+        inclusive), and its squared distance, or None. Requires
+        r <= cell_side so the 3x3 probe window is sufficient."""
+        hit = self._nearest(q, r)
+        return hit and hit[:2]
+
+    def _nearest(self, q: Point, r: float) -> tuple[Point, float, int] | None:
+        """``nearest_within``'s hit and its insertion number: the count of
+        points inserted before it, removed ones too."""
         if not r <= self.cell_side:
             raise ValueError(f"query radius {r} exceeds grid cell side {self.cell_side}")
         qx, qy = q
@@ -115,7 +122,7 @@ class RadiusGrid:
                         best = (x, y)
         if best is None:
             return None
-        return best, best_d
+        return best, best_d, best_seq
 
 
 def kd_tree(xy: np.ndarray) -> cKDTree:
@@ -129,7 +136,21 @@ def kd_tree(xy: np.ndarray) -> cKDTree:
 def open_rows(points: np.ndarray, centers: np.ndarray, limit: float,
               tree=None) -> np.ndarray:
     """The rows of ``points`` that no center of ``centers`` (at least one)
-    settles as covered, in index order.
+    settles as covered, in index order (``_open_rows``)."""
+    return _open_rows(points, centers, limit, tree, False)
+
+
+def settling_centers(points: np.ndarray, centers: np.ndarray,
+                     limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """``open_rows``' rows, and per row of ``points`` the index in
+    ``centers`` of a center that settles it, or -1 for the open rows."""
+    return _open_rows(points, centers, limit, None, True)
+
+
+def _open_rows(points, centers, limit, tree, named):
+    """The rows of ``points`` that no center of ``centers`` settles, in
+    index order, and, where ``named``, per row the index of a center that
+    settles it, or -1.
 
     A cell grid settles a row once some center has ``dx*dx + dy*dy``
     below ``limit**2`` by more than ``_BAND``: so a tree, or a RadiusGrid
@@ -152,7 +173,7 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float,
     x0, y0 = float(ctx.min()), float(cty.min())
     w, h = float(ctx.max()) - x0, float(cty.max()) - y0
     if not (math.isfinite(lo) and math.isfinite(w) and math.isfinite(h)):
-        return _tree_open_rows(points, centers, limit, tree)
+        return _tree_open_rows(points, centers, limit, tree, named)
     n, m = points.shape[0], centers.shape[0]
     room = 4 * (n + m)
     side = max(limit * _CELL_MARGIN, 12.0 * w / room, 12.0 * h / room,
@@ -174,19 +195,25 @@ def open_rows(points: np.ndarray, centers: np.ndarray, limit: float,
     a = start[key - 1]
     cnt = start[key + 2] - a
     if int(cnt.sum()) > _MAX_PAIRS * (n + m):
-        return _tree_open_rows(points, centers, limit, tree)
+        return _tree_open_rows(points, centers, limit, tree, named)
     order = np.argsort(ckey)
     cx, cy = ctx[order], cty[order]
-    open_ = np.flatnonzero(~_any_within(px, py, a, cnt, cx, cy, lo))
+    name = order if named else None
+    settled = _any_within(px, py, a, cnt, cx, cy, lo, name)
+    open_ = np.flatnonzero(settled < 0 if named else ~settled)
     if not len(open_):
-        return open_
+        return (open_, settled) if named else open_
     # the columns to the left and right, for the rows still open
     key = key[open_]
     a = np.concatenate((start[key - ny - 1], start[key + ny - 1]))
     cnt = np.concatenate((start[key - ny + 2], start[key + ny + 2])) - a
     px, py = px[open_], py[open_]
-    hit = _any_within(np.concatenate((px, px)), np.concatenate((py, py)), a, cnt, cx, cy, lo)
-    return open_[~(hit[:len(open_)] | hit[len(open_):])]
+    hit = _any_within(np.concatenate((px, px)), np.concatenate((py, py)), a, cnt, cx, cy, lo, name)
+    left, right = hit[:len(open_)], hit[len(open_):]
+    if named:
+        settled[open_] = who = np.maximum(left, right)
+        return open_[who < 0], settled
+    return open_[~(left | right)]
 
 
 def witness_open_rows(points: np.ndarray, centers: np.ndarray, witness: np.ndarray,
@@ -216,27 +243,34 @@ def _settles(dx: np.ndarray, dy: np.ndarray, lo: float) -> np.ndarray:
     return dx * dx + dy * dy <= lo
 
 
-def _tree_open_rows(points, centers, limit, tree) -> np.ndarray:
-    """``open_rows`` by a cKDTree query: the rows with no center nearer
-    than ``limit * _INSIDE``."""
+def _tree_open_rows(points, centers, limit, tree, named):
+    """``_open_rows`` by a cKDTree query: the rows with no center nearer
+    than ``limit * _INSIDE`` are open, and the others' nearest center
+    settles them."""
     inside = limit * _INSIDE
     tree = tree() if tree else kd_tree(centers)
-    dist, _ = tree.query(points, distance_upper_bound=inside)
-    return np.flatnonzero(dist >= inside)
+    dist, idx = tree.query(points, distance_upper_bound=inside)
+    open_ = np.flatnonzero(dist >= inside)
+    if named:
+        idx[open_] = -1
+        return open_, idx
+    return open_
 
 
-def _any_within(px, py, a, cnt, cx, cy, lo) -> np.ndarray:
+def _any_within(px, py, a, cnt, cx, cy, lo, order) -> np.ndarray:
     """Per row i, whether one of the centers ``a[i] .. a[i] + cnt[i] - 1``
-    of ``cx``/``cy`` has ``dx*dx + dy*dy <= lo``. Slot j tests the j-th
-    center of every row not yet settled; a row none of its first
-    ``_MAX_SLOTS`` centers settles stays unsettled."""
-    hit = np.zeros(len(a), bool)
+    of ``cx``/``cy`` has ``dx*dx + dy*dy <= lo``, or, given ``order``, the
+    centers' indices before the sort, ``order[k]`` for the first such
+    center k, or -1. Slot j tests the j-th center of every row not yet
+    settled; a row none of its first ``_MAX_SLOTS`` centers settles stays
+    unsettled."""
+    out = np.zeros(len(a), bool) if order is None else np.full(len(a), -1, np.intp)
     rows = np.flatnonzero(cnt != 0)
     for j in range(_MAX_SLOTS):
         if not len(rows):
             break
         k = a[rows] + j
         near = _settles(px[rows] - cx[k], py[rows] - cy[k], lo)
-        hit[rows[near]] = True
+        out[rows[near]] = True if order is None else order[k[near]]
         rows = rows[~near & (cnt[rows] > j + 1)]
-    return hit
+    return out

@@ -166,9 +166,9 @@ def test_bench_passes_witnesses_and_keeps_its_records(tmp_path, monkeypatch):
     rows = [r.split(",") for r in lines[1:]]
     assert [r[:4] for r in rows[::2]] == [[name, str(f), "200", str(len(solver(pts)))]
                                          for name, solver in ALGORITHMS.items()]
-    # on these 200 points ccfm1997 takes the grid path, which keeps no
-    # witness; dgt2018's rounds decide every point, and keep one
-    assert witnessed == [name != "ccfm1997" for name in ALGORITHMS]
+    # every solver passes a witness: on these 200 points ccfm1997 takes
+    # the grid path and dgt2018 the rounds
+    assert witnessed == [True] * len(ALGORITHMS)
 
 
 def test_cover_unknown_algorithm(tmp_path):

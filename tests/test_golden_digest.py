@@ -123,9 +123,8 @@ def test_every_algorithm_is_pinned():
 WITNESSED = ["g1991", "ccfm1997", "ll2014", "ll2014-1p", "blms2017", "dgt2018",
              "fastcover", "fastcover+", "fastcover++"]
 
-# the online solvers keep a witness only where their rounds decide every
-# point: not on the grid path, nor where the rounds stall (ccfm1997 on the
-# lattice, at its second row)
+# the online solvers' path per instance; each path keeps a witness
+# (ccfm1997's rounds stall on the lattice, at its second row)
 ONLINE_PATHS = {
     ("ccfm1997", "square"): "rounds", ("dgt2018", "square"): "rounds",
     ("ccfm1997", "disk"): "rounds", ("dgt2018", "disk"): "rounds",
@@ -168,9 +167,6 @@ def test_witness_alone_settles_every_point(algorithm, instance, monkeypatch):
     pts = INSTANCES[instance]()
     cover, witness = cli._WITNESSED[ALGORITHMS[algorithm]](pts)
     assert hashlib.sha256(cover.tobytes()).hexdigest() == DIGESTS[algorithm, instance]
-    if ONLINE_PATHS.get((algorithm, instance), "rounds") != "rounds":
-        assert witness is None
-        return
     rows = []
 
     def spy(points, *args):

@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import udcover
+import numpy as np
+import pytest
 
-from udcover.gridindex import RadiusGrid
+import udcover
+import udcover.gridindex as gridindex
+from udcover.gridindex import RadiusGrid, open_rows, settling_centers
 
 
 def brute_nearest(pts, q, r):
@@ -84,6 +87,76 @@ def test_matches_linear_scan():
             gd = got[1]
             ed = (expect[0] - q[0]) ** 2 + (expect[1] - q[1]) ** 2
             assert abs(gd - ed) < 1e-12
+
+
+def test_insertion_number_names_the_point_the_probe_returns():
+    # removed points keep their numbers: the count of earlier inserts
+    rnd = random.Random(11)
+    pts = [(rnd.uniform(-4, 4), rnd.uniform(-4, 4)) for _ in range(200)]
+    g = RadiusGrid()
+    for p in pts:
+        g.insert(p)
+    for p in pts[::3]:
+        assert g.remove(p)
+    hits = 0
+    for _ in range(300):
+        q = (rnd.uniform(-5, 5), rnd.uniform(-5, 5))
+        hit = g._nearest(q, 1.0)
+        assert g.nearest_within(q, 1.0) == (hit and hit[:2])
+        if hit is not None:
+            hits += 1
+            assert hit[2] % 3 and pts[hit[2]] == hit[0]
+    assert hits > 100
+
+
+def _settling(points, centers, limit, monkeypatch):
+    """``settling_centers``' answer, checked against ``open_rows`` and the
+    settle test, and whether its tree answered."""
+    trees = []
+    real = gridindex._tree_open_rows
+
+    def tree(*args):
+        trees.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gridindex, "_tree_open_rows", tree)
+    open_, who = settling_centers(points, centers, limit)
+    assert who.shape == (len(points),) and who.dtype == np.intp
+    assert open_.tolist() == np.flatnonzero(who < 0).tolist()
+    assert open_.tolist() == open_rows(points, centers, limit).tolist()
+    s = who >= 0
+    assert (who[s] < len(centers)).all()
+    c = centers[who[s]]
+    assert gridindex._settles(points[s, 0] - c[:, 0], points[s, 1] - c[:, 1],
+                              gridindex._settle_sq(limit)).all()
+    return who, bool(trees)
+
+
+@pytest.mark.parametrize("limit", [1.0, 1.0 + 1e-9, 0.3])
+def test_settling_centers_on_the_cell_grid(monkeypatch, limit):
+    # the rows settle in their own column and in the columns beside it
+    rng = np.random.default_rng(3)
+    points = rng.random((3000, 2)) * 40.0
+    centers = rng.random((400, 2)) * 40.0
+    who, tree = _settling(points, centers, limit, monkeypatch)
+    assert not tree and 100 < np.count_nonzero(who >= 0) < len(points) - 100
+
+
+def test_settling_centers_by_the_tree_past_a_far_outlier(monkeypatch):
+    # one far center widens the cells until the candidates pass their cap
+    rng = np.random.default_rng(4)
+    points = rng.random((2000, 2)) * 40.0
+    centers = np.vstack([rng.random((400, 2)) * 40.0, [(1e9, 1e9)]])
+    who, tree = _settling(points, centers, 1.0, monkeypatch)
+    assert tree and 100 < np.count_nonzero(who >= 0) < len(points) - 100
+
+
+def test_settling_centers_by_the_tree_where_the_extent_overflows(monkeypatch):
+    # the centers' width, 3e308, is inf in floats
+    centers = np.array([(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 0.0)])
+    points = np.array([(-1.5e308, 0.5), (1.5e308, -0.5), (0.3, 0.4), (0.0, 1.0), (5.0, 5.0)])
+    who, tree = _settling(points, centers, 1.0, monkeypatch)
+    assert tree and who.tolist() == [0, 1, 2, -1, -1]
 
 
 def test_contract_checks_survive_python_O():

@@ -6,7 +6,7 @@ moderate, over one list per doubling block that spans only the rows the
 earlier centers leave open; where those rounds stall, the grid loop
 replays the centers made before the first undecided row and takes every
 row from it on, in one run. Elsewhere they drop, with
-``gridindex.open_rows`` per block (its numpy cell grid, or its cKDTree
+``gridindex.settling_centers`` per block (its numpy cell grid, or its cKDTree
 query where the cell table would overflow), the points an earlier center
 already covers. The covers must stay bit-equal
 to the plain loops on every path, with the rounds in blocks or not, with
@@ -34,7 +34,7 @@ from classic_reference import reference_ccfm1997, reference_dgt2018
 from udcover.classic import ccfm1997, dgt2018
 from udcover.generators import gen_disk, gen_square
 from udcover.geom import HALF_SQRT3, SQRT3
-from udcover.gridindex import RadiusGrid, open_rows
+from udcover.gridindex import RadiusGrid, open_rows, settling_centers
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -195,7 +195,7 @@ def _count_trees(monkeypatch):
 
     def grid(points, centers, limit):
         built.append((len(centers), ["open_rows"]))
-        return open_rows(points, centers, limit)
+        return settling_centers(points, centers, limit)
 
     class Spy:
         def __init__(self, data, **kwargs):
@@ -208,7 +208,7 @@ def _count_trees(monkeypatch):
             return getattr(self.tree, name)
 
     monkeypatch.setattr(gridindex, "cKDTree", Spy)
-    monkeypatch.setattr(classic, "open_rows", grid)
+    monkeypatch.setattr(classic, "settling_centers", grid)
     return built
 
 
@@ -231,9 +231,9 @@ def _count_probes(monkeypatch):
     probes = []
 
     class Counting(classic.RadiusGrid):
-        def nearest_within(self, q, r):
+        def _nearest(self, q, r):
             probes.append(q)
-            return super().nearest_within(q, r)
+            return super()._nearest(q, r)
 
     monkeypatch.setattr(classic, "RadiusGrid", Counting)
     return probes
@@ -469,9 +469,11 @@ def test_no_row_the_block_filter_drops_is_ever_made(monkeypatch, solver, case):
         return seen["first"]
 
     def take(self, rows):
+        by = []
         for row in rows:
             covered[index[tuple(row)]] = self.active.nearest_within(tuple(row), 1.0) is not None
-            real_take(self, [row])
+            by += real_take(self, [row])
+        return by
 
     monkeypatch.setattr(classic, "_path", _BLOCKS["_path"])
     monkeypatch.setattr(classic, "_rounds", rounds)
@@ -501,7 +503,7 @@ def test_sorted_clusters_hand_the_grid_loop_one_suffix(monkeypatch):
 
     def take_run(self, xy):
         runs.append(len(xy))
-        real(self, xy)
+        return real(self, xy)
 
     monkeypatch.setattr(classic.CcfmState, "take_run", take_run)
     assert _bits(ccfm1997(pts)) == _bits(reference_ccfm1997(pts))

@@ -127,11 +127,10 @@ def test_witness_never_changes_the_report_of_a_truncated_cover(pts, drop, data):
 
 def _online_witness(solve, pts, drop):
     """``solve``'s cover of pts, less its last ``drop`` centers, verifies
-    bit-equal with and without its own witness and to the reference. The
-    witness is None unless the rounds decided every point, and then names
-    for each point a center of the full cover, which alone settles it.
-    Returns the path taken ("grid", "rounds", "blocks" or "stall") and the
-    witness."""
+    bit-equal with and without its own witness and to the reference. On
+    every path the witness names for each point a center of the full
+    cover, which alone settles it at verify's limit, 1 + 1e-9. Returns the
+    path taken ("grid", "rounds", "blocks" or "stall") and the witness."""
     taken = []
     path, rounds = classic._path, classic._rounds
 
@@ -144,12 +143,10 @@ def _online_witness(solve, pts, drop):
     with mock.patch.object(classic, "_path", lambda *args: taken.append(path(*args)) or taken[-1]), \
             mock.patch.object(classic, "_rounds", first_undecided):
         cover, witness = solve(pts)
-    witness = witness and witness()
-    assert (witness is not None) == (taken[-1] == "rounds")
-    if witness is not None:
-        assert witness.shape == (len(pts),)
-        assert ((witness >= 0) & (witness < len(cover))).all()
-        assert udcover.gridindex.witness_open_rows(pts, cover, witness, 1.0).tolist() == []
+    witness = witness()
+    assert witness.shape == (len(pts),)
+    assert ((witness >= 0) & (witness < len(cover))).all()
+    assert udcover.gridindex.witness_open_rows(pts, cover, witness, 1.0 + 1e-9).tolist() == []
     cover = cover[:len(cover) - drop]
     expected = _exact(reference_verify_cover(pts, cover))
     assert _exact(verify_cover(pts, cover)) == expected
@@ -175,17 +172,18 @@ def test_online_rounds_keep_a_witness(solve, drop):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("drop", [0, 3])
-def test_online_blocks_keep_no_witness(seed, drop):
+def test_online_blocks_keep_a_witness(seed, drop):
     # density 1 at 10^4 points: ccfm1997 decides in blocks, whose filter
-    # names no center for the rows it drops
+    # names the center of each row it drops
     assert _online_witness(_ccfm1997, gen_square(10_000, 10_000.0, seed), drop)[0] == "blocks"
 
 
 @pytest.mark.parametrize("solve", [_ccfm1997, _dgt2018], ids=["ccfm1997", "dgt2018"])
 @pytest.mark.parametrize("drop", [0, 3])
-def test_online_stall_keeps_no_witness(solve, drop):
+def test_online_stall_keeps_a_witness(solve, drop):
     # a line and, for ccfm1997, a density-1 square, each sorted by (x, y),
-    # stall the rounds; the grid loop then takes the rest
+    # stall the rounds; the grid loop then takes the rest, and the line's
+    # rows lie exactly 1 from their centers
     line = np.column_stack((np.arange(1500) * 0.5, np.zeros(1500)))
     assert _online_witness(solve, line, drop)[0] == "stall"
     square = gen_square(2000, 2000.0, 3)
