@@ -262,8 +262,9 @@ def _any_within(px, py, a, cnt, cx, cy, lo, order) -> np.ndarray:
     of ``cx``/``cy`` has ``dx*dx + dy*dy <= lo``, or, given ``order``, the
     centers' indices before the sort, ``order[k]`` for the first such
     center k, or -1. Slot j tests the j-th center of every row not yet
-    settled; a row none of its first ``_MAX_SLOTS`` centers settles stays
-    unsettled."""
+    settled, and writes every such row, since it holds False or -1 so far
+    (cheaper than selecting the settled ones); a row none of its first
+    ``_MAX_SLOTS`` centers settles stays unsettled."""
     out = np.zeros(len(a), bool) if order is None else np.full(len(a), -1, np.intp)
     rows = np.flatnonzero(cnt != 0)
     for j in range(_MAX_SLOTS):
@@ -271,6 +272,6 @@ def _any_within(px, py, a, cnt, cx, cy, lo, order) -> np.ndarray:
             break
         k = a[rows] + j
         near = _settles(px[rows] - cx[k], py[rows] - cy[k], lo)
-        out[rows[near]] = True if order is None else order[k[near]]
+        out[rows] = near if order is None else np.where(near, order[k], -1)
         rows = rows[~near & (cnt[rows] > j + 1)]
     return out
