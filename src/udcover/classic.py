@@ -18,8 +18,10 @@ dx*dx + dy*dy <= 1 and their floor(x), floor(y) cells are at most 1 apart
 in each axis: the probe never sees a center two cells away, even at a
 rounded distance of exactly 1.
 
-Where a random sample puts the mean degree low, the engine computes the
-cover in numpy dependency rounds over one cKDTree pair list
+``_path`` estimates the mean degree, the number of other points within
+the reach, once: from the bounding box, then from a random sample where
+the box's estimate is low. Where that estimate is low, the engine
+computes the cover in numpy dependency rounds over one cKDTree pair list
 (``_rounds``). A point's decision depends only on the earlier points
 within a reach: 1 + the pattern's radius, since a center or candidate
 lies that far at most from the point that placed it. With no pattern the
@@ -33,7 +35,7 @@ that stall, as on chains in sorted input, hand the grid loop the rest of
 the input from the first point still undecided, after it replays the
 centers made before that point.
 
-Where the sampled degree is moderate (``_BLOCK_DEGREE`` or more, from
+Where the estimate is moderate (``_BLOCK_DEGREE`` or more, from
 8 * _FIRST_BLOCK points up), the rounds decide the rows in doubling
 blocks, the first n/8 rows and then n/8, n/4 and n/2 more, rather than
 all at once. Before a later block, ``open_rows`` drops the block's rows
@@ -44,7 +46,7 @@ ccfm1997 at 10^4 points the blocks break even at a sampled degree of about
 10 and take a third off the rounds at density 1 (degree 19); the break-even
 falls to about 6 at 10^5 points. dgt2018 takes the grid path first.
 
-Where the sample puts the mean degree high, every point goes to the grid
+Where the estimate puts the mean degree high, every point goes to the grid
 loop, in blocks that keep the input order. Where earlier centers covered
 enough of the previous block, the numpy cell grid that ``verify_cover``
 uses too (``gridindex.settling_centers``) drops the points that the
@@ -112,7 +114,9 @@ _MIS_DEGREE = 7.0
 # since each round has a fixed cost. Both paths timed on gen_disk points
 # (7 runs, 2-core KVM guest): the rounds were the faster up to density 0.9
 # (degree 21) at n = 500, 1.5 at 2 000, 1.7 at 4 000 and 2.0 (degree 47)
-# at 10^4 and 4 * 10^4; density 1 is a degree of 23.4.
+# at 10^4 and 4 * 10^4; density 1 is a degree of 23.4. Sorted by (x, y),
+# the grid path wins further down: at 10^4 and density 5 the blocks took
+# 8.4 ms against its 9.1 shuffled, but 31.4 against 19.9 ms sorted.
 _CCFM_DEGREE = 45.0
 _CCFM_ROWS = 3000
 # From 8 * _FIRST_BLOCK rows up, a sampled mean degree of _BLOCK_DEGREE or
@@ -177,53 +181,42 @@ def _spread_sample(xy: np.ndarray) -> tuple[np.ndarray, float]:
     return sample, math.sqrt((n - 1) / (m - 1))
 
 
-def _extent(xy: np.ndarray) -> tuple[float, float]:
-    """The width and height of the bounding box of the rows of xy (n >= 1),
-    per column (xy.max(axis=0) is over ten times slower) and as Python
-    floats, which overflow to inf without a warning."""
-    x, y = xy[:, 0], xy[:, 1]
-    return float(x.max()) - float(x.min()), float(y.max()) - float(y.min())
-
-
 def _path(xy: np.ndarray, reach: float, degree: float) -> str:
     """How ``_online`` covers xy: ``"grid"`` where a row of xy has, on
     average, at least ``degree`` other rows within ``reach``; else
     ``"blocks"`` where it has at least ``_BLOCK_DEGREE`` and there are
-    8 * _FIRST_BLOCK rows or more; else ``"rounds"``. The mean degree is
-    estimated from ``_spread_sample``: P sampled pairs within s * reach
-    estimate 2 P / m. Clusters finer than s escape that estimate, so the Q
-    sampled pairs within ``reach`` itself count too: any two sampled rows
-    are that near as often as any two rows, so 2 (n - 1) Q / (m (m - 1))
-    estimates the degree whatever the layout; it decides only where
-    Q >= _NEAR_PAIRS, which keeps its noise out. The bounding box, w by h,
-    comes first and costs no sample: evenly spread over it, the rows would
-    have about pi reach^2 n / (w h) neighbours each where both sides are
-    2 reach or more, and bunched up, more. A side shorter than 2 reach
-    clips the disk, so the box counts it as pi/4 of the min(w, 2 reach) by
-    min(h, 2 reach) rectangle: a line or a strip thinner than the reach,
-    evenly spread, has more neighbours than that, not fewer."""
+    8 * _FIRST_BLOCK rows or more; else ``"rounds"``. One estimate of that
+    mean degree decides, the largest of up to three. The bounding box, w
+    by h, costs no sample: evenly spread, the rows would have about
+    pi reach^2 n / (w h) neighbours each, and bunched up, more; a side
+    shorter than 2 reach counts as min(w, 2 reach), which a line or a thin
+    strip, evenly spread, exceeds. Only where that is below ``degree`` is
+    ``_spread_sample`` drawn: P sampled pairs within s * reach estimate
+    2 P / m. Clusters finer than s escape that, but any two sampled rows
+    are within ``reach`` as often as any two rows, so the Q such pairs
+    estimate 2 (n - 1) Q / (m (m - 1)) whatever the layout, from
+    Q >= _NEAR_PAIRS on, which keeps its noise out."""
     n = len(xy)
     if n < 2:
         return "rounds"
-    w, h = _extent(xy)
-    box = math.pi / 4 * min(w, 2 * reach) * min(h, 2 * reach) * n
+    # the box per column (xy.max(axis=0) is over ten times slower), in
+    # Python floats, which overflow to inf without a warning
+    x, y = xy[:, 0], xy[:, 1]
+    w, h = float(x.max()) - float(x.min()), float(y.max()) - float(y.min())
     area = w * h
-    if area > 0 and box >= degree * area:
+    box = math.pi / 4 * min(w, 2 * reach) * min(h, 2 * reach) * n
+    estimate = box / area if area > 0 else 0.0
+    if estimate < degree:
+        sample, spread = _spread_sample(xy)
+        m = len(sample)
+        tree = kd_tree(sample)
+        near = len(tree.query_pairs(reach, output_type="ndarray"))
+        far = len(tree.query_pairs(reach * spread, output_type="ndarray"))
+        estimate = max(estimate, 2 * far / m,
+                       2 * (n - 1) * near / (m * (m - 1)) if near >= _NEAR_PAIRS else 0.0)
+    if estimate >= degree:
         return "grid"
-    sample, spread = _spread_sample(xy)
-    m = len(sample)
-    tree = kd_tree(sample)
-    near = len(tree.query_pairs(reach, output_type="ndarray"))
-    far = len(tree.query_pairs(reach * spread, output_type="ndarray"))
-
-    def at_least(d):
-        return ((area > 0 and box >= d * area)
-                or (near >= _NEAR_PAIRS and 2 * (n - 1) * near >= d * m * (m - 1))
-                or 2 * far >= d * m)
-
-    if at_least(degree):
-        return "grid"
-    return "blocks" if n >= 8 * _FIRST_BLOCK and at_least(_BLOCK_DEGREE) else "rounds"
+    return "blocks" if n >= 8 * _FIRST_BLOCK and estimate >= _BLOCK_DEGREE else "rounds"
 
 
 def _probe(ux, uy, vx, vy):
@@ -550,6 +543,9 @@ def _online(xy: np.ndarray, offsets, reach: float, degree: float):
 
 
 def ccfm1997(points) -> Cover:
+    """Online cover in input order: an uncovered point promotes the nearest
+    candidate within 1, else becomes a center with six hexagonal
+    candidates sqrt(3) away. Centers are listed as they were placed."""
     return _ccfm1997(points)[0]
 
 
@@ -562,6 +558,8 @@ def _ccfm1997(points):
 
 
 def dgt2018(points) -> Cover:
+    """Online cover in input order: a point becomes a center iff no
+    earlier center lies within 1 of it."""
     return _dgt2018(points)[0]
 
 

@@ -25,20 +25,19 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_VERIFY = 4
 
-# The solvers that know which of their disks each point lies in, keyed by
-# the function ALGORITHMS registers (so that a patched registry entry runs
-# as patched): each form returns the cover and a callable that gives one
-# center index per point, which verify_cover tests first.
+# Each ALGORITHMS name's solver in the form that returns the cover and a
+# callable that gives one center index per point, which verify_cover
+# tests first.
 _WITNESSED = {
-    fastcover.fast_cover: fastcover._fast_cover,
-    fastcover.fast_cover_plus: fastcover._fast_cover_plus,
-    fastcover.fast_cover_pp: fastcover._fast_cover_pp,
-    classic.g1991: classic._g1991,
-    classic.ccfm1997: classic._ccfm1997,
-    classic.dgt2018: classic._dgt2018,
-    sweep.ll2014: sweep._ll2014,
-    sweep.ll2014_1p: lambda points: sweep._ll2014(points, passes=1),
-    sweep.blms2017: sweep._blms2017,
+    "g1991": classic._g1991,
+    "ccfm1997": classic._ccfm1997,
+    "ll2014": sweep._ll2014,
+    "ll2014-1p": lambda points: sweep._ll2014(points, passes=1),
+    "blms2017": sweep._blms2017,
+    "dgt2018": classic._dgt2018,
+    "fastcover": fastcover._fast_cover,
+    "fastcover+": fastcover._fast_cover_plus,
+    "fastcover++": fastcover._fast_cover_pp,
 }
 
 
@@ -106,15 +105,12 @@ def _selected_algorithms(name: str) -> list[str]:
 
 
 def _solve(name: str, points: np.ndarray, eps: float | None):
-    """Run one solver, timing the solve call alone. Returns the cover, the
-    time and the ``verify_cover`` report, or None when ``eps`` is None.
-    A solver in ``_WITNESSED`` runs in its witnessed form, and its witness,
-    built after the clock stops, goes to ``verify_cover``; any other (a
-    patched registry entry) gives none."""
-    solver = ALGORITHMS[name]
-    witnessed = _WITNESSED.get(solver, lambda points: (solver(points), lambda: None))
+    """Run one solver in its witnessed form, timing the solve call alone.
+    Returns the cover, the time and the ``verify_cover`` report, or None
+    when ``eps`` is None. The witness, built after the clock stops, goes
+    to ``verify_cover``."""
     start = time.perf_counter()
-    cover, witness = witnessed(points)
+    cover, witness = _WITNESSED[name](points)
     elapsed = time.perf_counter() - start
     if eps is None:
         return cover, elapsed, None

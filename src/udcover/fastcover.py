@@ -40,7 +40,7 @@ _LATER_NEIGHBORS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
 class _Cells:
-    """The distinct cells (i, j) = floor(xy / sqrt(2)) of n >= 1 points,
+    """The distinct cells (i, j) = floor(xy / sqrt(2)) of n points,
     numbered in (i, j) order.
 
     A cell's key is (i - i_min) * span + j - j_min, span one more than the
@@ -50,18 +50,20 @@ class _Cells:
     ``COORD_BOUND`` keys stay under 2^46; where the key box holds at most
     2^16 keys, ``key_order`` sorts them by radix. ``id``, each item's
     cell, is numbered on first read: ``fast_cover`` reads it only for the
-    argsort path's earliest items, and for its witness.
+    argsort path's earliest items, and for its witness. The reductions'
+    initial values lie past ``bounded_points``' |i|, |j| < 2^22, so n = 0
+    gives no cells; 0 would stretch the key box to the origin.
     """
 
     def __init__(self, floor: np.ndarray):
         i = floor[:, 0].astype(np.int64)
         j = floor[:, 1].astype(np.int64)
-        i0, j0 = int(i.min()), int(j.min())
-        self.span = int(j.max()) - j0 + 2
+        i0, j0 = int(i.min(initial=2**22)), int(j.min(initial=2**22))
+        self.span = int(j.max(initial=-2**22)) - j0 + 2
         key = i * self.span
         key += j
         key -= i0 * self.span + j0
-        size = (int(i.max()) - i0 + 1) * self.span
+        size = (int(i.max(initial=-2**22)) - i0 + 1) * self.span
         order = key_order(key, size)
         sorted_key = key.take(order)
         new = run_starts(sorted_key)
@@ -113,7 +115,7 @@ class _Placement(NamedTuple):
 
 
 def _place(xy: np.ndarray) -> _Placement:
-    """The fast_cover_plus pass over n >= 1 points.
+    """The fast_cover_plus pass over the points.
 
     In input order, a point joins its own cell's disk if placed, else the
     first placed E/W/N/S neighbor disk whose gate it passes and that is
@@ -169,8 +171,11 @@ def _place(xy: np.ndarray) -> _Placement:
     return _Placement(cells, placed_at, dep, own, xy)
 
 
-def _joined(p: _Placement, slot: np.ndarray) -> np.ndarray:
-    """Per point, ``slot`` of the cell whose disk it joined."""
+def _joined(p: _Placement, disks: np.ndarray) -> np.ndarray:
+    """Per point, the index in ``disks``, the placed cells in output
+    order, of the cell whose disk it joined."""
+    slot = np.empty(len(p.placed_at), dtype=np.intp)
+    slot[disks] = np.arange(len(disks))
     out = slot.take(p.cells.id)
     out[p.dep] = slot.take(p.dep_owner)
     return out
@@ -181,9 +186,7 @@ def _boxes(p: _Placement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     boxes (rows xmin, ymin, xmax, ymax) of the points assigned to their
     disks, and per point the index of the disk it joined."""
     disks = (p.placed_at < len(p.xy)).nonzero()[0]
-    slot = np.empty(len(p.placed_at), dtype=np.intp)
-    slot[disks] = np.arange(len(disks))
-    owner = _joined(p, slot)
+    owner = _joined(p, disks)
     box = np.full((4, len(disks)), np.inf)
     box[2:] = -np.inf
     for axis in (0, 1):
@@ -217,10 +220,6 @@ class DiskTable:
         return len(self.disks)
 
 
-def _no_witness() -> np.ndarray:
-    return np.empty(0, dtype=np.intp)
-
-
 def fast_cover(points) -> Cover:
     """One grid-disk per distinct nonempty cell, in first-occurrence
     order of the input. O(n) time by radix sorts where n and the cells'
@@ -232,8 +231,6 @@ def _fast_cover(points):
     """``fast_cover``'s cover, and a callable that gives per point the
     index of its cell's disk in it."""
     xy = bounded_points(points)
-    if len(xy) == 0:
-        return np.empty((0, 2)), _no_witness
     cells = _Cells(np.floor(xy / SQRT2))
     order = key_order(cells.first, len(xy))
     return (cells.center.take(order, axis=0),
@@ -250,30 +247,17 @@ def fast_cover_plus(points) -> Cover:
 def _fast_cover_plus(points):
     """``fast_cover_plus``'s cover, and a callable that gives per point
     the index of the disk it joined in it."""
-    xy = bounded_points(points)
-    if len(xy) == 0:
-        return np.empty((0, 2)), _no_witness
-    p = _place(xy)
-    placed = (p.placed_at < len(xy)).nonzero()[0]
-    placed = placed[key_order(p.placed_at[placed], len(xy))]
-
-    def witness():
-        slot = np.empty(len(p.placed_at), dtype=np.intp)
-        slot[placed] = np.arange(len(placed))
-        return _joined(p, slot)
-
-    return p.cells.center.take(placed, axis=0), witness
+    p = _place(bounded_points(points))
+    placed = (p.placed_at < len(p.xy)).nonzero()[0]
+    placed = placed[key_order(p.placed_at[placed], len(p.xy))]
+    return p.cells.center.take(placed, axis=0), lambda: _joined(p, placed)
 
 
 def build_disk_table(points) -> DiskTable:
     """fastcover++'s first stage: the fast_cover_plus pass, keeping per
     placed grid-disk the bounding box of the points assigned to it (a
     neighbor-cover hit extends that neighbor's box), in (i, j) order."""
-    xy = bounded_points(points)
-    if len(xy) == 0:
-        return DiskTable(None, np.empty(0, dtype=np.intp), np.empty((4, 0)),
-                         np.empty(0, dtype=np.intp))
-    p = _place(xy)
+    p = _place(bounded_points(points))
     return DiskTable(p.cells, *_boxes(p))
 
 
@@ -298,8 +282,6 @@ def coalesce_pass(table: DiskTable) -> Cover:
 def _coalesce(table: DiskTable):
     """``coalesce_pass``'s cover, and a callable that gives per disk of
     the table the index of its center, or of its merged one, in it."""
-    if not len(table):
-        return np.empty((0, 2)), _no_witness
     cells, disks, box = table.cells, table.disks, table.box
     m = len(disks)
     slot = np.full(len(cells.key) + 1, -1, dtype=np.intp)  # slot[-1] stays -1

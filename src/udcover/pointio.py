@@ -12,6 +12,8 @@ from .geom import Cover, as_points
 
 
 class ParseError(ValueError):
+    """A malformed pointset file; ``line`` is the 1-based line, or None."""
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
@@ -94,6 +96,7 @@ def _coords(parts: list[str], text: str, lineno: int) -> tuple[float, float]:
 
 
 def write_xy(points, stream: IO[str]) -> None:
+    """One ``x y`` line per point, in repr, which ``read_xy`` reads back."""
     for x, y in as_points(points).tolist():
         stream.write(f"{x!r} {y!r}\n")
 

@@ -212,6 +212,7 @@ def _ll2014(points, passes: int = 6):
 
 
 def ll2014_1p(points) -> Cover:
+    """``ll2014`` with one pass, the strips starting at min x."""
     return ll2014(points, passes=1)
 
 

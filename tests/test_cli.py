@@ -103,7 +103,7 @@ def test_cover_same_from_ndarray_and_tuple_list(name):
 
 
 def test_cover_invalid_cover_exits_with_verify_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli.ALGORITHMS, "fastcover", lambda points: [])
+    monkeypatch.setitem(cli._WITNESSED, "fastcover", lambda points: ([], lambda: None))
     f = tmp_path / "p.xy"
     f.write_text("0 0\n9 9\n")
     assert run(["cover", "--input", str(f), "--algorithm", "fastcover",
@@ -125,7 +125,7 @@ def _zero_witness(monkeypatch, drop=0):
             return np.zeros(len(points), dtype=np.intp)
         return udcover.fast_cover(points)[drop:], witness
 
-    monkeypatch.setitem(cli._WITNESSED, udcover.fast_cover, witnessed)
+    monkeypatch.setitem(cli._WITNESSED, "fastcover", witnessed)
     return log
 
 

@@ -232,9 +232,8 @@ def _table_bits(table):
 
 def _array_bits(table):
     """Every array a DiskTable holds, as raw bytes."""
-    cells = [] if table.cells is None else vars(table.cells).values()
     return [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
-            for a in (table.disks, table.box, *cells)]
+            for a in (table.disks, table.box, *vars(table.cells).values())]
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,11 @@ ONLINE_PATHS = {
 }
 
 
-def test_witnessed_solvers_are_registered():
-    assert {ALGORITHMS[name] for name in WITNESSED} == set(cli._WITNESSED) == set(
-        ALGORITHMS.values())
+@pytest.mark.parametrize("algorithm", WITNESSED)
+def test_witnessed_solvers_are_registered(algorithm):
+    assert set(WITNESSED) == set(cli._WITNESSED) == set(ALGORITHMS)
+    pts = INSTANCES["square"]()
+    assert cli._WITNESSED[algorithm](pts)[0].tobytes() == ALGORITHMS[algorithm](pts).tobytes()
 
 
 @pytest.mark.parametrize("algorithm, instance", sorted(ONLINE_PATHS))
@@ -155,7 +157,7 @@ def test_online_paths_are_as_pinned(algorithm, instance, monkeypatch):
         return first
 
     monkeypatch.setattr(classic, "_rounds", first_undecided)
-    cli._WITNESSED[ALGORITHMS[algorithm]](INSTANCES[instance]())
+    cli._WITNESSED[algorithm](INSTANCES[instance]())
     assert taken[-1] == ONLINE_PATHS[algorithm, instance]
 
 
@@ -165,7 +167,7 @@ def test_witness_alone_settles_every_point(algorithm, instance, monkeypatch):
     # a broken witness would only cost time, never fail a report: so the
     # witness must leave open_rows no row, and the cover keep its digest
     pts = INSTANCES[instance]()
-    cover, witness = cli._WITNESSED[ALGORITHMS[algorithm]](pts)
+    cover, witness = cli._WITNESSED[algorithm](pts)
     assert hashlib.sha256(cover.tobytes()).hexdigest() == DIGESTS[algorithm, instance]
     rows = []
 
